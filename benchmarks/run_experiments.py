@@ -391,25 +391,25 @@ def metrics_overhead(backend=None):
 
 
 def serve_bench(backend=None):
-    """Closed-loop serving-layer benchmark (repro.service): throughput
-    and client-observed latency with and without a per-request
-    deadline. With the deadline on, p99 stays bounded near it — queued
-    requests past the deadline are shed stale, executing ones degrade
-    cooperatively at the next iteration boundary."""
-    from repro.service import movies_workload, run_serve_bench
+    """Closed-loop serving benchmark (repro.service load generator):
+    throughput and client-observed latency through the front door and
+    worker pool, with and without a per-request deadline. With the
+    deadline on, p99 stays bounded near it — pending requests past the
+    deadline are shed stale, executing ones degrade cooperatively at
+    the next iteration boundary."""
+    from repro.service import LoadConfig, movies_workload, run_bench
 
     engine, queries = movies_workload(n_movies=200, backend=backend)
     rows = []
     payloads = {}
     for label, deadline_ms in (("none", None), ("50ms", 50.0)):
-        payload = run_serve_bench(
+        payload = run_bench(
             engine,
             queries,
-            client_threads=8,
-            requests_per_client=15,
+            LoadConfig(clients=8, requests=15, deadline_ms=deadline_ms),
             workers=2,
-            deadline_ms=deadline_ms,
-        )
+            compare_coalescing=False,
+        )["coalesced"]
         payloads[label] = payload
         outcomes = payload["outcomes"]
         latency = payload["latency_ms"]
@@ -443,11 +443,7 @@ def frontdoor_bench(backend=None):
     ratio >= 1.5 on these same counters."""
     import time as _time
 
-    from repro.service import (
-        OpenLoopConfig,
-        movies_workload,
-        run_frontdoor_bench,
-    )
+    from repro.service import LoadConfig, movies_workload, run_bench
 
     engine, queries = movies_workload(n_movies=200, backend=backend)
     for query in queries:
@@ -458,14 +454,14 @@ def frontdoor_bench(backend=None):
     mean_ask = (_time.perf_counter() - start) / len(queries)
     workers = 2
     rate = 2.0 * workers / mean_ask
-    config = OpenLoopConfig(
+    config = LoadConfig(
         arrival_rate=rate,
         duration_s=min(2.0, max(0.5, 300.0 / rate)),
         duplicate_fraction=0.6,
         batch_fraction=0.25,
         deadline_ms=mean_ask * 1e3 * 50.0,
     )
-    payload = run_frontdoor_bench(engine, queries, config, workers=workers)
+    payload = run_bench(engine, queries, config, workers=workers)
     rows = []
     for label in ("coalesced", "uncoalesced"):
         arm = payload[label]
@@ -498,19 +494,23 @@ def tracing_overhead(backend=None):
     throughput with sampling on vs off (budget: <= 5% at 10%), plus the
     statistical profiler's per-stage self-time attribution — the
     correlation layer must be cheap enough to leave on."""
-    from repro.service import measure_trace_overhead, movies_workload
-    from repro.service import run_serve_bench
+    from repro.service import (
+        LoadConfig,
+        measure_trace_overhead,
+        movies_workload,
+        run_bench,
+    )
 
     engine, queries = movies_workload(n_movies=200, backend=backend)
     overhead = measure_trace_overhead(engine, queries, sample_rate=0.1)
-    profiled = run_serve_bench(
+    profiled = run_bench(
         engine,
         queries,
-        client_threads=4,
-        requests_per_client=15,
+        LoadConfig(clients=4, requests=15),
         workers=2,
+        compare_coalescing=False,
         profile=True,
-    )
+    )["coalesced"]
     profile = profiled.get("profile", {})
     rows = [
         [

@@ -4,11 +4,12 @@ The coalescing claim: a duplicate-heavy offered stream at ~2x the
 stack's capacity is served with materially higher goodput when
 identical in-flight asks share one execution. The gate replays the
 *same* seeded Poisson schedule against two fresh stacks — coalescing
-on, then off — and asserts the front door's own counters: a coalescing
-hit rate of at least 0.4 at a 60% duplicate share, and at least 1.5x
-the goodput of the uncoalesced arm. Best-of-N so the ratio holds on
-noisy CI machines; the structured payload for EXPERIMENTS.md comes
-from ``run_experiments.py frontdoor`` (BENCH_precis.json under
+on, then off — through the load generator (``repro.service.loadgen``) and
+asserts the front door's own counters: a coalescing hit rate of at
+least 0.4 at a 60% duplicate share, and at least 1.5x the goodput of
+the uncoalesced arm. Best-of-N so the ratio holds on noisy CI
+machines; the structured payload for EXPERIMENTS.md comes from
+``run_experiments.py frontdoor`` (BENCH_precis.json under
 ``frontdoor``).
 """
 
@@ -21,11 +22,11 @@ import pytest
 
 from repro.service import (
     AsyncFrontDoor,
-    OpenLoopConfig,
+    LoadConfig,
     PrecisService,
     ServiceConfig,
     movies_workload,
-    run_frontdoor_bench,
+    run_bench,
 )
 
 WORKERS = 2
@@ -50,11 +51,11 @@ def _mean_ask_s(engine, queries) -> float:
     return (time.perf_counter() - start) / len(queries)
 
 
-def _overload_config(engine, queries, seed: int = 0) -> OpenLoopConfig:
+def _overload_config(engine, queries, seed: int = 0) -> LoadConfig:
     mean_ask = _mean_ask_s(engine, queries)
     capacity = WORKERS / mean_ask  # closed-loop ceiling, req/s
     rate = 2.0 * capacity  # firmly past saturation
-    return OpenLoopConfig(
+    return LoadConfig(
         arrival_rate=rate,
         # enough arrivals for stable rates without minute-long runs
         duration_s=min(2.0, max(0.5, 300.0 / rate)),
@@ -72,9 +73,7 @@ def test_coalescing_goodput_gate(workload):
     attempts = []
     for attempt in range(3):  # best-of-N: overload runs are noisy
         config = _overload_config(engine, queries, seed=attempt)
-        payload = run_frontdoor_bench(
-            engine, queries, config, workers=WORKERS
-        )
+        payload = run_bench(engine, queries, config, workers=WORKERS)
         hit_rate = payload["coalesced"]["coalesce_hit_rate"]
         ratio = payload["goodput_ratio"]
         attempts.append((hit_rate, ratio))
@@ -91,7 +90,7 @@ def test_open_loop_accounts_for_every_arrival(workload):
     both arms, and the uncoalesced arm of an overloaded run sheds."""
     engine, queries = workload
     config = _overload_config(engine, queries)
-    payload = run_frontdoor_bench(engine, queries, config, workers=WORKERS)
+    payload = run_bench(engine, queries, config, workers=WORKERS)
     for arm in ("coalesced", "uncoalesced"):
         outcomes = payload[arm]["outcomes"]
         assert sum(outcomes.values()) == payload[arm]["offered"]
@@ -101,7 +100,7 @@ def test_open_loop_accounts_for_every_arrival(workload):
 
 def test_frontdoor_roundtrip(benchmark, workload):
     """Latency of one uncontended submit through the full front-door
-    stack (dispatcher + service worker + engine), warm cache path."""
+    stack (dispatcher + pool worker + engine), warm cache path."""
     engine, queries = workload
     benchmark.group = "front door round trip (200-movie db)"
     service = PrecisService(

@@ -3,11 +3,11 @@
 The PR that added end-to-end request tracing (repro.obs.context)
 promised that capture at the default 10% head-sampling rate costs at
 most 5% of serving throughput. ``measure_trace_overhead`` compares a
-genuinely untraced service (no TraceBuffer: no contexts minted, no
-spans built) against a fully traced one, serial (one client, one
-worker) with alternating best-of rounds — serial because a concurrent
-closed loop on a shared runner measures scheduler noise, not tracing
-(an A/A control there swings ±10%). This module *fails* when the
+genuinely untraced front door + worker pool (no TraceBuffer: no
+contexts minted, no spans built) against a fully traced one, asking
+each query on both in turn, serial (one client, one worker) — serial
+because a concurrent closed loop on a shared runner measures scheduler
+noise, not tracing (an A/A control there swings ±10%). This module *fails* when the
 budget is blown, where ``repro serve-bench --trace-overhead`` only
 warns.
 """
@@ -51,8 +51,8 @@ class TestTraceOverheadGate:
         result = measure_trace_overhead(
             engine,
             queries,
-            client_threads=2,
-            requests_per_client=5,
+            clients=2,
+            requests=5,
             workers=1,
             rounds=1,
         )

@@ -198,10 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "serve-bench",
-        help="closed-loop concurrency benchmark of the serving layer "
-        "(repro.service): N client threads over a thread-pooled "
-        "PrecisService, reporting throughput, latency percentiles and "
-        "shed/degraded counts",
+        help="load benchmark of the serving stack (repro.service): a "
+        "closed loop of N clients, or with --arrival-rate an open "
+        "Poisson loop, through the async front door over a worker "
+        "pool — coalescing on, then off — reporting goodput, latency "
+        "percentiles, shed/degraded counts and the SLO snapshot",
     )
     bench.add_argument(
         "--movies",
@@ -216,16 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="storage backend for the workload database",
     )
     bench.add_argument(
-        "--clients", type=int, default=8, help="client threads (closed loop)"
+        "--clients", type=int, default=8, help="closed loop: clients"
     )
     bench.add_argument(
-        "--requests", type=int, default=25, help="requests per client"
+        "--requests",
+        type=int,
+        default=25,
+        help="closed loop: requests per client",
     )
     bench.add_argument(
-        "--workers", type=int, default=2, help="service worker threads"
-    )
-    bench.add_argument(
-        "--queue-depth", type=int, default=None, help="admission-queue bound"
+        "--workers", type=int, default=2, help="worker-pool threads"
     )
     bench.add_argument(
         "--deadline-ms",
@@ -238,11 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="RPS",
-        help="switch to the OPEN-loop harness: Poisson arrivals at RPS "
-        "offered through the async front door (repro.service.loadgen), "
-        "reporting goodput, shed rate, coalescing hit rate and "
-        "per-class latency; results merge under 'frontdoor' instead "
-        "of 'serve'",
+        help="run an OPEN loop instead: Poisson arrivals at RPS, "
+        "whether or not earlier requests resolved",
     )
     bench.add_argument(
         "--duration",
@@ -257,40 +255,39 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         metavar="F",
-        help="open loop: share of arrivals aimed at the hot query — "
-        "the coalescable mass (default 0.5)",
+        help="share of asks aimed at the hot query — the coalescable "
+        "mass (default 0.5)",
     )
     bench.add_argument(
         "--batch-fraction",
         type=float,
         default=0.0,
         metavar="F",
-        help="open loop: share of arrivals classed 'batch' (default 0)",
+        help="share of asks classed 'batch' (default 0)",
     )
     bench.add_argument(
         "--max-pending",
         type=int,
         default=256,
-        help="open loop: front-door pending-flight bound (default 256)",
+        help="front-door pending-flight bound (default 256)",
     )
     bench.add_argument(
         "--seed",
         type=int,
         default=0,
-        help="open loop: arrival-schedule RNG seed (default 0)",
+        help="RNG seed of the offered stream (default 0)",
     )
     bench.add_argument(
         "--no-baseline",
         action="store_true",
-        help="open loop: skip the coalescing-off comparison arm",
+        help="skip the coalescing-off comparison arm",
     )
     bench.add_argument(
         "--json-out",
         default="BENCH_precis.json",
         metavar="FILE",
         help="merge the results into FILE under the 'serve' key "
-        "('frontdoor' in open-loop mode; default: BENCH_precis.json; "
-        "'-' disables)",
+        "(default: BENCH_precis.json; '-' disables)",
     )
     bench.add_argument(
         "--trace-out",
@@ -330,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="serve précis queries over HTTP: the asyncio front door "
-        "(request coalescing + priority classes, repro.service."
-        "frontdoor) over a thread-pooled PrecisService, on the stdlib "
-        "endpoint (GET /ask, /metrics, /healthz, /shutdown)",
+        "(deadlines, sheds, request coalescing, priority classes, "
+        "repro.service.frontdoor) over a PrecisService worker pool, on "
+        "the stdlib endpoint (GET /ask, /metrics, /healthz, /shutdown)",
     )
     serve.add_argument("directory")
     serve.add_argument(
@@ -345,10 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (0 = ephemeral; default 8765)",
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="service worker threads"
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=None, help="admission-queue bound"
+        "--workers", type=int, default=2, help="worker-pool threads"
     )
     serve.add_argument(
         "--max-pending",
@@ -756,103 +750,6 @@ def _merge_bench_json(args, out, key: str, payload: dict) -> None:
     print(f"(results merged into {target} under {key!r})", file=out)
 
 
-def _serve_bench_open_loop(args, out) -> int:
-    """The --arrival-rate branch of serve-bench: Poisson arrivals
-    through the async front door, coalescing A/B, 'frontdoor' payload."""
-    from .obs import TraceBuffer
-    from .service import (
-        OpenLoopConfig,
-        movies_workload,
-        run_frontdoor_bench,
-    )
-
-    engine, queries = movies_workload(
-        n_movies=args.movies,
-        backend=args.backend if args.backend != "memory" else None,
-    )
-    traces = (
-        TraceBuffer(
-            capacity=args.trace_capacity, sample_rate=args.trace_sample
-        )
-        if args.trace_out is not None
-        else None
-    )
-    config = OpenLoopConfig(
-        arrival_rate=args.arrival_rate,
-        duration_s=args.duration,
-        duplicate_fraction=args.duplicate_fraction,
-        batch_fraction=args.batch_fraction,
-        deadline_ms=args.deadline_ms,
-        seed=args.seed,
-    )
-    payload = run_frontdoor_bench(
-        engine,
-        queries,
-        config,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        max_pending=args.max_pending,
-        compare_coalescing=not args.no_baseline,
-        traces=traces,
-    )
-    payload["backend"] = args.backend
-    on = payload["coalesced"]
-    print(
-        f"serve-bench (open loop): {args.arrival_rate:g} req/s offered "
-        f"for {args.duration:g}s, {on['offered']} arrivals "
-        f"({args.duplicate_fraction:.0%} duplicates, "
-        f"{args.batch_fraction:.0%} batch), {args.workers} workers, "
-        f"deadline "
-        + (f"{args.deadline_ms:g} ms" if args.deadline_ms else "none"),
-        file=out,
-    )
-
-    def describe(label: str, arm: dict) -> None:
-        outcomes = arm["outcomes"]
-        print(
-            f"  {label}: goodput {arm['goodput_rps']:.1f} rps, "
-            f"coalesce hit rate {arm['coalesce_hit_rate']:.0%}, "
-            f"shed {arm['shed_rate']:.0%} "
-            f"({outcomes['degraded']} degraded, {outcomes['failed']} "
-            "failed)",
-            file=out,
-        )
-        for priority, stats in sorted(arm["classes"].items()):
-            latency = stats.get("latency_ms")
-            if latency is None:
-                tail = "no answers"
-            else:
-                tail = (
-                    f"latency ms p50={latency['p50']:.2f} "
-                    f"p95={latency['p95']:.2f} p99={latency['p99']:.2f}"
-                )
-            print(
-                f"    {priority}: {stats['answered']}/{stats['offered']} "
-                f"answered, {tail}",
-                file=out,
-            )
-
-    describe("coalesced", on)
-    if "uncoalesced" in payload:
-        describe("uncoalesced", payload["uncoalesced"])
-        print(
-            f"  goodput ratio (coalesced/uncoalesced): "
-            f"{payload['goodput_ratio']:.2f}x",
-            file=out,
-        )
-    if traces is not None:
-        kept = traces.export_jsonl(args.trace_out)
-        stats = traces.stats()
-        print(
-            f"  traces: {kept} kept ({stats['kept_triggered']} triggered, "
-            f"{stats['kept_sampled']} sampled of {stats['offered']} "
-            f"offered) -> {args.trace_out}",
-            file=out,
-        )
-    _merge_bench_json(args, out, "frontdoor", payload)
-    return 0
-
-
 def _cmd_serve(args, out) -> int:
     import asyncio
 
@@ -878,24 +775,20 @@ def _cmd_serve(args, out) -> int:
         else None
     )
     service = PrecisService(
-        engine,
-        config=ServiceConfig(
-            workers=args.workers,
-            queue_depth=(
-                args.queue_depth if args.queue_depth is not None else 64
-            ),
-            default_timeout_s=(
-                args.timeout_ms / 1000.0
-                if args.timeout_ms is not None
-                else None
-            ),
-        ),
-        traces=traces,
+        engine, config=ServiceConfig(workers=args.workers), traces=traces
     )
 
     async def run() -> None:
         frontdoor = AsyncFrontDoor(
-            service, FrontDoorConfig(max_pending=args.max_pending)
+            service,
+            FrontDoorConfig(
+                max_pending=args.max_pending,
+                default_timeout_s=(
+                    args.timeout_ms / 1000.0
+                    if args.timeout_ms is not None
+                    else None
+                ),
+            ),
         )
         http = FrontDoorHTTP(frontdoor, host=args.host, port=args.port)
         host, port = await http.start()
@@ -929,13 +822,11 @@ def _cmd_serve(args, out) -> int:
 def _cmd_serve_bench(args, out) -> int:
     from .obs import TraceBuffer
     from .service import (
+        LoadConfig,
         measure_trace_overhead,
         movies_workload,
-        run_serve_bench,
+        run_bench,
     )
-
-    if args.arrival_rate is not None:
-        return _serve_bench_open_loop(args, out)
 
     engine, queries = movies_workload(
         n_movies=args.movies,
@@ -948,45 +839,80 @@ def _cmd_serve_bench(args, out) -> int:
         if args.trace_out is not None
         else None
     )
-    payload = run_serve_bench(
+    config = LoadConfig(
+        clients=args.clients,
+        requests=args.requests,
+        arrival_rate=args.arrival_rate,
+        duration_s=args.duration,
+        duplicate_fraction=args.duplicate_fraction,
+        batch_fraction=args.batch_fraction,
+        deadline_ms=args.deadline_ms,
+        seed=args.seed,
+    )
+    payload = run_bench(
         engine,
         queries,
-        client_threads=args.clients,
-        requests_per_client=args.requests,
+        config,
         workers=args.workers,
-        queue_depth=args.queue_depth,
-        deadline_ms=args.deadline_ms,
+        max_pending=args.max_pending,
+        compare_coalescing=not args.no_baseline,
         traces=traces,
         profile=args.profile,
     )
     payload["backend"] = args.backend
-    outcomes = payload["outcomes"]
-    latency = payload["latency_ms"]
+    on = payload["coalesced"]
+    offered = (
+        f"{args.clients} clients x {args.requests} requests"
+        if config.closed_loop
+        else f"{args.arrival_rate:g} req/s for {args.duration:g}s"
+    )
+    print(
+        f"serve-bench ({on['loop']} loop): {offered}, {on['offered']} "
+        f"asks ({args.duplicate_fraction:.0%} duplicates, "
+        f"{args.batch_fraction:.0%} batch), {args.workers} workers, "
+        "deadline "
+        + (f"{args.deadline_ms:g} ms" if args.deadline_ms else "none"),
+        file=out,
+    )
 
     def fmt(value):
         return "-" if value is None else f"{value:.2f}"
 
-    print(
-        f"serve-bench: {args.clients} clients x {args.requests} requests, "
-        f"{args.workers} workers, queue depth {payload['queue_depth']}, "
-        f"deadline "
-        + (f"{args.deadline_ms:g} ms" if args.deadline_ms else "none"),
-        file=out,
-    )
-    print(
-        f"  answered {outcomes['answered']}/{payload['requests']} "
-        f"({outcomes['degraded']} degraded, "
-        f"{outcomes['shed_full']} shed full, "
-        f"{outcomes['shed_stale']} shed stale, "
-        f"{outcomes['failed']} failed)",
-        file=out,
-    )
-    print(
-        f"  throughput {payload['throughput_rps']:.1f} req/s; latency ms "
-        f"p50={fmt(latency['p50'])} p95={fmt(latency['p95'])} "
-        f"p99={fmt(latency['p99'])} max={fmt(latency['max'])}",
-        file=out,
-    )
+    def describe(label: str, arm: dict) -> None:
+        outcomes = arm["outcomes"]
+        latency = arm["latency_ms"]
+        shed = ", ".join(
+            f"{count} {name.replace('_', ' ')}"
+            for name, count in outcomes.items()
+            if name.startswith("shed_") and count
+        )
+        print(
+            f"  {label}: answered "
+            f"{outcomes['answered'] + outcomes['degraded']}/{arm['offered']} "
+            f"({outcomes['degraded']} degraded, {outcomes['failed']} "
+            f"failed{', ' + shed if shed else ''}); goodput "
+            f"{arm['goodput_rps']:.1f} req/s, coalesce hit rate "
+            f"{arm['coalesce_hit_rate']:.0%}; latency ms "
+            f"p50={fmt(latency['p50'])} p95={fmt(latency['p95'])} "
+            f"p99={fmt(latency['p99'])} max={fmt(latency['max'])}",
+            file=out,
+        )
+        for priority, stats in sorted(arm["classes"].items()):
+            print(
+                f"    {priority}: {stats['answered']}/{stats['offered']} "
+                f"answered, p99 "
+                f"{fmt(stats.get('latency_ms', {}).get('p99'))} ms",
+                file=out,
+            )
+
+    describe("coalesced", on)
+    if "uncoalesced" in payload:
+        describe("uncoalesced", payload["uncoalesced"])
+        print(
+            f"  goodput ratio (coalesced/uncoalesced): "
+            f"{payload['goodput_ratio']:.2f}x",
+            file=out,
+        )
     if traces is not None:
         kept = traces.export_jsonl(args.trace_out)
         stats = traces.stats()
@@ -996,8 +922,8 @@ def _cmd_serve_bench(args, out) -> int:
             f"offered) -> {args.trace_out}",
             file=out,
         )
-    if args.profile and "profile" in payload:
-        profile = payload["profile"]
+    if args.profile and "profile" in on:
+        profile = on["profile"]
         stages = ", ".join(
             f"{stage}={fraction:.0%}"
             for stage, fraction in sorted(

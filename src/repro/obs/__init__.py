@@ -58,7 +58,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     ServiceMetrics,
-    FrontDoorMetrics,
     SlowQuery,
     SlowQueryLog,
     prometheus_text,
@@ -89,7 +88,6 @@ __all__ = [
     "MetricsRegistry",
     "EngineMetrics",
     "ServiceMetrics",
-    "FrontDoorMetrics",
     "SlowQuery",
     "SlowQueryLog",
     "prometheus_text",

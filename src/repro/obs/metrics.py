@@ -40,7 +40,6 @@ __all__ = [
     "SlowQuery",
     "EngineMetrics",
     "ServiceMetrics",
-    "FrontDoorMetrics",
     "prometheus_text",
     "write_metrics",
 ]
@@ -686,113 +685,152 @@ class EngineMetrics:
 
 
 class ServiceMetrics:
-    """The serving-layer façade (:mod:`repro.service`): admission,
-    shedding, deadline and retry series over a :class:`MetricsRegistry`.
+    """The serving stack's one metrics façade (:mod:`repro.service`)
+    over a :class:`MetricsRegistry`.
 
-    Shares a registry with :class:`EngineMetrics` so one Prometheus
-    scrape (or one ``--metrics-out`` file) carries both the pipeline
-    and the serving picture. Everything underneath is thread-safe; the
-    facade itself holds no state beyond the registry.
+    The async front door (the admission layer) and the worker pool it
+    dispatches to write into the same façade, so one Prometheus scrape
+    (or one ``--metrics-out`` file) carries admission, execution and —
+    when the engines share the registry — the pipeline stages too.
+
+    Accounting granularity, deliberately mixed:
+
+    * **per waiter** — ``requests``, ``coalesced``, ``answered``,
+      ``degraded``, the latency histogram and the ``inflight`` gauge:
+      every caller that submitted, including coalesced followers,
+      shows up once, so availability and goodput are measured in
+      user-visible answers;
+    * **per flight** (one logical engine execution) — ``executions``,
+      ``failures``, ``retries`` and the ``pending`` gauge: a failed
+      flight with ten coalesced waiters failed *once* upstream.
+
+    Sheds carry both, by reason: ``closed``, ``full``, ``stale`` at
+    submit and ``stale_follower`` refuse one waiter; ``preempted``,
+    ``stale`` at dispatch and ``tenant_quota`` refuse one flight, and
+    every waiter coalesced onto it sees the same error.
+
+    The optional *tenant* on the recorders adds a tenant-labelled
+    series NEXT TO the fleet series (never instead of it).
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: requests currently queued or executing (admission → response)
-        self.queue_depth = self.registry.gauge(
-            "precis_service_queue_depth",
-            "requests admitted but not yet answered",
+        #: waiters submitted but not yet resolved
+        self.inflight = self.registry.gauge(
+            "precis_service_inflight",
+            "requests submitted but not yet resolved",
+        )
+        #: flights admitted but not yet resolved (pending or executing)
+        self.pending = self.registry.gauge(
+            "precis_service_pending",
+            "flights admitted but not yet resolved",
         )
 
-    # --------------------------------------------------------- recording
-    #
-    # The optional *tenant* on the recorders below adds a tenant-labelled
-    # series NEXT TO the unlabelled fleet series (never instead of it):
-    # fleet dashboards keep their exact pre-tenant semantics, and the
-    # per-tenant view only exists for requests that named a tenant.
+    # --------------------------------------------------------- per waiter
 
-    def admitted(self, tenant: Optional[str] = None) -> None:
+    def submitted(self, priority: str, tenant: Optional[str] = None) -> None:
+        """One caller entered the front door (sheds included)."""
         self.registry.counter(
-            "precis_service_requests_total", "requests admitted to the queue"
+            "precis_service_requests_total",
+            "requests submitted",
+            priority=priority,
         ).inc()
         if tenant is not None:
             self.registry.counter(
                 "precis_service_tenant_requests_total",
-                "requests admitted per tenant",
+                "requests submitted per tenant",
                 tenant=tenant,
             ).inc()
-        self.queue_depth.add(1)
+        self.inflight.add(1)
 
-    def shed(self, reason: str, tenant: Optional[str] = None) -> None:
-        """A request refused without running (``reason``: ``"full"`` for
-        queue overflow, ``"stale"`` for a deadline that expired while
-        queued, ``"closed"`` for submission after shutdown,
-        ``"tenant_quota"`` for a tenant over its in-flight slots)."""
+    def resolved(self) -> None:
+        """One caller got its answer or its error."""
+        self.inflight.add(-1)
+
+    def coalesced(self, priority: str) -> None:
+        """A follower merged into an identical in-flight execution."""
         self.registry.counter(
-            "precis_service_shed_total",
-            "requests shed without running",
-            reason=reason,
+            "precis_service_coalesced_total",
+            "requests coalesced into an in-flight identical ask",
+            priority=priority,
         ).inc()
-        if tenant is not None:
-            self.registry.counter(
-                "precis_service_tenant_shed_total",
-                "requests shed without running, per tenant",
-                tenant=tenant,
-                reason=reason,
-            ).inc()
 
-    def finished(self) -> None:
-        self.queue_depth.add(-1)
-
-    def queue_wait(
-        self, seconds: float, trace_id: Optional[str] = None
-    ) -> None:
-        if trace_id is None:
-            trace_id = _current_trace_id()
-        self.registry.histogram(
-            "precis_service_queue_wait_seconds",
-            "time from admission to a worker picking the request up",
-        ).observe(seconds, exemplar=trace_id)
-
-    def service_time(
+    def answered(
         self,
         seconds: float,
+        priority: str,
+        degraded_stage: Optional[str] = None,
         tenant: Optional[str] = None,
         trace_id: Optional[str] = None,
     ) -> None:
-        """End-to-end request latency: admission to response. The
-        request's trace id (explicit or from the active context) lands
-        as the exemplar on the bucket this observation fills."""
+        """One caller answered, submit to resolution in *seconds*
+        (*degraded_stage* names the stage a partial answer stopped in).
+        The request's trace id (explicit or from the active context)
+        lands as the exemplar on the bucket this observation fills."""
         if trace_id is None:
             trace_id = _current_trace_id()
+        self.registry.counter(
+            "precis_service_answered_total",
+            "requests answered, partial answers included",
+            priority=priority,
+        ).inc()
         self.registry.histogram(
             "precis_service_seconds",
-            "end-to-end request latency including queueing",
+            "request latency, submit to answer",
+            priority=priority,
         ).observe(seconds, exemplar=trace_id)
         if tenant is not None:
             self.registry.histogram(
                 "precis_service_tenant_seconds",
-                "end-to-end request latency per tenant",
+                "request latency per tenant",
                 tenant=tenant,
             ).observe(seconds, exemplar=trace_id)
+        if degraded_stage is not None:
+            self.registry.counter(
+                "precis_service_degraded_total",
+                "answers served partial under an expired deadline",
+                stage=degraded_stage,
+            ).inc()
+            if tenant is not None:
+                self.registry.counter(
+                    "precis_service_tenant_degraded_total",
+                    "partial answers per tenant",
+                    tenant=tenant,
+                ).inc()
 
-    def degraded(self, stage: str, tenant: Optional[str] = None) -> None:
-        """An answer served partial because its deadline expired."""
+    def shed(
+        self, reason: str, priority: str, tenant: Optional[str] = None
+    ) -> None:
+        """A waiter or a flight refused without an answer (see the
+        class docstring for which reasons count which)."""
         self.registry.counter(
-            "precis_service_degraded_total",
-            "answers served partial under an expired deadline",
-            stage=stage,
+            "precis_service_shed_total",
+            "requests shed without an answer",
+            reason=reason,
+            priority=priority,
         ).inc()
         if tenant is not None:
             self.registry.counter(
-                "precis_service_tenant_degraded_total",
-                "partial answers per tenant",
+                "precis_service_tenant_shed_total",
+                "requests shed without an answer, per tenant",
                 tenant=tenant,
+                reason=reason,
             ).inc()
 
-    def timeout(self) -> None:
+    # --------------------------------------------------------- per flight
+
+    def executed(self) -> None:
+        """One flight handed to the worker pool."""
         self.registry.counter(
-            "precis_service_timeouts_total",
-            "requests whose deadline expired before or during execution",
+            "precis_service_executions_total",
+            "engine executions dispatched",
+        ).inc()
+
+    def failed(self, kind: str) -> None:
+        self.registry.counter(
+            "precis_service_failures_total",
+            "executions that raised instead of answering",
+            kind=kind,
         ).inc()
 
     def retried(self) -> None:
@@ -804,14 +842,7 @@ class ServiceMetrics:
     def retries_exhausted(self) -> None:
         self.registry.counter(
             "precis_service_retry_exhausted_total",
-            "requests failed after the retry budget ran out",
-        ).inc()
-
-    def failed(self, kind: str) -> None:
-        self.registry.counter(
-            "precis_service_failures_total",
-            "requests that raised instead of answering",
-            kind=kind,
+            "executions failed after the retry budget ran out",
         ).inc()
 
     # --------------------------------------------------------- export
@@ -824,120 +855,6 @@ class ServiceMetrics:
 
     def __repr__(self):
         return f"ServiceMetrics({self.registry!r})"
-
-
-class FrontDoorMetrics:
-    """The async front door's façade (:mod:`repro.service.frontdoor`):
-    per-priority-class admission, coalescing, shedding and latency
-    series over a :class:`MetricsRegistry`.
-
-    Shares a registry with :class:`ServiceMetrics` (the front door
-    passes the wrapped service's registry in), so one scrape carries
-    the whole stack: engine stages, thread-pool admission, and the
-    asyncio front door.
-
-    Accounting granularity, deliberately mixed:
-
-    * **per waiter** — ``requests``/``answered``/``degraded``/
-      ``failed`` counters and the latency histogram: every caller that
-      submitted, including coalesced followers, shows up once, so
-      goodput is measured in user-visible answers;
-    * **per logical execution** — ``executions`` and flight-level
-      ``shed`` outcomes (``full``, ``stale``, ``preempted``,
-      ``tenant_quota``, ``closed``): a shed flight with ten coalesced
-      waiters failed *once* upstream and counts once, matching the
-      serving layer's own shed counters. The single waiter-level shed
-      is a follower that outlived its own deadline while waiting
-      (reason ``stale_follower``).
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        #: logical flights admitted but not yet resolved (pending or
-        #: executing)
-        self.pending = self.registry.gauge(
-            "precis_frontdoor_pending",
-            "front-door flights admitted but not yet resolved",
-        )
-
-    # --------------------------------------------------------- recording
-
-    def admitted(self, priority: str) -> None:
-        self.registry.counter(
-            "precis_frontdoor_requests_total",
-            "requests submitted to the front door",
-            priority=priority,
-        ).inc()
-
-    def coalesced(self, priority: str) -> None:
-        """A follower merged into an identical in-flight execution."""
-        self.registry.counter(
-            "precis_frontdoor_coalesced_total",
-            "requests coalesced into an in-flight identical ask",
-            priority=priority,
-        ).inc()
-
-    def executed(self) -> None:
-        """One logical flight handed to the serving layer."""
-        self.registry.counter(
-            "precis_frontdoor_executions_total",
-            "logical engine executions dispatched",
-        ).inc()
-
-    def shed(self, reason: str, priority: str) -> None:
-        self.registry.counter(
-            "precis_frontdoor_shed_total",
-            "front-door requests shed without an answer",
-            reason=reason,
-            priority=priority,
-        ).inc()
-
-    def answered(self, priority: str, degraded: bool = False) -> None:
-        self.registry.counter(
-            "precis_frontdoor_answered_total",
-            "front-door requests answered (per waiter)",
-            priority=priority,
-        ).inc()
-        if degraded:
-            self.registry.counter(
-                "precis_frontdoor_degraded_total",
-                "front-door answers served partial",
-                priority=priority,
-            ).inc()
-
-    def failed(self, priority: str, kind: str) -> None:
-        self.registry.counter(
-            "precis_frontdoor_failures_total",
-            "front-door requests that raised instead of answering",
-            priority=priority,
-            kind=kind,
-        ).inc()
-
-    def latency(
-        self,
-        seconds: float,
-        priority: str,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        """Submit-to-resolution latency of one waiter."""
-        if trace_id is None:
-            trace_id = _current_trace_id()
-        self.registry.histogram(
-            "precis_frontdoor_seconds",
-            "front-door request latency, submit to resolution",
-            priority=priority,
-        ).observe(seconds, exemplar=trace_id)
-
-    # --------------------------------------------------------- export
-
-    def snapshot(self) -> dict:
-        return self.registry.snapshot()
-
-    def prometheus(self) -> str:
-        return prometheus_text(self.registry)
-
-    def __repr__(self):
-        return f"FrontDoorMetrics({self.registry!r})"
 
 
 def write_metrics(

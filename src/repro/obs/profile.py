@@ -87,6 +87,10 @@ _IDLE_LEAVES: tuple[tuple[str, str], ...] = (
     ("concurrent/futures", "result"),
     ("socket", "accept"),
     ("selectors", "select"),
+    # a worker waking the event loop through its self-pipe: a syscall
+    # that releases the GIL, so a sampler would catch every handoff
+    ("selector_events", "_write_to_self"),
+    ("selector_events", "_read_from_self"),
 )
 
 

@@ -3,18 +3,23 @@
 An SLO is a target over an indicator: "99% of requests are answered"
 (availability) or "95% of answered requests finish under 500 ms"
 (latency). This module evaluates both kinds directly from the
-counters and histograms :class:`~repro.obs.metrics.ServiceMetrics`
+counters, gauge and histograms :class:`~repro.obs.metrics.ServiceMetrics`
 already maintains — no second measurement pipeline, no extra work on
 the request path — and reports the *error-budget burn rate*: how fast
 the service is spending its allowance of bad events relative to the
 target. Burn 1.0 means exactly on budget; 2.0 means the budget is
 going twice as fast as the objective allows; 0.0 means no bad events.
 
+Availability counts callers, not executions: every request submitted
+to the front door and already resolved is one event, good when it was
+answered (partial answers included) and bad otherwise — shed at the
+front door, refused with its coalesced flight, or failed.
+
 Latency compliance is read from the cumulative bucket counts of the
-``precis_service_seconds`` histogram at the first bound >= the
-threshold — the same conservative rounding Prometheus alerting uses,
-so a dashboard built on the text exposition agrees with
-:meth:`SLOTracker.snapshot`.
+``precis_service_seconds`` histogram (all priority classes together)
+at the first bound >= the threshold — the same conservative rounding
+Prometheus alerting uses, so a dashboard built on the text exposition
+agrees with :meth:`SLOTracker.snapshot`.
 """
 
 from __future__ import annotations
@@ -71,31 +76,43 @@ def default_objectives() -> list[SLObjective]:
     ]
 
 
-def _counter_total(registry: MetricsRegistry, name: str) -> int:
-    """Sum of one counter family over all its label children (0 when
-    the family has never been touched)."""
+def _family(registry: MetricsRegistry, name: str, kind: str):
     for family in registry.families():
-        if family.name == name and family.kind == "counter":
-            return sum(child.value for child in family.children.values())
-    return 0
+        if family.name == name and family.kind == kind:
+            return family
+    return None
+
+
+def _total(registry: MetricsRegistry, name: str, kind: str) -> float:
+    """Sum of one counter or gauge family over all its label children
+    (0 when the family has never been touched)."""
+    family = _family(registry, name, kind)
+    if family is None:
+        return 0
+    return sum(child.value for child in family.children.values())
 
 
 def _histogram_compliance(
     registry: MetricsRegistry, name: str, threshold_s: float
 ) -> tuple[Optional[float], int]:
     """(fraction of observations <= the first bound >= threshold, total
-    count); (None, 0) when the histogram is absent or empty."""
-    for family in registry.families():
-        if family.name == name and family.kind == "histogram":
-            metric = family.children.get(())
-            if metric is None or metric.count == 0:
-                return None, 0
-            buckets = metric.buckets()
-            for bound, cumulative in buckets:
-                if bound >= threshold_s:
-                    return cumulative / metric.count, metric.count
-            return 1.0, metric.count
-    return None, 0
+    count) over every label child; (None, 0) when the histogram is
+    absent or empty."""
+    family = _family(registry, name, "histogram")
+    within = count = 0
+    for metric in family.children.values() if family is not None else ():
+        count += metric.count
+        within += next(
+            (
+                cumulative
+                for bound, cumulative in metric.buckets()
+                if bound >= threshold_s
+            ),
+            metric.count,
+        )
+    if count == 0:
+        return None, 0
+    return within / count, count
 
 
 class SLOTracker:
@@ -105,7 +122,8 @@ class SLOTracker:
     >>> from repro.obs.slo import SLOTracker
     >>> registry = MetricsRegistry()
     >>> metrics = ServiceMetrics(registry)
-    >>> metrics.admitted(); metrics.service_time(0.002)
+    >>> metrics.submitted("interactive")
+    >>> metrics.answered(0.002, "interactive"); metrics.resolved()
     >>> tracker = SLOTracker(registry)
     >>> tracker.snapshot()["objectives"][0]["compliance"]
     1.0
@@ -124,18 +142,17 @@ class SLOTracker:
     # --------------------------------------------------------- evaluation
 
     def _availability(self) -> tuple[Optional[float], int, int]:
-        """(fraction answered, bad events, total offered)."""
-        admitted = _counter_total(
-            self.registry, "precis_service_requests_total"
+        """(fraction answered, bad events, resolved requests)."""
+        total = int(
+            _total(self.registry, "precis_service_requests_total", "counter")
+            - _total(self.registry, "precis_service_inflight", "gauge")
         )
-        shed = _counter_total(self.registry, "precis_service_shed_total")
-        failed = _counter_total(
-            self.registry, "precis_service_failures_total"
-        )
-        total = admitted + shed
-        if total == 0:
+        if total <= 0:
             return None, 0, 0
-        bad = min(shed + failed, total)
+        answered = int(
+            _total(self.registry, "precis_service_answered_total", "counter")
+        )
+        bad = max(total - answered, 0)
         return 1.0 - bad / total, bad, total
 
     def evaluate(self, objective: SLObjective) -> dict:

@@ -13,11 +13,15 @@ be validated analytically as well as by wall clock.
 
 The meter is deliberately *not* global: every :class:`~repro.relational.
 database.Database` owns one, and scopes can be nested via
-:meth:`CostMeter.measure`.
+:meth:`CostMeter.measure`. Each thread charges its own counters, so a
+measurement sees exactly the reads of the thread that opened it — two
+asks running at once on two workers each report their own cost — while
+the meter's totals add up every thread.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 __all__ = ["CostParameters", "CostMeter", "CostSnapshot"]
@@ -68,40 +72,75 @@ class CostSnapshot:
 
 
 class CostMeter:
-    """Mutable accumulator of unit operations performed by the engine."""
+    """Mutable accumulator of unit operations performed by the engine.
+
+    Charges land in the calling thread's own counters; :meth:`snapshot`
+    and the ``index_lookups``/``tuple_reads``/``scan_steps`` totals sum
+    every thread, while :meth:`measure` scopes to the calling thread.
+    """
 
     def __init__(self, params: CostParameters | None = None):
         self.params = params or CostParameters()
-        self.index_lookups = 0
-        self.tuple_reads = 0
-        self.scan_steps = 0
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        #: one [index_lookups, tuple_reads, scan_steps] per charging thread
+        self._counts: list[list[int]] = []
+
+    def _mine(self) -> list[int]:
+        """The calling thread's counters (created on first charge)."""
+        try:
+            return self._local.counts
+        except AttributeError:
+            counts = self._local.counts = [0, 0, 0]
+            with self._lock:
+                self._counts.append(counts)
+            return counts
 
     # -- charging (called by the engine) -----------------------------------
 
     def charge_index_lookup(self, count: int = 1) -> None:
-        self.index_lookups += count
+        self._mine()[0] += count
 
     def charge_tuple_read(self, count: int = 1) -> None:
-        self.tuple_reads += count
+        self._mine()[1] += count
 
     def charge_scan_step(self, count: int = 1) -> None:
-        self.scan_steps += count
+        self._mine()[2] += count
 
     # -- reading ------------------------------------------------------------
 
+    def _total(self, slot: int) -> int:
+        with self._lock:
+            return sum(counts[slot] for counts in self._counts)
+
+    @property
+    def index_lookups(self) -> int:
+        return self._total(0)
+
+    @property
+    def tuple_reads(self) -> int:
+        return self._total(1)
+
+    @property
+    def scan_steps(self) -> int:
+        return self._total(2)
+
     def snapshot(self) -> CostSnapshot:
-        return CostSnapshot(self.index_lookups, self.tuple_reads, self.scan_steps)
+        """Totals over every thread."""
+        with self._lock:
+            return CostSnapshot(*map(sum, zip([0, 0, 0], *self._counts)))
 
     def modeled_cost(self) -> float:
         return self.snapshot().modeled_cost(self.params)
 
     def reset(self) -> None:
-        self.index_lookups = 0
-        self.tuple_reads = 0
-        self.scan_steps = 0
+        with self._lock:
+            for counts in self._counts:
+                counts[:] = [0, 0, 0]
 
     def measure(self) -> "_Measurement":
-        """Context manager yielding the delta accumulated inside the block.
+        """Context manager yielding the delta the calling thread
+        accumulated inside the block.
 
         >>> meter = CostMeter()
         >>> with meter.measure() as m:
@@ -112,9 +151,10 @@ class CostMeter:
         return _Measurement(self)
 
     def __repr__(self):
+        total = self.snapshot()
         return (
-            f"CostMeter(index_lookups={self.index_lookups}, "
-            f"tuple_reads={self.tuple_reads}, scan_steps={self.scan_steps})"
+            f"CostMeter(index_lookups={total.index_lookups}, "
+            f"tuple_reads={total.tuple_reads}, scan_steps={total.scan_steps})"
         )
 
 
@@ -127,12 +167,12 @@ class _Measurement:
         self.delta: CostSnapshot = CostSnapshot()
 
     def __enter__(self) -> "_Measurement":
-        self._start = self._meter.snapshot()
+        self._start = CostSnapshot(*self._meter._mine())
         return self
 
     def __exit__(self, exc_type, exc, tb):
         assert self._start is not None
-        self.delta = self._meter.snapshot() - self._start
+        self.delta = CostSnapshot(*self._meter._mine()) - self._start
         return False
 
     @property

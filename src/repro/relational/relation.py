@@ -256,14 +256,15 @@ class Relation:
                 break
             chunk = tid_list[start : start + _FETCH_CHUNK]
             found = self.store.get_many(chunk)
+            read = len(out)
             for tid in chunk:
                 if limit is not None and len(out) >= limit:
                     break
                 stored = found.get(tid)
                 if stored is None:
                     continue
-                self.meter.charge_tuple_read()
                 out.append(self._row(tid, stored, attributes))
+            self.meter.charge_tuple_read(len(out) - read)
         return out
 
     def scan(

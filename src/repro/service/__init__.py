@@ -1,34 +1,31 @@
 """repro.service — the concurrent serving layer.
 
 Turns the single-threaded :class:`~repro.core.engine.PrecisEngine` into
-a servable component: a thread pool behind a bounded admission queue
-(:class:`PrecisService`), per-request deadlines that degrade answers
-cooperatively instead of raising
-(:class:`~repro.core.deadline.Deadline`, re-exported here), load
-shedding under overload and staleness, retry-with-backoff over the
-storage layer's transient/permanent fault classification, and service
-metrics sharing the :mod:`repro.obs` registry. ``repro serve-bench``
-(:mod:`repro.service.bench`) measures the whole stack closed-loop.
+a servable component in two pieces:
 
-On top of the thread pool sits the asyncio front door
-(:mod:`repro.service.frontdoor`): request coalescing keyed by the
-answer-cache signature (weight fingerprint included), interactive/batch
-priority classes with earliest-deadline-first dispatch, and batch
-preemption under overload — served over the wire by the stdlib HTTP
-endpoint (:mod:`repro.service.http`, ``repro serve``) and driven to
-saturation by the open-loop Poisson generator
-(:mod:`repro.service.loadgen`, ``repro serve-bench --arrival-rate``).
+* the asyncio front door (:mod:`repro.service.frontdoor`), the one
+  admission layer: per-request deadlines
+  (:class:`~repro.core.deadline.Deadline`, re-exported here) that shed
+  stale work and degrade the rest cooperatively, request coalescing
+  keyed by the answer-cache signature (weight fingerprint included),
+  interactive/batch priority classes with earliest-deadline-first
+  dispatch and batch preemption, per-tenant quotas, and every shed
+  decision, counted on one metrics façade shared with the
+  :mod:`repro.obs` registry;
+* the worker pool underneath (:class:`PrecisService`): threads over
+  engine replicas, retry-with-backoff over the storage layer's
+  transient/permanent fault classification, and the per-request span
+  tree.
+
+The stdlib HTTP endpoint (:mod:`repro.service.http`, ``repro serve``)
+serves the front door over the wire, and one load generator
+(:mod:`repro.service.loadgen`, ``repro serve-bench``) drives it closed
+or open loop.
 
 See ``docs/service.md``.
 """
 
 from ..core.deadline import NO_DEADLINE, Deadline
-from .bench import (
-    measure_trace_overhead,
-    movies_workload,
-    percentile,
-    run_serve_bench,
-)
 from .errors import (
     QueueFull,
     RetryExhausted,
@@ -44,7 +41,14 @@ from .frontdoor import (
     FrontDoorConfig,
 )
 from .http import FrontDoorHTTP
-from .loadgen import OpenLoopConfig, run_frontdoor_bench, run_open_loop
+from .loadgen import (
+    LoadConfig,
+    measure_trace_overhead,
+    movies_workload,
+    percentile,
+    run_bench,
+    run_load,
+)
 from .retry import RetryPolicy, call_with_retry
 from .service import PrecisService, ServiceConfig
 
@@ -58,9 +62,9 @@ __all__ = [
     "FrontDoorHTTP",
     "PRIORITY_INTERACTIVE",
     "PRIORITY_BATCH",
-    "OpenLoopConfig",
-    "run_open_loop",
-    "run_frontdoor_bench",
+    "LoadConfig",
+    "run_load",
+    "run_bench",
     "RetryPolicy",
     "call_with_retry",
     "ServiceError",
@@ -69,7 +73,6 @@ __all__ = [
     "StaleRequest",
     "TenantQuotaExceeded",
     "RetryExhausted",
-    "run_serve_bench",
     "movies_workload",
     "percentile",
     "measure_trace_overhead",

@@ -1,8 +1,10 @@
 """The serving layer's exception vocabulary.
 
 Admission-control refusals (:class:`QueueFull`, :class:`StaleRequest`,
-:class:`ServiceClosed`) are *load-shedding signals*: the request never
-ran, the caller may retry elsewhere or give up. :class:`RetryExhausted`
+:class:`TenantQuotaExceeded`, :class:`ServiceClosed`) are
+*load-shedding signals* decided by the front door
+(:mod:`repro.service.frontdoor`): the request never ran, the caller may
+retry elsewhere or give up. :class:`RetryExhausted`
 is different — the request ran, hit transient storage failures
 (:class:`~repro.storage.TransientStorageError`), and the retry budget
 ran out; the last underlying error rides along as ``__cause__`` and
@@ -33,7 +35,9 @@ class ServiceClosed(ServiceError):
 
 
 class QueueFull(ServiceError):
-    """Shed on admission: the bounded queue was full (overload)."""
+    """Shed on admission: the front door's pending queue was full
+    (overload), or a queued batch flight was preempted by an
+    interactive arrival."""
 
     def __init__(self, depth: int):
         super().__init__(f"admission queue full ({depth} waiting)")
@@ -41,9 +45,10 @@ class QueueFull(ServiceError):
 
 
 class StaleRequest(ServiceError):
-    """Shed at dequeue: the request's deadline expired while it sat in
-    the queue, so running it could only produce an empty degraded
-    answer — cheaper to refuse outright."""
+    """Shed before running: the request's deadline had expired at
+    submit or while it sat in the queue (or, for a coalesced follower,
+    while it waited on the leader), so running it could only produce an
+    empty degraded answer — cheaper to refuse outright."""
 
     def __init__(self, waited_s: float):
         super().__init__(
@@ -53,10 +58,10 @@ class StaleRequest(ServiceError):
 
 
 class TenantQuotaExceeded(ServiceError):
-    """Shed on admission: this tenant already holds its fair share of
-    in-flight requests (``ServiceConfig.tenant_slots``); other tenants'
-    capacity is untouched. A per-tenant signal — the queue itself may
-    be nearly empty."""
+    """Shed at dispatch: this tenant's flights already hold its fair
+    share of execution slots (``FrontDoorConfig.tenant_slots``); other
+    tenants' capacity is untouched. A per-tenant signal — the queue
+    itself may be nearly empty."""
 
     def __init__(self, tenant: str, slots: int):
         super().__init__(

@@ -1,9 +1,20 @@
-"""The asyncio front door: request coalescing + priority admission.
+"""The asyncio front door: the serving stack's one admission layer.
 
-:class:`AsyncFrontDoor` wraps a :class:`~repro.service.PrecisService`
-(the thread-pooled serving layer) with the three things a request-per-
-user web front end needs that a FIFO thread pool cannot give:
+:class:`AsyncFrontDoor` sits in front of a :class:`~repro.service.
+PrecisService` worker pool and makes every admission decision a
+request-per-user web front end needs:
 
+* **Deadlines** — each request's deadline is resolved here, once:
+  explicit *deadline* > *timeout_s* > ``FrontDoorConfig.
+  default_timeout_s`` > none. A request already expired at submit is
+  shed immediately (:class:`~repro.service.errors.StaleRequest`)
+  without executing or coalescing; a pending flight that expires
+  before dispatch is shed at dispatch; and a coalesced follower with a
+  *tighter* deadline than its leader still honours its own — it is
+  never handed an answer past its deadline, even though the leader's
+  execution continues for the remaining waiters. A deadline that
+  expires *during* execution degrades the answer cooperatively in the
+  engine instead (a partial answer flagged ``degraded``).
 * **Request coalescing** — keyword traffic is dominated by identical
   popular asks. Two submissions with the same *ask signature* — the
   answer-cache key: query tokens, resolved constraints, strategy, the
@@ -20,39 +31,38 @@ user web front end needs that a FIFO thread pool cannot give:
   is never coalesced at all.
 * **Priority classes** — ``"interactive"`` requests are dispatched
   strictly before ``"batch"``; within a class the earliest deadline
-  goes first (EDF), so a near-expiry interactive request is served
-  next or — once expired — shed at dispatch instead of executing for
-  nothing. A batch-classified flight joined by an interactive follower
-  is *upgraded*: the most urgent waiter sets the flight's class. When
-  the pending queue is full, an arriving interactive request preempts
-  the least-urgent pending batch flight (``preempt_batch``) rather
-  than being shed behind it.
-* **Deadline discipline** — a request already expired at submit is
-  shed immediately (:class:`~repro.service.errors.StaleRequest`)
-  without executing or coalescing; a pending flight that expires
-  before dispatch is shed at dispatch; and a coalesced follower with a
-  *tighter* deadline than its leader still honours its own — it is
-  never handed an answer past its deadline, even though the leader's
-  execution continues for the remaining waiters.
+  goes first (EDF). A batch-classified flight joined by an interactive
+  follower is *upgraded*: the most urgent waiter sets the flight's
+  class. When the pending queue is full, an arriving interactive
+  request preempts the least-urgent pending batch flight rather than
+  being shed behind it.
+* **Tenant quotas** — with ``tenant_slots`` set, a flight is checked
+  against its tenant's executing flights once, when it is dispatched;
+  over quota, the flight is shed
+  (:class:`~repro.service.errors.TenantQuotaExceeded`) and the one
+  shed fans out to every waiter. The slot is released when the flight
+  resolves.
 
-Dispatch runs one in-flight request per service worker by default, so
-the FIFO queue inside :class:`PrecisService` stays empty and ordering
-decisions live entirely in the front door's priority queue.
+Dispatch runs one flight per pool worker, so the pool's hand-off queue
+stays empty and ordering decisions live entirely in the priority queue
+here. Every shed is decided, counted and traced here; the metrics land
+in the pool's :class:`~repro.obs.metrics.ServiceMetrics` — one façade,
+one scrape for the whole stack.
 
-Tracing composes: when the wrapped service carries a
-:class:`~repro.obs.context.TraceBuffer`, the front door mints each
-waiter's :class:`~repro.obs.context.TraceContext` at *its own* submit
-time. The leader's context rides into the service (``submit(context=)``)
-so its trace spans front-door queueing plus the full engine subtree;
-every follower gets its own ``request`` span with a ``coalesced`` child
-and :attr:`~repro.obs.context.RequestTrace.coalesced_into` naming the
-leader's trace id. Metrics land in
-:class:`~repro.obs.metrics.FrontDoorMetrics` on the wrapped service's
-registry — one scrape shows the whole stack.
+Tracing: when the pool carries a :class:`~repro.obs.context.
+TraceBuffer`, the front door mints each waiter's
+:class:`~repro.obs.context.TraceContext` at submit. The leader's
+context rides into the pool (``submit(context=)``), whose worker
+traces the execution — front-door queueing plus the full engine
+subtree; every follower and every shed waiter gets its own ``request``
+span here, followers with a ``coalesced`` child and
+:attr:`~repro.obs.context.RequestTrace.coalesced_into` naming the
+leader's trace id.
 
 Everything here runs on one event loop: submissions, admission,
-coalescing bookkeeping and dispatch are loop-confined (no locks), and
-only the engine execution crosses into the service's worker threads.
+coalescing bookkeeping, quotas and dispatch are loop-confined (no
+locks), and only the engine execution crosses into the pool's worker
+threads.
 """
 
 from __future__ import annotations
@@ -66,11 +76,9 @@ from typing import Any, Optional
 
 from ..core.deadline import NO_DEADLINE, Deadline
 from ..obs.context import RequestTrace, TraceContext, synthetic_span
-from ..obs.metrics import FrontDoorMetrics
 from .errors import (
     QueueFull,
     ServiceClosed,
-    ServiceError,
     StaleRequest,
     TenantQuotaExceeded,
 )
@@ -89,6 +97,14 @@ PRIORITY_BATCH = "batch"
 #: dispatch order: lower rank first; within a rank, earliest deadline
 _RANK = {PRIORITY_INTERACTIVE: 0, PRIORITY_BATCH: 1}
 
+#: shed exception -> the reason its shed is counted and traced under
+_SHED_REASON = {
+    QueueFull: "full",
+    StaleRequest: "stale",
+    TenantQuotaExceeded: "tenant_quota",
+    ServiceClosed: "closed",
+}
+
 
 class _FollowerStale(Exception):
     """Internal: a coalesced follower outlived its own deadline while
@@ -101,32 +117,23 @@ class _FollowerStale(Exception):
 
 @dataclass(frozen=True)
 class FrontDoorConfig:
-    """Tuning knobs of one :class:`AsyncFrontDoor`."""
+    """Admission policy of one :class:`AsyncFrontDoor`."""
 
     #: bound on *pending* (admitted, undispatched) flights
     max_pending: int = 256
-    #: concurrent dispatches into the wrapped service; default = one
-    #: per service worker, which keeps the service's FIFO queue empty
-    dispatch_concurrency: Optional[int] = None
+    #: deadline for requests that carry none (seconds; None = none)
+    default_timeout_s: Optional[float] = None
+    #: fair share: max executing flights per tenant; None disables
+    #: per-tenant quotas. Requests without a tenant are never limited.
+    tenant_slots: Optional[int] = None
     #: merge identical in-flight asks into one engine execution
     coalesce: bool = True
-    #: shed expired requests at submit and at dispatch (StaleRequest)
-    shed_stale: bool = True
-    #: when the pending queue is full, an interactive arrival evicts
-    #: the least-urgent pending batch flight instead of being shed
-    preempt_batch: bool = True
-    #: deadline for requests that carry none (seconds; None falls back
-    #: to the wrapped service's default_timeout_s)
-    default_timeout_s: Optional[float] = None
 
     def __post_init__(self):
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        if (
-            self.dispatch_concurrency is not None
-            and self.dispatch_concurrency < 1
-        ):
-            raise ValueError("dispatch_concurrency must be at least 1")
+        if self.tenant_slots is not None and self.tenant_slots < 1:
+            raise ValueError("tenant_slots must be at least 1")
 
 
 class _Flight:
@@ -134,8 +141,8 @@ class _Flight:
 
     __slots__ = (
         "key", "query", "ask_kwargs", "deadline", "tenant", "priority",
-        "context", "future", "state", "dispatched", "waiters", "seq",
-        "expiry_key", "admitted_mono",
+        "context", "future", "state", "dispatched", "holds_slot",
+        "waiters", "seq", "expiry_key", "admitted_mono",
     )
 
     def __init__(self, key, query, ask_kwargs, deadline, tenant, priority,
@@ -150,9 +157,10 @@ class _Flight:
         self.future = future
         #: "pending" (queued) -> "dispatched" (executing) -> "done"
         self.state = "pending"
-        #: whether service.submit was attempted (the service then owns
-        #: the leader's trace, including synchronous shed traces)
+        #: handed to the pool (which then traces the leader)
         self.dispatched = False
+        #: holds one of its tenant's slots until resolved
+        self.holds_slot = False
         self.waiters = 1
         self.seq = 0
         self.expiry_key = math.inf
@@ -168,13 +176,13 @@ class _Flight:
 
 
 class AsyncFrontDoor:
-    """Coalescing, priority-scheduling asyncio façade over one
-    :class:`~repro.service.PrecisService`.
+    """Coalescing, priority-scheduling asyncio admission layer over one
+    :class:`~repro.service.PrecisService` worker pool.
 
     All coroutine methods must run on one event loop (state is
-    loop-confined by design). The front door does not own the wrapped
-    service: closing the front door drains its own queue but leaves the
-    service running unless ``close(close_service=True)``.
+    loop-confined by design). The front door does not own the pool:
+    closing the front door drains its own queue but leaves the pool
+    running unless ``close(close_service=True)``.
     """
 
     def __init__(
@@ -184,11 +192,12 @@ class AsyncFrontDoor:
     ):
         self.service = service
         self.config = config if config is not None else FrontDoorConfig()
-        self.metrics = FrontDoorMetrics(service.metrics.registry)
+        self.metrics = service.metrics
         self._flights: dict[Any, _Flight] = {}
         self._heap: list[tuple[int, float, int, _Flight]] = []
         self._seq = 0
         self._pending_count = 0
+        self._tenant_inflight: dict[str, int] = {}
         self._closed = False
         self._started = False
         self._work: Optional[asyncio.Event] = None
@@ -210,13 +219,14 @@ class AsyncFrontDoor:
         failure exception the execution produced).
 
         Deadline resolution: explicit *deadline* > *timeout_s* >
-        ``FrontDoorConfig.default_timeout_s`` > the wrapped service's
-        ``default_timeout_s`` > none. *priority* must be
-        ``"interactive"`` or ``"batch"``. Remaining keyword arguments
-        go to :meth:`~repro.core.engine.PrecisEngine.ask` and take part
-        in the coalescing signature (an argument the signature cannot
-        canonicalize — e.g. a *tuple_weigher* — disables coalescing for
-        that request only).
+        ``FrontDoorConfig.default_timeout_s`` > none. *priority* must
+        be ``"interactive"`` or ``"batch"``. *tenant* labels the
+        request's metrics and, with ``tenant_slots`` set, counts its
+        flight against that tenant's quota. Remaining keyword
+        arguments go to :meth:`~repro.core.engine.PrecisEngine.ask` and
+        take part in the coalescing signature (an argument the
+        signature cannot canonicalize — e.g. a *tuple_weigher* —
+        disables coalescing for that request only).
         """
         if priority not in _RANK:
             raise ValueError(
@@ -231,45 +241,47 @@ class AsyncFrontDoor:
                 tenant=tenant,
                 priority=priority,
             )
-        if self._closed:
-            self.metrics.shed("closed", priority)
-            self._record_trace(context, "shed_closed")
-            raise ServiceClosed("front door is closed")
-        deadline = self._resolve_deadline(deadline, timeout_s)
-        if context is not None and deadline.expires():
-            context.deadline_s = deadline.remaining()
-        self.metrics.admitted(priority)
-        # Shed-on-stale at submit: an already-expired request neither
-        # executes nor joins a flight — running it could only produce
-        # an empty degraded shell, and coalescing it would hand it an
-        # answer past its deadline anyway.
-        if (
-            self.config.shed_stale
-            and deadline.expires()
-            and deadline.expired()
-        ):
-            self.metrics.shed("stale", priority)
-            self._record_trace(context, "shed_stale")
-            raise StaleRequest(0.0)
+        metrics = self.metrics
+        metrics.submitted(priority, tenant)
+        try:
+            if self._closed:
+                self._shed(context, "closed", priority, tenant)
+                raise ServiceClosed("front door is closed")
+            deadline = self._resolve_deadline(deadline, timeout_s)
+            if context is not None and deadline.expires():
+                context.deadline_s = deadline.remaining()
+            # Shed-on-stale at submit: an already-expired request
+            # neither executes nor joins a flight — running it could
+            # only produce an empty degraded shell, and coalescing it
+            # would hand it an answer past its deadline anyway.
+            if deadline.expires() and deadline.expired():
+                self._shed(context, "stale", priority, tenant)
+                raise StaleRequest(0.0)
 
-        key = self._coalesce_key(query, ask_kwargs) if self.config.coalesce else None
-        flight = self._flights.get(key) if key is not None else None
-        if flight is not None and flight.state != "done":
-            # -------- follower: identical ask already in flight
-            self.metrics.coalesced(priority)
-            flight.waiters += 1
-            self._maybe_upgrade(flight, priority)
-            return await self._join(
-                flight, deadline, priority, context, start, follower=True
+            key = (
+                self._coalesce_key(query, ask_kwargs)
+                if self.config.coalesce
+                else None
             )
-        # ------------ leader: admit a fresh flight
-        flight = self._admit(
-            query, ask_kwargs, key, deadline, tenant, priority, context,
-            start,
-        )
-        return await self._join(
-            flight, deadline, priority, context, start, follower=False
-        )
+            flight = self._flights.get(key) if key is not None else None
+            if flight is not None and flight.state != "done":
+                # -------- follower: identical ask already in flight
+                metrics.coalesced(priority)
+                flight.waiters += 1
+                self._maybe_upgrade(flight, priority)
+                follower = True
+            else:
+                # ------------ leader: admit a fresh flight
+                flight = self._admit(
+                    query, ask_kwargs, key, deadline, tenant, priority,
+                    context, start,
+                )
+                follower = False
+            return await self._join(
+                flight, deadline, priority, tenant, context, start, follower
+            )
+        finally:
+            metrics.resolved()
 
     async def ask(self, query, **kwargs: Any):
         """Alias of :meth:`submit` (symmetry with PrecisService)."""
@@ -283,11 +295,7 @@ class AsyncFrontDoor:
         seconds = (
             timeout_s
             if timeout_s is not None
-            else (
-                self.config.default_timeout_s
-                if self.config.default_timeout_s is not None
-                else self.service.config.default_timeout_s
-            )
+            else self.config.default_timeout_s
         )
         return Deadline.after(seconds) if seconds is not None else NO_DEADLINE
 
@@ -311,8 +319,7 @@ class AsyncFrontDoor:
     ) -> _Flight:
         if self._pending_count >= self.config.max_pending:
             if not self._preempt_for(priority):
-                self.metrics.shed("full", priority)
-                self._record_trace(context, "shed_full")
+                self._shed(context, "full", priority, tenant)
                 raise QueueFull(self.config.max_pending)
         flight = _Flight(
             key, query, dict(ask_kwargs), deadline, tenant, priority,
@@ -353,7 +360,7 @@ class AsyncFrontDoor:
         pending *batch* flight (latest deadline, latest arrival) to
         make room. Counted once per evicted flight; every coalesced
         waiter of the victim sees QueueFull."""
-        if not self.config.preempt_batch or priority != PRIORITY_INTERACTIVE:
+        if priority != PRIORITY_INTERACTIVE:
             return False
         victim: Optional[_Flight] = None
         victim_order: tuple = ()
@@ -365,11 +372,33 @@ class AsyncFrontDoor:
         if victim is None:
             return False
         self._pending_count -= 1
-        self.metrics.shed("preempted", victim.priority)
+        self.metrics.shed("preempted", victim.priority, victim.tenant)
         self._resolve_flight(
             victim, error=QueueFull(self.config.max_pending)
         )
         return True
+
+    def _take_slot(self, flight: _Flight) -> bool:
+        """Claim one of the flight's tenant slots (False when all are
+        held; always True without a tenant or a quota)."""
+        slots = self.config.tenant_slots
+        if flight.tenant is None or slots is None:
+            return True
+        held = self._tenant_inflight.get(flight.tenant, 0)
+        if held >= slots:
+            return False
+        self._tenant_inflight[flight.tenant] = held + 1
+        flight.holds_slot = True
+        return True
+
+    def _release_slot(self, tenant: str) -> None:
+        held = self._tenant_inflight.pop(tenant) - 1
+        if held:
+            self._tenant_inflight[tenant] = held
+
+    def tenant_inflight(self, tenant: str) -> int:
+        """Execution slots *tenant*'s flights hold right now."""
+        return self._tenant_inflight.get(tenant, 0)
 
     # ---------------------------------------------------------- waiting
 
@@ -378,6 +407,7 @@ class AsyncFrontDoor:
         flight: _Flight,
         deadline: Deadline,
         priority: str,
+        tenant: Optional[str],
         context: Optional[TraceContext],
         start: float,
         follower: bool,
@@ -388,36 +418,29 @@ class AsyncFrontDoor:
         except _FollowerStale as exc:
             # waiter-level shed: this follower's own deadline, nobody
             # else's — the leader execution continues for the rest
-            self.metrics.shed("stale_follower", priority)
-            self._record_trace(
-                context, "shed_stale", coalesced_into=coalesced_into
+            self._shed(
+                context, "stale_follower", priority, tenant,
+                outcome="shed_stale", coalesced_into=coalesced_into,
             )
             raise StaleRequest(exc.waited_s) from None
-        except (QueueFull, StaleRequest, ServiceClosed,
-                TenantQuotaExceeded) as exc:
-            # flight-level shed, already counted once per logical
-            # execution; every waiter still reports its own trace
+        except BaseException as exc:
+            # a flight-level shed (counted once, when decided) or an
+            # execution failure (counted by the pool); every waiter the
+            # pool did not trace still reports its own trace
             if follower or not flight.dispatched:
+                reason = _SHED_REASON.get(type(exc))
                 self._record_trace(
                     context,
-                    _shed_outcome(exc),
+                    f"shed_{reason}" if reason is not None else "failed",
                     coalesced_into=coalesced_into,
                     error=exc,
                 )
             raise
-        except BaseException as exc:
-            self.metrics.failed(priority, type(exc).__name__)
-            if follower or not flight.dispatched:
-                self._record_trace(
-                    context, "failed", coalesced_into=coalesced_into,
-                    error=exc,
-                )
-            raise
-        elapsed = time.monotonic() - start
-        self.metrics.answered(priority, degraded=answer.degraded)
-        self.metrics.latency(
-            elapsed,
+        self.metrics.answered(
+            time.monotonic() - start,
             priority,
+            degraded_stage=answer.degraded_stage if answer.degraded else None,
+            tenant=tenant,
             trace_id=context.trace_id if context is not None else None,
         )
         if follower:
@@ -435,7 +458,7 @@ class AsyncFrontDoor:
         """Await the flight's outcome; a follower is additionally bound
         by its *own* deadline (the leader's execution deadline may be
         looser)."""
-        if not (follower and self.config.shed_stale and deadline.expires()):
+        if not (follower and deadline.expires()):
             return await asyncio.shield(flight.future)
         remaining = deadline.remaining()
         try:
@@ -458,14 +481,9 @@ class AsyncFrontDoor:
             return
         loop = asyncio.get_running_loop()
         self._work = asyncio.Event()
-        n = (
-            self.config.dispatch_concurrency
-            if self.config.dispatch_concurrency is not None
-            else self.service.workers
-        )
         self._dispatchers = [
             loop.create_task(self._dispatch_loop(), name=f"frontdoor-{i}")
-            for i in range(n)
+            for i in range(self.service.workers)
         ]
         self._started = True
 
@@ -492,52 +510,45 @@ class AsyncFrontDoor:
 
     async def _execute(self, flight: _Flight) -> None:
         # stale at dispatch: the flight's deadline ran out while queued
-        if (
-            self.config.shed_stale
-            and flight.deadline.expires()
-            and flight.deadline.expired()
-        ):
-            self.metrics.shed("stale", flight.priority)
-            self._resolve_flight(
+        if flight.deadline.expires() and flight.deadline.expired():
+            self._shed_flight(
                 flight,
-                error=StaleRequest(
-                    time.monotonic() - flight.admitted_mono
-                ),
+                StaleRequest(time.monotonic() - flight.admitted_mono),
             )
             return
-        flight.dispatched = True
+        if not self._take_slot(flight):
+            self._shed_flight(
+                flight,
+                TenantQuotaExceeded(flight.tenant, self.config.tenant_slots),
+            )
+            return
         try:
             future = self.service.submit(
                 flight.query,
                 deadline=flight.deadline,
-                tenant=flight.tenant,
-                priority=flight.priority,
                 context=flight.context,
                 **flight.ask_kwargs,
             )
-        except ServiceError as exc:
-            # synchronous admission shed (queue full / tenant quota /
-            # closed): the service counted and traced it once; mirror
-            # one front-door shed per logical execution
-            self.metrics.shed(_shed_reason(exc), flight.priority)
-            self._resolve_flight(flight, error=exc)
+        except ServiceClosed as exc:
+            # the pool was closed under the front door
+            self._shed_flight(flight, exc)
             return
-        except BaseException as exc:  # pragma: no cover — defensive
-            self._resolve_flight(flight, error=exc)
-            return
+        flight.dispatched = True
         self.metrics.executed()
         try:
             answer = await asyncio.wrap_future(future)
-        except StaleRequest as exc:
-            # expired inside the service queue (only possible when
-            # dispatch_concurrency exceeds the worker count)
-            self.metrics.shed("stale", flight.priority)
-            self._resolve_flight(flight, error=exc)
-            return
         except BaseException as exc:
             self._resolve_flight(flight, error=exc)
             return
         self._resolve_flight(flight, result=answer)
+
+    def _shed_flight(self, flight: _Flight, error: BaseException) -> None:
+        """One flight-level shed: counted once, fanned out to every
+        waiter (each waiter traces its own outcome in :meth:`_join`)."""
+        self.metrics.shed(
+            _SHED_REASON[type(error)], flight.priority, flight.tenant
+        )
+        self._resolve_flight(flight, error=error)
 
     def _resolve_flight(self, flight: _Flight, result=None, error=None):
         """Fan one outcome out to every waiter, exactly once."""
@@ -549,6 +560,8 @@ class AsyncFrontDoor:
             and self._flights.get(flight.key) is flight
         ):
             del self._flights[flight.key]
+        if flight.holds_slot:
+            self._release_slot(flight.tenant)
         self.metrics.pending.add(-1)
         if error is not None:
             flight.future.set_exception(error)
@@ -557,6 +570,23 @@ class AsyncFrontDoor:
 
     # ---------------------------------------------------------- tracing
 
+    def _shed(
+        self,
+        context: Optional[TraceContext],
+        reason: str,
+        priority: str,
+        tenant: Optional[str],
+        outcome: Optional[str] = None,
+        coalesced_into: Optional[str] = None,
+    ) -> None:
+        """One waiter-level shed: counted and traced."""
+        self.metrics.shed(reason, priority, tenant)
+        self._record_trace(
+            context,
+            outcome or f"shed_{reason}",
+            coalesced_into=coalesced_into,
+        )
+
     def _record_trace(
         self,
         context: Optional[TraceContext],
@@ -564,19 +594,30 @@ class AsyncFrontDoor:
         coalesced_into: Optional[str] = None,
         error: Optional[BaseException] = None,
     ) -> None:
-        """One waiter's front-door-side trace: a synthetic ``request``
-        root with a ``coalesced`` (follower) or ``frontdoor`` (own
-        queueing) child. Leader outcomes that reached the service are
-        traced by the service itself and not repeated here."""
+        """One waiter's trace when no worker traced it: a synthetic
+        ``request`` root with a ``coalesced`` child (a follower, who
+        waited on another execution) or a ``shed`` child. Shed and
+        failed outcomes always trigger buffer admission, so under
+        overload the buffer fills with exactly the requests that were
+        turned away."""
         buffer = self.service.traces
         if buffer is None or context is None:
             return
         duration = max(time.perf_counter() - context.submitted_mono, 0.0)
         root = synthetic_span("request", context.submitted_wall, duration)
-        child = "coalesced" if coalesced_into is not None else "frontdoor"
-        root.children.append(
-            synthetic_span(child, context.submitted_wall, duration)
-        )
+        if coalesced_into is not None:
+            root.children.append(
+                synthetic_span("coalesced", context.submitted_wall, duration)
+            )
+        else:
+            root.children.append(
+                synthetic_span(
+                    "shed",
+                    context.submitted_wall + duration,
+                    0.0,
+                    mono_start=duration,
+                )
+            )
         buffer.offer(
             RequestTrace(
                 context=context,
@@ -626,17 +667,3 @@ class AsyncFrontDoor:
             f"coalesce={self.config.coalesce}"
             f"{', closed' if self._closed else ''})"
         )
-
-
-def _shed_reason(exc: BaseException) -> str:
-    if isinstance(exc, QueueFull):
-        return "full"
-    if isinstance(exc, TenantQuotaExceeded):
-        return "tenant_quota"
-    if isinstance(exc, StaleRequest):
-        return "stale"
-    return "closed"
-
-
-def _shed_outcome(exc: BaseException) -> str:
-    return f"shed_{_shed_reason(exc)}"

@@ -19,17 +19,22 @@ Routes (all GET; responses are JSON unless noted):
     500 for execution failures — each with a JSON body naming the
     error class.
 ``/metrics``
-    Prometheus text exposition of the shared registry (front door +
-    serving layer + engines in one scrape).
+    Prometheus text exposition of the shared registry (the serving
+    stack's one metrics family, plus the engines' series when they
+    share the registry).
 ``/healthz``
     Liveness: pending flight count and closed flag.
 ``/shutdown``
     Resolves :meth:`FrontDoorHTTP.serve_until_shutdown` — how tests
     and the ``repro serve`` CLI stop a server without signals.
 
+A request line or header line longer than the stream reader's limit
+(64 KiB) is answered 414 or 431 with a JSON body; anything else the
+endpoint cannot parse is a 400.
+
 One request per connection (``Connection: close``): the endpoint
-exists for integration tests, the open-loop bench and manual poking,
-not as a production web server.
+exists for integration tests, the load generator and manual poking, not
+as a production web server.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -192,7 +199,13 @@ class FrontDoorHTTP:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await reader.readline()
+            try:
+                request_line = await reader.readline()
+            except ValueError:  # longer than the reader's limit
+                await self._respond(
+                    writer, 414, {"error": "request line too long"}
+                )
+                return
             if not request_line:
                 return
             try:
@@ -206,7 +219,13 @@ class FrontDoorHTTP:
                 return
             # drain headers (unused: no bodies, no keep-alive)
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # longer than the reader's limit
+                    await self._respond(
+                        writer, 431, {"error": "header line too long"}
+                    )
+                    return
                 if line in (b"\r\n", b"\n", b""):
                     break
             if method not in ("GET", "POST"):

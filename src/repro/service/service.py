@@ -1,47 +1,35 @@
-"""The concurrent serving layer: a thread pool around précis engines.
+"""The worker pool: précis engines behind a fixed set of threads.
 
-:class:`PrecisService` fronts one or more :class:`~repro.core.engine.
-PrecisEngine` instances (typically replicas over the same database, or
-shards) with a bounded admission queue and a fixed worker pool:
+:class:`PrecisService` runs asks on worker threads over one or more
+:class:`~repro.core.engine.PrecisEngine` instances (typically replicas
+over the same database). It makes **no admission decision**: every
+request handed to :meth:`PrecisService.submit` runs, in arrival order.
+Deadlines, shedding, tenant quotas, coalescing, priorities and the
+per-request metrics all belong to the admission layer in front of it,
+:class:`~repro.service.frontdoor.AsyncFrontDoor`, which dispatches at
+most one flight per worker — so the pool's hand-off queue stays empty
+and every ordering decision is the front door's. What the pool keeps:
 
-* **Admission control** — requests enter a ``queue.Queue`` of
-  configurable depth. When the queue is full the request is *shed*
-  immediately (:class:`~repro.service.errors.QueueFull`) rather than
-  piling latency onto everyone behind it; set
-  ``ServiceConfig(shed_on_full=False)`` to block instead.
-* **Deadlines** — each request carries a
-  :class:`~repro.core.deadline.Deadline` (explicit, per-call
-  ``timeout_s``, or the config default). The deadline is threaded into
-  :meth:`~repro.core.engine.PrecisEngine.ask`, which degrades
-  cooperatively (partial answer flagged ``degraded``) instead of
-  raising. A request whose deadline expires while still *queued* is
-  shed at dequeue (:class:`~repro.service.errors.StaleRequest`) when
-  ``shed_stale`` is on — running it could only return an empty shell.
+* **Worker threads** — one per engine by default, each with a private
+  sinkless tracer for the whole thread lifetime.
 * **Retry** — transient storage failures
   (:class:`~repro.storage.TransientStorageError`) retry with
   exponential backoff per :class:`~repro.service.retry.RetryPolicy`;
   exhaustion surfaces as
-  :class:`~repro.service.errors.RetryExhausted`.
-* **Metrics** — queue-depth gauge, shed/timeout/degraded counters and
-  queue-wait/service-time histograms via
-  :class:`~repro.obs.metrics.ServiceMetrics`; pass a shared
-  :class:`~repro.obs.MetricsRegistry` to co-export with the engines'
-  own series.
-* **Tracing** — pass a :class:`~repro.obs.context.TraceBuffer` as
-  ``traces=`` and every request is traced end to end:
-  :meth:`PrecisService.submit` mints a
-  :class:`~repro.obs.context.TraceContext` (trace id, tenant, priority,
-  deadline budget) that rides the queued request into the worker
-  thread, where it is activated into the ambient context
-  (:func:`repro.obs.context.activate`) so the engine, the metrics
-  exemplars and the slow-query log all see the same id. The worker
-  builds one span tree per request — ``request`` → ``queue`` → retry
-  attempts → the engine's ``ask`` tree down to storage — and offers it
-  to the buffer *before* resolving the future, so a caller that holds
-  the answer can already find its trace. Shed requests (queue full,
-  stale, quota, closed) get synthetic traces and, like degraded,
-  failed and retried ones, bypass sampling — tail-biased capture.
-  Without ``traces=`` none of this machinery runs.
+  :class:`~repro.service.errors.RetryExhausted`. Retries and failures
+  are counted on the shared :class:`~repro.obs.metrics.ServiceMetrics`.
+* **Context activation** — a request may carry the
+  :class:`~repro.obs.context.TraceContext` its submitter minted; the
+  worker activates it into the ambient context
+  (:func:`repro.obs.context.activate`) for the whole execution, so the
+  engine, the metrics exemplars and the slow-query log all see the
+  same trace id.
+* **The per-request span tree** — for a request with a context, the
+  worker builds ``request`` → ``queue`` → retry attempts → the
+  engine's ``ask`` tree down to storage, and offers it to the
+  :class:`~repro.obs.context.TraceBuffer` given as ``traces=`` *before*
+  resolving the future, so a caller holding the answer can already
+  find its trace.
 
 Responses are :class:`concurrent.futures.Future` objects — callers may
 block (:meth:`PrecisService.ask`), poll, or fan out.
@@ -51,7 +39,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
@@ -69,13 +56,7 @@ from ..obs.context import (
 from ..obs.metrics import MetricsRegistry, ServiceMetrics
 from ..obs.tracer import Tracer
 from ..storage import PermanentStorageError
-from .errors import (
-    QueueFull,
-    RetryExhausted,
-    ServiceClosed,
-    StaleRequest,
-    TenantQuotaExceeded,
-)
+from .errors import RetryExhausted, ServiceClosed
 from .retry import RetryPolicy, call_with_retry
 
 __all__ = ["ServiceConfig", "PrecisService"]
@@ -86,57 +67,32 @@ _SHUTDOWN = object()
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tuning knobs of one :class:`PrecisService`."""
+    """Shape of one :class:`PrecisService` worker pool."""
 
     #: worker threads; default one per engine
     workers: Optional[int] = None
-    #: bounded admission-queue depth
-    queue_depth: int = 64
-    #: deadline given to requests that carry none (seconds; None = no
-    #: default deadline)
-    default_timeout_s: Optional[float] = None
-    #: shed (QueueFull) rather than block when the queue is full
-    shed_on_full: bool = True
-    #: shed (StaleRequest) requests whose deadline expired while queued
-    shed_stale: bool = True
     #: backoff policy for transient storage failures
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: fair-share admission: max in-flight (queued + executing) requests
-    #: per tenant; None disables per-tenant quotas. Requests submitted
-    #: without a tenant are never quota-limited.
-    tenant_slots: Optional[int] = None
 
     def __post_init__(self):
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be at least 1")
-        if self.tenant_slots is not None and self.tenant_slots < 1:
-            raise ValueError("tenant_slots must be at least 1")
 
 
 class _Request:
-    __slots__ = (
-        "query", "kwargs", "deadline", "future", "enqueued_at", "tenant",
-        "context",
-    )
+    __slots__ = ("query", "kwargs", "deadline", "future", "context")
 
-    def __init__(
-        self, query, kwargs, deadline, future, enqueued_at, tenant,
-        context=None,
-    ):
+    def __init__(self, query, kwargs, deadline, future, context):
         self.query = query
         self.kwargs = kwargs
         self.deadline = deadline
         self.future = future
-        self.enqueued_at = enqueued_at
-        self.tenant = tenant
-        #: TraceContext when the service carries a TraceBuffer, else None
+        #: the submitter's TraceContext, or None (untraced)
         self.context = context
 
 
 class PrecisService:
-    """A thread-pooled, deadline-aware front end over précis engines."""
+    """A fixed pool of worker threads running précis asks."""
 
     def __init__(
         self,
@@ -151,14 +107,14 @@ class PrecisService:
             raise ValueError("PrecisService needs at least one engine")
         self.engines = list(engines)
         self.config = config if config is not None else ServiceConfig()
+        #: the serving stack's one metrics façade; the front door over
+        #: this pool records into it too
         self.metrics = ServiceMetrics(registry)
         #: request-trace capture (repro.obs.context); None = untraced
         self.traces = traces
-        self._queue: queue.Queue = queue.Queue(self.config.queue_depth)
+        self._queue: queue.Queue = queue.Queue()
         self._closed = False
         self._close_lock = threading.Lock()
-        self._tenant_lock = threading.Lock()
-        self._tenant_inflight: dict[str, int] = {}
         n_workers = self.config.workers or len(self.engines)
         self._threads = [
             threading.Thread(
@@ -178,161 +134,38 @@ class PrecisService:
         self,
         query,
         deadline: Optional[Deadline] = None,
-        timeout_s: Optional[float] = None,
-        tenant: Optional[str] = None,
-        priority: str = "interactive",
         context: Optional[TraceContext] = None,
         **ask_kwargs: Any,
     ) -> "Future":
-        """Enqueue one ask; returns the :class:`Future` of its answer.
+        """Hand one ask to the workers; returns the :class:`Future` of
+        its answer.
 
-        Deadline resolution: explicit *deadline* > *timeout_s* >
-        ``config.default_timeout_s`` > none. Extra keyword arguments go
-        straight to :meth:`~repro.core.engine.PrecisEngine.ask`
-        (constraints, strategy, profile, ...).
+        *deadline* is threaded into
+        :meth:`~repro.core.engine.PrecisEngine.ask`, which degrades
+        cooperatively once it expires; extra keyword arguments go
+        straight to the engine (constraints, strategy, profile, ...).
+        *context* is the request's trace context: with a trace buffer
+        on the pool, the worker traces the execution under it.
 
-        *tenant* labels the request for per-tenant metrics and, when
-        ``config.tenant_slots`` is set, counts against that tenant's
-        fair-share in-flight quota
-        (:class:`~repro.service.errors.TenantQuotaExceeded`).
-
-        *priority* is a label carried on the request's trace context
-        (``"interactive"`` / ``"batch"``). This layer's FIFO admission
-        does not act on it — priority scheduling lives in the async
-        front door (:mod:`repro.service.frontdoor`), which orders its
-        own queue and dispatches here one request per idle worker.
-
-        *context* is a pre-minted :class:`~repro.obs.context.
-        TraceContext` to adopt instead of minting one — the front door
-        passes the context it created at its own admission time, so
-        the request's trace spans the full journey (front-door queue
-        included) under one id.
-
-        When the service carries a :class:`~repro.obs.context.
-        TraceBuffer`, this call mints the request's
-        :class:`~repro.obs.context.TraceContext` — every outcome,
-        including every shed path below, leaves a trace.
-
-        Raises :class:`ServiceClosed` after :meth:`close`, and
-        :class:`QueueFull` when the admission queue is full under the
-        shed-on-full policy.
+        Raises :class:`ServiceClosed` after :meth:`close`.
         """
-        if self.traces is None:
-            context = None
-        elif context is None:
-            context = TraceContext.mint(
-                query=getattr(query, "text", None) or str(query),
-                tenant=tenant,
-                priority=priority,
-            )
         if self._closed:
-            self.metrics.shed("closed", tenant=tenant)
-            self._record_shed(context, "closed")
             raise ServiceClosed("service is closed")
-        if deadline is None:
-            seconds = (
-                timeout_s
-                if timeout_s is not None
-                else self.config.default_timeout_s
-            )
-            deadline = (
-                Deadline.after(seconds) if seconds is not None else NO_DEADLINE
-            )
-        if context is not None and deadline.expires():
-            context.deadline_s = deadline.remaining()
-        try:
-            self._acquire_tenant_slot(tenant)
-        except TenantQuotaExceeded:
-            self._record_shed(context, "tenant_quota")
-            raise
         future: Future = Future()
-        request = _Request(
-            query, ask_kwargs, deadline, future, time.monotonic(), tenant,
-            context,
+        self._queue.put(
+            _Request(
+                query,
+                ask_kwargs,
+                deadline if deadline is not None else NO_DEADLINE,
+                future,
+                context if self.traces is not None else None,
+            )
         )
-        if self.config.shed_on_full:
-            try:
-                self._queue.put_nowait(request)
-            except queue.Full:
-                self._release_tenant_slot(tenant)
-                self.metrics.shed("full", tenant=tenant)
-                self._record_shed(context, "full")
-                raise QueueFull(self.config.queue_depth) from None
-        else:
-            self._queue.put(request)
-        self.metrics.admitted(tenant=tenant)
         return future
-
-    def _acquire_tenant_slot(self, tenant: Optional[str]) -> None:
-        if tenant is None or self.config.tenant_slots is None:
-            return
-        with self._tenant_lock:
-            held = self._tenant_inflight.get(tenant, 0)
-            if held >= self.config.tenant_slots:
-                self.metrics.shed("tenant_quota", tenant=tenant)
-                raise TenantQuotaExceeded(tenant, held)
-            self._tenant_inflight[tenant] = held + 1
-
-    def _release_tenant_slot(self, tenant: Optional[str]) -> None:
-        if tenant is None or self.config.tenant_slots is None:
-            return
-        with self._tenant_lock:
-            held = self._tenant_inflight.get(tenant, 0)
-            if held <= 1:
-                self._tenant_inflight.pop(tenant, None)
-            else:
-                self._tenant_inflight[tenant] = held - 1
-
-    def tenant_inflight(self, tenant: str) -> int:
-        """In-flight (queued + executing) request count of one tenant."""
-        with self._tenant_lock:
-            return self._tenant_inflight.get(tenant, 0)
 
     def ask(self, query, **kwargs: Any):
         """Synchronous :meth:`submit` — blocks for the answer."""
         return self.submit(query, **kwargs).result()
-
-    # ------------------------------------------------------------- tracing
-
-    def _record_shed(
-        self,
-        context: Optional[TraceContext],
-        reason: str,
-        waited: Optional[float] = None,
-    ) -> None:
-        """A synthetic trace for a request refused without running —
-        shed outcomes always trigger buffer admission, so under
-        overload the buffer fills with exactly the requests that were
-        turned away."""
-        if context is None or self.traces is None:
-            return
-        duration = max(time.perf_counter() - context.submitted_mono, 0.0)
-        root = synthetic_span("request", context.submitted_wall, duration)
-        if waited is not None:
-            # the request spent its whole life queued before the shed
-            root.children.append(
-                synthetic_span(
-                    "queue", context.submitted_wall, min(waited, duration)
-                )
-            )
-        root.children.append(
-            synthetic_span(
-                "shed",
-                context.submitted_wall + duration,
-                0.0,
-                mono_start=duration,
-            )
-        )
-        self.traces.offer(
-            RequestTrace(
-                context=context,
-                root=root,
-                outcome=f"shed_{reason}",
-                duration_s=duration,
-                queue_wait_s=waited if waited is not None else 0.0,
-                worker=threading.current_thread().name,
-            )
-        )
 
     # ------------------------------------------------------------- workers
 
@@ -355,9 +188,10 @@ class PrecisService:
         request: _Request,
         tracer: Optional[Tracer] = None,
     ) -> None:
+        if not request.future.set_running_or_notify_cancel():
+            return  # cancelled while queued
         metrics = self.metrics
         context = request.context
-        waited = time.monotonic() - request.enqueued_at
         # Activate the request context for the whole serve: the engine,
         # the metrics exemplars and the slow-query log read the trace
         # id from the ambient contextvar — no per-call plumbing.
@@ -368,20 +202,6 @@ class PrecisService:
         if context is None:
             tracer = None
         try:
-            metrics.queue_wait(waited)
-            if not request.future.set_running_or_notify_cancel():
-                return  # cancelled while queued
-            if (
-                self.config.shed_stale
-                and request.deadline.expires()
-                and request.deadline.expired()
-            ):
-                metrics.shed("stale", tenant=request.tenant)
-                metrics.timeout()
-                self._record_shed(context, "stale", waited=waited)
-                request.future.set_exception(StaleRequest(waited))
-                return
-
             retries = 0
 
             def on_retry(attempt: int, exc: BaseException) -> None:
@@ -395,9 +215,9 @@ class PrecisService:
                         span.counters["attempt"] = attempt
                         span.counters[type(exc).__name__] = 1
 
-            ask_kwargs = dict(request.kwargs)
+            ask_kwargs = request.kwargs
             if tracer is not None and "tracer" not in ask_kwargs:
-                ask_kwargs["tracer"] = tracer
+                ask_kwargs = dict(ask_kwargs, tracer=tracer)
 
             answer = None
             failure: Optional[BaseException] = None
@@ -429,22 +249,8 @@ class PrecisService:
                 if span_cm is not None:
                     span_cm.__exit__(None, None, None)
 
-            if failure is None:
-                if answer.degraded:
-                    metrics.degraded(
-                        answer.degraded_stage or "unknown",
-                        tenant=request.tenant,
-                    )
-                    metrics.timeout()
-                metrics.service_time(
-                    time.monotonic() - request.enqueued_at,
-                    tenant=request.tenant,
-                )
-
             if context is not None:
-                self._offer_trace(
-                    context, root, waited, retries, answer, failure
-                )
+                self._offer_trace(context, root, retries, answer, failure)
             if failure is not None:
                 request.future.set_exception(failure)
             else:
@@ -452,36 +258,37 @@ class PrecisService:
         finally:
             if token is not None:
                 deactivate(token)
-            self._release_tenant_slot(request.tenant)
-            metrics.finished()
 
     def _offer_trace(
         self,
         context: TraceContext,
         root,
-        waited: float,
         retries: int,
         answer,
         failure: Optional[BaseException],
     ) -> None:
         """Finish the request's span tree and offer it to the buffer.
 
-        The ``request`` root opened post-dequeue is retro-extended to
-        the submit instant and given a synthetic ``queue`` child, so
-        the exported trace spans submit → queue → retries → engine →
-        storage. Runs *before* the future resolves: a caller holding
-        the answer can already find the trace."""
+        The ``request`` root opened at execution start is retro-extended
+        to the submit instant the context recorded and given a
+        synthetic ``queue`` child, so the exported trace spans submit →
+        queue → retries → engine → storage. Runs *before* the future
+        resolves: a caller that holds the answer can already find the
+        trace."""
+        waited = 0.0
         if root is not None:
-            executed_start = root._mono_start
+            waited = max(root._mono_start - context.submitted_mono, 0.0)
             root.wall_start = context.submitted_wall
-            root._mono_start = executed_start - waited
-            queue_span = synthetic_span(
-                "queue",
-                context.submitted_wall,
-                waited,
-                mono_start=root._mono_start,
+            root._mono_start -= waited
+            root.children.insert(
+                0,
+                synthetic_span(
+                    "queue",
+                    context.submitted_wall,
+                    waited,
+                    mono_start=root._mono_start,
+                ),
             )
-            root.children.insert(0, queue_span)
         if failure is not None:
             outcome = "failed"
             degraded_stage = None
@@ -516,19 +323,14 @@ class PrecisService:
 
     @property
     def workers(self) -> int:
-        """Size of the worker pool (the front door's default dispatch
-        concurrency: one in-flight request per worker keeps priority
-        ordering in the front door's queue, not this FIFO one)."""
+        """Size of the worker pool (the front door's dispatch
+        concurrency: one flight per worker)."""
         return len(self._threads)
 
-    def queue_depth(self) -> float:
-        """Current value of the queue-depth gauge (admitted, unanswered)."""
-        return self.metrics.queue_depth.value
-
     def close(self, wait: bool = True) -> None:
-        """Stop admitting; drain queued requests; join the workers.
+        """Stop accepting; serve what was handed over; join the workers.
 
-        Requests already admitted are served to completion (their
+        Requests already submitted are served to completion (their
         futures resolve normally). Idempotent.
         """
         with self._close_lock:
@@ -547,19 +349,10 @@ class PrecisService:
                     request = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                if request is _SHUTDOWN:
-                    continue
-                self._release_tenant_slot(request.tenant)
-                self.metrics.shed("closed", tenant=request.tenant)
-                self.metrics.finished()
-                self._record_shed(
-                    request.context,
-                    "closed",
-                    waited=time.monotonic() - request.enqueued_at,
-                )
-                request.future.set_exception(
-                    ServiceClosed("service closed before the request ran")
-                )
+                if request is not _SHUTDOWN:
+                    request.future.set_exception(
+                        ServiceClosed("service closed before the request ran")
+                    )
 
     def __enter__(self) -> "PrecisService":
         return self
@@ -570,7 +363,6 @@ class PrecisService:
     def __repr__(self):
         return (
             f"PrecisService({len(self.engines)} engine(s), "
-            f"{len(self._threads)} worker(s), "
-            f"depth={self.config.queue_depth}"
+            f"{len(self._threads)} worker(s)"
             f"{', closed' if self._closed else ''})"
         )

@@ -254,22 +254,19 @@ class TestHistogramExemplars:
         context = TraceContext.mint("midnight", tenant="acme")
         token = activate(context)
         try:
-            metrics.queue_wait(0.001)
-            metrics.service_time(0.002, tenant="acme")
+            metrics.answered(0.002, "interactive", tenant="acme")
         finally:
             deactivate(token)
-        metrics.service_time(0.003)  # untraced: no exemplar
+        metrics.answered(0.003, "batch")  # untraced: no exemplar
 
         def exemplar(name, value, **labels):
             return registry.histogram(name, **labels).exemplar_for(value)
 
         assert (
-            exemplar("precis_service_queue_wait_seconds", 0.001)
+            exemplar("precis_service_seconds", 0.002, priority="interactive")
             == context.trace_id
         )
-        assert (
-            exemplar("precis_service_seconds", 0.002) == context.trace_id
-        )
+        assert exemplar("precis_service_seconds", 0.003, priority="batch") is None
         assert (
             exemplar("precis_service_tenant_seconds", 0.002, tenant="acme")
             == context.trace_id

@@ -3,18 +3,52 @@
 rates, and the no-traffic convention (nothing has violated anything).
 """
 
+import asyncio
 import json
+import threading
 
 import pytest
 
+from repro.core import Deadline, PrecisEngine
+from repro.datasets import movies_graph, paper_instance
 from repro.obs import MetricsRegistry, ServiceMetrics
 from repro.obs.slo import SLObjective, SLOTracker, default_objectives
+from repro.service import (
+    AsyncFrontDoor,
+    FrontDoorConfig,
+    PrecisService,
+    QueueFull,
+    ServiceConfig,
+    StaleRequest,
+)
+
+from tests.service.helpers import GateDeadline, entered, run, spin
+
+PRIORITY = "interactive"
 
 
 def serve(metrics, n, seconds=0.010, tenant=None):
+    """*n* callers answered in *seconds* each."""
     for __ in range(n):
-        metrics.admitted(tenant=tenant)
-        metrics.service_time(seconds, tenant=tenant)
+        metrics.submitted(PRIORITY, tenant=tenant)
+        metrics.answered(seconds, PRIORITY, tenant=tenant)
+        metrics.resolved()
+
+
+def refuse(metrics, n, reason="full"):
+    """*n* callers shed."""
+    for __ in range(n):
+        metrics.submitted(PRIORITY)
+        metrics.shed(reason, PRIORITY)
+        metrics.resolved()
+
+
+def fail(metrics, n, kind="transient"):
+    """*n* callers whose execution failed."""
+    for __ in range(n):
+        metrics.submitted(PRIORITY)
+        metrics.failed(kind)
+        metrics.resolved()
 
 
 class TestSLObjective:
@@ -51,13 +85,10 @@ class TestAvailability:
         registry = MetricsRegistry()
         metrics = ServiceMetrics(registry)
         serve(metrics, 90)
-        for __ in range(8):
-            metrics.shed("full")
-        metrics.admitted()
-        metrics.admitted()
-        metrics.failed("transient")
-        metrics.failed("permanent")
-        # 100 offered (92 admitted + 8 shed), 10 bad (8 shed + 2 failed)
+        refuse(metrics, 8)
+        fail(metrics, 1, "transient")
+        fail(metrics, 1, "permanent")
+        # 100 resolved, 10 bad (8 shed + 2 failed)
         entry = SLOTracker(registry).evaluate(
             SLObjective("avail", "availability", 0.99)
         )
@@ -72,8 +103,7 @@ class TestAvailability:
         registry = MetricsRegistry()
         metrics = ServiceMetrics(registry)
         serve(metrics, 99)
-        metrics.admitted()
-        metrics.failed("transient")
+        fail(metrics, 1)
         entry = SLOTracker(registry).evaluate(
             SLObjective("avail", "availability", 0.99)
         )
@@ -131,7 +161,7 @@ class TestSnapshot:
         registry = MetricsRegistry()
         metrics = ServiceMetrics(registry)
         serve(metrics, 3)
-        metrics.shed("full")
+        refuse(metrics, 1)
         parsed = json.loads(json.dumps(SLOTracker(registry).snapshot()))
         assert parsed["objectives"][0]["kind"] == "availability"
         assert isinstance(parsed["max_burn_rate"], float)
@@ -140,8 +170,7 @@ class TestSnapshot:
         registry = MetricsRegistry()
         metrics = ServiceMetrics(registry)
         serve(metrics, 50)
-        for __ in range(50):
-            metrics.shed("full")
+        refuse(metrics, 50)
         snapshot = SLOTracker(registry).snapshot()
         assert snapshot["all_met"] is False
         # availability burn: 50% bad / 1% budget = 50x
@@ -155,3 +184,72 @@ class TestSnapshot:
         assert [o["name"] for o in tracker.snapshot()["objectives"]] == [
             "only"
         ]
+
+
+class TestInflightAndClasses:
+    def test_unresolved_requests_are_not_yet_events(self):
+        registry = MetricsRegistry()
+        metrics = ServiceMetrics(registry)
+        serve(metrics, 4)
+        metrics.submitted(PRIORITY)  # still waiting for its answer
+        entry = SLOTracker(registry).evaluate(
+            SLObjective("avail", "availability", 0.99)
+        )
+        assert entry["total_events"] == 4
+        assert entry["compliance"] == 1.0
+
+    def test_latency_reads_every_priority_class(self):
+        registry = MetricsRegistry()
+        metrics = ServiceMetrics(registry)
+        serve(metrics, 3, seconds=0.010)
+        metrics.submitted("batch")
+        metrics.answered(10.0, "batch")
+        metrics.resolved()
+        entry = SLOTracker(registry).evaluate(
+            SLObjective("lat", "latency", 0.5, threshold_ms=500.0)
+        )
+        assert entry["total_events"] == 4
+        assert entry["compliance"] == pytest.approx(0.75)
+
+
+class TestFrontDoorSheds:
+    def test_full_and_stale_sheds_count_against_availability(self):
+        """Sheds decided at the front door — a full pending queue and a
+        deadline expired at submit — are bad events for availability,
+        next to the two callers that were answered."""
+        engine = PrecisEngine(paper_instance(), graph=movies_graph())
+        service = PrecisService(engine, config=ServiceConfig(workers=1))
+
+        async def go():
+            frontdoor = AsyncFrontDoor(service, FrontDoorConfig(max_pending=1))
+            gate = threading.Event()
+            parked = GateDeadline(gate)
+            try:
+                running = asyncio.ensure_future(
+                    frontdoor.submit("Allen", deadline=parked)
+                )
+                await entered(parked)
+                queued = asyncio.ensure_future(frontdoor.submit("comedy"))
+                await spin(lambda: frontdoor.pending() == 2, "queue full")
+                with pytest.raises(QueueFull):
+                    await frontdoor.submit("Drama")
+                with pytest.raises(StaleRequest):
+                    await frontdoor.submit(
+                        "Drama", deadline=Deadline.after(-1)
+                    )
+                gate.set()
+                await asyncio.gather(running, queued)
+            finally:
+                gate.set()
+                await frontdoor.close()
+
+        try:
+            run(go())
+        finally:
+            service.close()
+        entry = SLOTracker(service.metrics.registry).evaluate(
+            SLObjective("avail", "availability", 0.99)
+        )
+        assert entry["total_events"] == 4
+        assert entry["bad_events"] == 2
+        assert entry["compliance"] == pytest.approx(0.5)

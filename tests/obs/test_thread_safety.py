@@ -103,14 +103,22 @@ class TestEngineSharedAcrossThreads:
 
 
 class TestTraceContextUnderTenantStress:
-    """Context propagation across the queue boundary under contention:
-    8 tenant client threads hammer one 2-worker service with tracing at
-    sample rate 1.0. Every completed request must produce exactly one
-    trace tree, attributed to the right tenant and query, with no span
-    adopted from a neighbouring thread's request."""
+    """Context propagation across the dispatch boundary under
+    contention: 8 tenant clients hammer one front door over a 2-worker
+    pool with tracing at sample rate 1.0. Every completed request must
+    produce exactly one trace tree, attributed to the right tenant and
+    query, with no span adopted from a neighbouring request.
+    Coalescing is off, so every request is its own execution."""
 
     def test_one_clean_trace_tree_per_request(self):
-        from repro.service import PrecisService, ServiceConfig
+        import asyncio
+
+        from repro.service import (
+            AsyncFrontDoor,
+            FrontDoorConfig,
+            PrecisService,
+            ServiceConfig,
+        )
 
         engine = PrecisEngine(paper_instance(), graph=movies_graph())
         tenants = [f"tenant-{i}" for i in range(8)]
@@ -118,46 +126,37 @@ class TestTraceContextUnderTenantStress:
         requests_per_tenant = 6
         total = len(tenants) * requests_per_tenant
         buffer = TraceBuffer(capacity=total, sample_rate=1.0)
-        barrier = threading.Barrier(len(tenants))
-        errors: list[BaseException] = []
         expected: dict[str, tuple[str, str]] = {}  # id -> (tenant, query)
-        lock = threading.Lock()
 
-        def client(tenant: str, offset: int) -> None:
-            try:
-                barrier.wait(timeout=10)
-                for i in range(requests_per_tenant):
-                    query = queries[(offset + i) % len(queries)]
-                    future = service.submit(query, tenant=tenant)
-                    answer = future.result(timeout=60)
-                    trace_id = answer.explanation.trace_id
-                    assert trace_id is not None
-                    with lock:
-                        expected[trace_id] = (tenant, query)
-                    # the worker's ambient context must never bleed
-                    # into the submitting client thread
-                    assert current_trace_id() is None
-            except BaseException as exc:
-                errors.append(exc)
-                barrier.abort()
+        async def client(frontdoor, tenant: str, offset: int) -> None:
+            for i in range(requests_per_tenant):
+                query = queries[(offset + i) % len(queries)]
+                answer = await frontdoor.submit(query, tenant=tenant)
+                trace_id = answer.explanation.trace_id
+                assert trace_id is not None
+                expected[trace_id] = (tenant, query)
+                # the worker's ambient context must never bleed into
+                # the submitting side
+                assert current_trace_id() is None
+
+        async def go(service):
+            async with AsyncFrontDoor(
+                service, FrontDoorConfig(coalesce=False)
+            ) as frontdoor:
+                await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            client(frontdoor, tenant, i)
+                            for i, tenant in enumerate(tenants)
+                        )
+                    ),
+                    timeout=120,
+                )
 
         with PrecisService(
-            engine,
-            config=ServiceConfig(workers=2, queue_depth=total),
-            traces=buffer,
+            engine, config=ServiceConfig(workers=2), traces=buffer
         ) as service:
-            threads = [
-                threading.Thread(
-                    target=client, args=(tenant, i), daemon=True
-                )
-                for i, tenant in enumerate(tenants)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive(), "stress client hung"
-        assert not errors
+            asyncio.run(go(service))
 
         traces = buffer.traces()
         # exactly one trace per completed request, every id unique

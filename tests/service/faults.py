@@ -24,7 +24,7 @@ from repro.core import Deadline
 from repro.relational import Database
 from repro.storage import TransientStorageError, TupleStore
 
-__all__ = ["AfterNChecks", "FlakyStore", "make_flaky"]
+__all__ = ["AfterNChecks", "FlakyStore", "make_flaky", "gate_reads"]
 
 
 class AfterNChecks(Deadline):
@@ -196,3 +196,30 @@ def make_flaky(
         relation.store = wrapper
         wrappers[name] = wrapper
     return wrappers
+
+
+class _GatedStore(FlakyStore):
+    """A fault-free wrapper whose tuple reads park on an event."""
+
+    def __init__(self, inner: TupleStore, gate, entered):
+        super().__init__(inner, fail_times=0)
+        self.gate = gate
+        self.entered = entered
+
+    def get_many(self, tids):
+        self.entered.set()
+        assert self.gate.wait(timeout=30), "gate never opened"
+        return self.inner.get_many(tids)
+
+
+def gate_reads(db: Database, gate: threading.Event) -> threading.Event:
+    """Park every tuple read of *db* on *gate* (until it is set).
+
+    Returns an event set as soon as some thread reaches a read — an ask
+    is then executing, deterministically, wherever it came from (the
+    HTTP edge cannot carry a :class:`GateDeadline`)."""
+    entered = threading.Event()
+    for name in db.schema.relation_names:
+        relation = db.relation(name)
+        relation.store = _GatedStore(relation.store, gate, entered)
+    return entered

@@ -27,6 +27,7 @@ from repro.storage import (
 )
 
 from .faults import FlakyStore, make_flaky
+from .helpers import serve
 
 QUERY = '"Woody Allen"'
 
@@ -129,7 +130,6 @@ def build_service(fail_times, methods=None, error=TransientStorageError):
     # the first-strike test needs one attempt per relation plus slack
     config = ServiceConfig(
         workers=1,
-        queue_depth=8,
         retry=RetryPolicy(attempts=12, base_delay_s=0.0),
     )
     return PrecisService(engine, config=config), engine, wrappers
@@ -213,13 +213,13 @@ class TestServiceUnderFaults:
             fail_times=10_000, methods={"get_many"}
         )
         try:
-            future = svc.submit(QUERY, degree=WeightThreshold(0.5))
             with pytest.raises(RetryExhausted):
-                future.result(timeout=30)
+                serve(svc, QUERY, degree=WeightThreshold(0.5))
             # nothing half-built may be cached
             assert len(engine.cache.answers) == 0
-            # the in-flight gauge went back down despite the failure
-            assert svc.queue_depth() == 0
+            # the in-flight gauges went back down despite the failure
+            assert svc.metrics.inflight.value == 0
+            assert svc.metrics.pending.value == 0
             # heal the stores: the same service must now answer cleanly
             for wrapper in wrappers.values():
                 wrapper.heal()

@@ -22,7 +22,7 @@ from repro.service import (
     ServiceConfig,
 )
 
-from .frontdoor_helpers import run
+from .helpers import run
 
 QUERY = '"Woody Allen"'
 
@@ -34,9 +34,7 @@ def engine():
 
 @pytest.fixture()
 def service(engine):
-    svc = PrecisService(
-        engine, config=ServiceConfig(workers=2, queue_depth=8)
-    )
+    svc = PrecisService(engine, config=ServiceConfig(workers=2))
     yield svc
     svc.close()
 
@@ -84,8 +82,7 @@ class TestAnswers:
                 answer = await frontdoor.submit(QUERY)
                 failures = counter(
                     frontdoor,
-                    "precis_frontdoor_failures_total",
-                    priority="interactive",
+                    "precis_service_failures_total",
                     kind="TypeError",
                 )
                 return answer, failures
@@ -124,10 +121,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             FrontDoorConfig(max_pending=0)
 
-    def test_dispatch_concurrency_validated(self):
-        with pytest.raises(ValueError):
-            FrontDoorConfig(dispatch_concurrency=0)
-
     def test_default_dispatch_concurrency_is_worker_count(self, service):
         async def go():
             frontdoor = AsyncFrontDoor(service)
@@ -152,20 +145,20 @@ class TestMetricsAndTraces:
         frontdoor, snap = run(go())
         counters = snap["counters"]
         assert (
-            counters['precis_frontdoor_requests_total{priority="interactive"}']
+            counters['precis_service_requests_total{priority="interactive"}']
             == 1
         )
         assert (
-            counters['precis_frontdoor_requests_total{priority="batch"}'] == 1
+            counters['precis_service_requests_total{priority="batch"}'] == 1
         )
-        assert counters["precis_frontdoor_executions_total"] == 2
+        assert counters["precis_service_executions_total"] == 2
         assert (
-            counters['precis_frontdoor_answered_total{priority="batch"}'] == 1
+            counters['precis_service_answered_total{priority="batch"}'] == 1
         )
         histogram = [
             key
             for key in snap["histograms"]
-            if key.startswith("precis_frontdoor_seconds")
+            if key.startswith("precis_service_seconds")
         ]
         assert histogram, "latency histogram missing"
 
@@ -175,19 +168,21 @@ class TestMetricsAndTraces:
                 await asyncio.gather(
                     *(frontdoor.submit(QUERY) for _ in range(6))
                 )
-                return frontdoor.pending()
+                return frontdoor.pending(), frontdoor.metrics.inflight.value
 
-        assert run(go()) == 0
+        assert run(go()) == (0, 0)
 
     def test_shared_registry_with_service(self, service):
         async def go():
             async with AsyncFrontDoor(service) as frontdoor:
+                assert frontdoor.metrics is service.metrics
                 await frontdoor.submit(QUERY)
                 return frontdoor.metrics.prometheus()
 
         text = run(go())
-        assert "precis_frontdoor_requests_total" in text
+        # one family: admission (front door) and execution (pool)
         assert "precis_service_requests_total" in text
+        assert "precis_service_executions_total" in text
 
     def test_leader_trace_comes_from_service_with_frontdoor_context(
         self, engine
@@ -226,7 +221,7 @@ class TestLifecycle:
                 await frontdoor.submit(QUERY)
             return counter(
                 frontdoor,
-                "precis_frontdoor_shed_total",
+                "precis_service_shed_total",
                 reason="closed",
                 priority="interactive",
             )

@@ -32,8 +32,8 @@ from repro.service import (
 )
 from repro.storage import BACKEND_NAMES, PermanentStorageError
 
-from .faults import make_flaky
-from .frontdoor_helpers import GateDeadline, canonical, entered, run
+from .faults import AfterNChecks, make_flaky
+from .helpers import GateDeadline, canonical, entered, run
 
 QUERIES = ["midnight", "drama", "garcia", "thriller", "comedy"]
 DEGREE = 0.5
@@ -58,9 +58,7 @@ def stack(request):
     """A fresh engine + service + expected answers per backend."""
     backend = request.param
     engine = fresh_engine(backend)
-    service = PrecisService(
-        engine, config=ServiceConfig(workers=2, queue_depth=32)
-    )
+    service = PrecisService(engine, config=ServiceConfig(workers=2))
     yield backend, engine, service
     service.close()
 
@@ -97,7 +95,7 @@ class TestCoalescedAnswers:
                 # let every waiter reach the flight table before release
                 while (
                     frontdoor.metrics.registry.counter(
-                        "precis_frontdoor_requests_total",
+                        "precis_service_requests_total",
                         "",
                         priority="interactive",
                     ).value
@@ -116,11 +114,11 @@ class TestCoalescedAnswers:
         for answer, query in zip(answers, [QUERIES[0]] * 8 + QUERIES[:2]):
             assert canonical(answer) == expected[query]
         coalesced = counters.get(
-            'precis_frontdoor_coalesced_total{priority="interactive"}', 0
+            'precis_service_coalesced_total{priority="interactive"}', 0
         )
         assert coalesced >= 7  # 8 duplicates of one in-flight ask
         # every waiter answered, far fewer engine executions
-        assert counters["precis_frontdoor_executions_total"] <= 3
+        assert counters["precis_service_executions_total"] <= 3
 
     def test_distinct_signatures_never_share_a_flight(self, stack):
         __, ___, service = stack
@@ -161,7 +159,7 @@ class TestCoalescedAnswers:
         counters = run(go())
         assert (
             counters.get(
-                'precis_frontdoor_coalesced_total{priority="interactive"}', 0
+                'precis_service_coalesced_total{priority="interactive"}', 0
             )
             == 0
         )
@@ -182,7 +180,7 @@ class TestCoalescedAnswers:
                 await frontdoor.close()
 
         counters = run(go())
-        assert counters["precis_frontdoor_executions_total"] == 5
+        assert counters["precis_service_executions_total"] == 5
         assert not any("coalesced" in key for key in counters)
 
 
@@ -239,7 +237,7 @@ class TestTenantIsolation:
         counters = run(go())
         assert (
             counters.get(
-                'precis_frontdoor_coalesced_total{priority="interactive"}', 0
+                'precis_service_coalesced_total{priority="interactive"}', 0
             )
             == 0
         )
@@ -291,7 +289,7 @@ class TestTenantIsolation:
         assert canonical(first) == canonical(second) == expected[QUERIES[0]]
         assert (
             counters.get(
-                'precis_frontdoor_coalesced_total{priority="interactive"}', 0
+                'precis_service_coalesced_total{priority="interactive"}', 0
             )
             == 1
         )
@@ -334,49 +332,48 @@ class TestOutcomePropagation:
         assert all(
             isinstance(r, PermanentStorageError) for r in results
         ), results
-        # per-waiter failure accounting, far fewer executions
+        # the one execution failed once: failures are counted per
+        # flight, and none of the four waiters was answered
+        assert counters['precis_service_failures_total{kind="permanent"}'] == 1
+        assert counters["precis_service_executions_total"] == 1
         assert (
-            counters[
-                'precis_frontdoor_failures_total'
-                '{kind="PermanentStorageError",priority="interactive"}'
-            ]
-            == 4
+            counters.get(
+                'precis_service_answered_total{priority="interactive"}', 0
+            )
+            == 0
         )
 
     def test_degraded_execution_propagates_to_all_waiters(self, stack):
         __, ___, service_unused = stack
-        # a dedicated stack with staleness shedding disabled end to
-        # end: an already-expired deadline then *degrades* the answer
-        # deterministically instead of shedding it
+        # a dedicated one-worker stack; the shared deadline trips at the
+        # engine's first cooperative check, so the one execution
+        # *degrades* deterministically and every waiter gets it
         db = generate_movies_database(n_movies=60, seed=11)
         engine = PrecisEngine(db, graph=movies_graph())
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=1, shed_stale=False)
-        )
-        from repro.core import Deadline
+        service = PrecisService(engine, config=ServiceConfig(workers=1))
 
         async def go():
-            frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(shed_stale=False)
-            )
+            frontdoor = AsyncFrontDoor(service)
             try:
-                expired = Deadline.after(-1.0)
+                expiring = AfterNChecks(0)
                 waiters = [
                     asyncio.ensure_future(
-                        frontdoor.submit(QUERIES[0], deadline=expired)
+                        frontdoor.submit(QUERIES[0], deadline=expiring)
                     )
                     for _ in range(3)
                 ]
-                return await asyncio.gather(*waiters)
+                answers = await asyncio.gather(*waiters)
+                return answers, frontdoor.metrics.snapshot()["counters"]
             finally:
                 await frontdoor.close()
 
         try:
-            answers = run(go())
+            answers, counters = run(go())
         finally:
             service.close()
         assert all(a.degraded for a in answers)
         assert len({canonical(a) for a in answers}) == 1
+        assert counters["precis_service_executions_total"] == 1
 
 
 class TestFollowerTraces:
@@ -486,9 +483,7 @@ class TestCoalescingCoherenceProperty:
             graph=movies_graph(),
             cache=CacheConfig(plans=True, answers=True) if cached else None,
         )
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=2, queue_depth=64)
-        )
+        service = PrecisService(engine, config=ServiceConfig(workers=2))
 
         async def go():
             frontdoor = AsyncFrontDoor(service)
@@ -521,14 +516,14 @@ class TestCoalescingCoherenceProperty:
         for answer, query in zip(answers, labels):
             assert canonical(answer) == expected[query]
         submitted = len(labels)
-        executed = counters["precis_frontdoor_executions_total"]
+        executed = counters["precis_service_executions_total"]
         coalesced = counters.get(
-            'precis_frontdoor_coalesced_total{priority="interactive"}', 0
+            'precis_service_coalesced_total{priority="interactive"}', 0
         )
         assert executed + coalesced == submitted
         assert (
             counters[
-                'precis_frontdoor_answered_total{priority="interactive"}'
+                'precis_service_answered_total{priority="interactive"}'
             ]
             == submitted
         )

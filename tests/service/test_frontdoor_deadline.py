@@ -27,7 +27,7 @@ from repro.service import (
     StaleRequest,
 )
 
-from .frontdoor_helpers import FakeClock, GateDeadline, entered, run
+from .helpers import FakeClock, GateDeadline, entered, run
 
 QUERY = '"Woody Allen"'
 
@@ -39,9 +39,7 @@ def engine():
 
 @pytest.fixture()
 def service(engine):
-    svc = PrecisService(
-        engine, config=ServiceConfig(workers=1, queue_depth=8)
-    )
+    svc = PrecisService(engine, config=ServiceConfig(workers=1))
     yield svc
     svc.close()
 
@@ -55,45 +53,45 @@ class TestExpiredAtSubmit:
         async def go():
             frontdoor = AsyncFrontDoor(service)
             registry = frontdoor.metrics.registry
-            service_admitted = counter(
-                registry, "precis_service_requests_total"
-            )
             try:
                 with pytest.raises(StaleRequest):
                     await frontdoor.submit(QUERY, deadline=Deadline.after(-1))
                 return {
                     "requests": counter(
                         registry,
-                        "precis_frontdoor_requests_total",
+                        "precis_service_requests_total",
                         priority="interactive",
                     ),
                     "shed_stale": counter(
                         registry,
-                        "precis_frontdoor_shed_total",
+                        "precis_service_shed_total",
                         reason="stale",
                         priority="interactive",
                     ),
                     "executions": counter(
-                        registry, "precis_frontdoor_executions_total"
+                        registry, "precis_service_executions_total"
                     ),
-                    "service_admitted_delta": counter(
-                        registry, "precis_service_requests_total"
-                    )
-                    - service_admitted,
+                    "answered": counter(
+                        registry,
+                        "precis_service_answered_total",
+                        priority="interactive",
+                    ),
                     "pending": frontdoor.pending(),
+                    "inflight": frontdoor.metrics.inflight.value,
                 }
             finally:
                 await frontdoor.close()
 
         observed = run(go())
         # counted as submitted and as shed stale; never executed, never
-        # admitted downstream, no flight left behind
+        # handed to the pool, no flight or waiter left behind
         assert observed == {
             "requests": 1,
             "shed_stale": 1,
             "executions": 0,
-            "service_admitted_delta": 0,
+            "answered": 0,
             "pending": 0,
+            "inflight": 0,
         }
 
     def test_expired_submission_never_becomes_a_flight(self, service):
@@ -135,6 +133,9 @@ class TestExpiredAtSubmit:
         assert len(kept) == 1
         assert kept[0].outcome == "shed_stale"
         assert kept[0].coalesced_into is None
+        # the context records the (spent) deadline budget
+        assert kept[0].context.deadline_s == 0.0
+        assert kept[0].stage_names() == ["request", "shed"]
 
     def test_injectable_clock_controls_expiry(self, service):
         clock = FakeClock()
@@ -180,43 +181,23 @@ class TestDeadlineResolution:
 
         assert run(go()).found
 
-    def test_service_default_timeout_is_the_fallback(self, engine):
-        service = PrecisService(
-            engine,
-            config=ServiceConfig(workers=1, default_timeout_s=-1.0),
-        )
-
-        async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
-                with pytest.raises(StaleRequest):
-                    await frontdoor.submit(QUERY)
-
-        try:
-            run(go())
-        finally:
-            service.close()
-
-    def test_shed_stale_disabled_degrades_instead(self, engine):
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=1, shed_stale=False)
-        )
+    def test_service_default_timeout_is_the_fallback(self, service):
+        """The front door's default applies to every submit form that
+        names no deadline — ``timeout_s=None`` included."""
 
         async def go():
             frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(shed_stale=False)
+                service, FrontDoorConfig(default_timeout_s=-1.0)
             )
             try:
-                return await frontdoor.submit(
-                    QUERY, deadline=Deadline.after(-1)
-                )
+                with pytest.raises(StaleRequest):
+                    await frontdoor.submit(QUERY, timeout_s=None)
+                # an explicit timeout overrides the default
+                return await frontdoor.submit(QUERY, timeout_s=30.0)
             finally:
                 await frontdoor.close()
 
-        try:
-            answer = run(go())
-        finally:
-            service.close()
-        assert answer.degraded
+        assert run(go()).found
 
 
 class TestStaleAtDispatch:
@@ -226,11 +207,9 @@ class TestStaleAtDispatch:
         clock = FakeClock()
 
         async def go():
-            # one dispatcher: while it is parked on the gated flight,
-            # the queued flight's (fake) deadline runs out
-            frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(dispatch_concurrency=1)
-            )
+            # one worker, so one dispatcher: while it is parked on the
+            # gated flight, the queued flight's (fake) deadline runs out
+            frontdoor = AsyncFrontDoor(service)
             registry = frontdoor.metrics.registry
             gate = threading.Event()
             parked = GateDeadline(gate)
@@ -239,8 +218,8 @@ class TestStaleAtDispatch:
                     frontdoor.submit(QUERY, deadline=parked)
                 )
                 await entered(parked)
-                admitted_before = counter(
-                    registry, "precis_service_requests_total"
+                executed_before = counter(
+                    registry, "precis_service_executions_total"
                 )
                 queued = asyncio.ensure_future(
                     frontdoor.submit(
@@ -255,23 +234,23 @@ class TestStaleAtDispatch:
                 return {
                     "shed_stale": counter(
                         registry,
-                        "precis_frontdoor_shed_total",
+                        "precis_service_shed_total",
                         reason="stale",
                         priority="interactive",
                     ),
-                    "service_admitted_delta": counter(
-                        registry, "precis_service_requests_total"
+                    "executions_delta": counter(
+                        registry, "precis_service_executions_total"
                     )
-                    - admitted_before,
+                    - executed_before,
                 }
             finally:
                 gate.set()
                 await frontdoor.close()
 
         observed = run(go())
-        # shed by the front door at dispatch — the serving layer never
+        # shed by the front door at dispatch — the worker pool never
         # saw the request
-        assert observed == {"shed_stale": 1, "service_admitted_delta": 0}
+        assert observed == {"shed_stale": 1, "executions_delta": 0}
 
 
 class TestFollowerDeadlines:
@@ -300,7 +279,7 @@ class TestFollowerDeadlines:
                 while (
                     counter(
                         registry,
-                        "precis_frontdoor_coalesced_total",
+                        "precis_service_coalesced_total",
                         priority="interactive",
                     )
                     < 1
@@ -317,19 +296,19 @@ class TestFollowerDeadlines:
                 return leader_answer, {
                     "stale_follower": counter(
                         registry,
-                        "precis_frontdoor_shed_total",
+                        "precis_service_shed_total",
                         reason="stale_follower",
                         priority="interactive",
                     ),
                     "flight_stale": counter(
                         registry,
-                        "precis_frontdoor_shed_total",
+                        "precis_service_shed_total",
                         reason="stale",
                         priority="interactive",
                     ),
                     "answered": counter(
                         registry,
-                        "precis_frontdoor_answered_total",
+                        "precis_service_answered_total",
                         priority="interactive",
                     ),
                 }
@@ -400,7 +379,7 @@ class TestFollowerDeadlines:
                 while (
                     counter(
                         registry,
-                        "precis_frontdoor_coalesced_total",
+                        "precis_service_coalesced_total",
                         priority="interactive",
                     )
                     < 1

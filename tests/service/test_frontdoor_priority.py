@@ -1,7 +1,8 @@
 """Front-door priority classes: EDF ordering, preemption, starvation.
 
 Dispatch order is observed by recording ``service.submit`` calls while
-the single dispatcher is parked on a gated flight — every ordering
+the single worker (so the single dispatcher) is parked on a gated
+flight — every ordering
 assertion is therefore about the heap's decision, not about timing.
 Event/gate-based throughout; no wall sleeps.
 """
@@ -22,7 +23,7 @@ from repro.service import (
     TenantQuotaExceeded,
 )
 
-from .frontdoor_helpers import GateDeadline, entered, run
+from .helpers import GateDeadline, entered, run, spin
 
 QUERY = '"Woody Allen"'
 
@@ -34,24 +35,13 @@ def engine():
 
 @pytest.fixture()
 def service(engine):
-    svc = PrecisService(
-        engine, config=ServiceConfig(workers=1, queue_depth=8)
-    )
+    svc = PrecisService(engine, config=ServiceConfig(workers=1))
     yield svc
     svc.close()
 
 
 def counter(frontdoor, name, **labels):
     return frontdoor.metrics.registry.counter(name, "", **labels).value
-
-
-async def spin(predicate, what="condition"):
-    """Yield the loop until *predicate* holds (loop-side state only)."""
-    for _ in range(100_000):
-        if predicate():
-            return
-        await asyncio.sleep(0)
-    raise AssertionError(f"{what} never became true")
 
 
 def recording_submit(service):
@@ -72,9 +62,7 @@ class TestDispatchOrder:
         order = recording_submit(service)
 
         async def go():
-            frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(dispatch_concurrency=1)
-            )
+            frontdoor = AsyncFrontDoor(service)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -110,9 +98,7 @@ class TestDispatchOrder:
         order = recording_submit(service)
 
         async def go():
-            frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(dispatch_concurrency=1)
-            )
+            frontdoor = AsyncFrontDoor(service)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -146,9 +132,7 @@ class TestDispatchOrder:
         order = recording_submit(service)
 
         async def go():
-            frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(dispatch_concurrency=1)
-            )
+            frontdoor = AsyncFrontDoor(service)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -188,9 +172,7 @@ class TestDispatchOrder:
         order = recording_submit(service)
 
         async def go():
-            frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(dispatch_concurrency=1)
-            )
+            frontdoor = AsyncFrontDoor(service)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -213,7 +195,7 @@ class TestDispatchOrder:
                 await spin(
                     lambda: counter(
                         frontdoor,
-                        "precis_frontdoor_coalesced_total",
+                        "precis_service_coalesced_total",
                         priority="interactive",
                     )
                     == 1,
@@ -240,7 +222,7 @@ class TestPreemption:
         async def go():
             frontdoor = AsyncFrontDoor(
                 service,
-                FrontDoorConfig(max_pending=2, dispatch_concurrency=1),
+                FrontDoorConfig(max_pending=2),
             )
             gate = threading.Event()
             parked = GateDeadline(gate)
@@ -271,7 +253,7 @@ class TestPreemption:
                 answers = await asyncio.gather(blocker, keep, urgent)
                 return answers, counter(
                     frontdoor,
-                    "precis_frontdoor_shed_total",
+                    "precis_service_shed_total",
                     reason="preempted",
                     priority="batch",
                 )
@@ -283,15 +265,10 @@ class TestPreemption:
         assert preempted == 1
         assert all(a is not None for a in answers)
 
-    def test_preempt_disabled_interactive_sees_queue_full(self, service):
+    def test_no_batch_victim_sheds_full(self, service):
         async def go():
             frontdoor = AsyncFrontDoor(
-                service,
-                FrontDoorConfig(
-                    max_pending=1,
-                    dispatch_concurrency=1,
-                    preempt_batch=False,
-                ),
+                service, FrontDoorConfig(max_pending=1)
             )
             gate = threading.Event()
             parked = GateDeadline(gate)
@@ -300,9 +277,9 @@ class TestPreemption:
                     frontdoor.submit(QUERY, deadline=parked)
                 )
                 await entered(parked)
-                queued = asyncio.ensure_future(
-                    frontdoor.submit("drama", priority="batch")
-                )
+                # the only pending flight is interactive: nothing to
+                # preempt, so the next interactive arrival is shed full
+                queued = asyncio.ensure_future(frontdoor.submit("drama"))
                 await spin(lambda: frontdoor.pending() == 2, "queue full")
                 with pytest.raises(QueueFull):
                     await frontdoor.submit("thriller")
@@ -310,7 +287,7 @@ class TestPreemption:
                 await asyncio.gather(blocker, queued)
                 return counter(
                     frontdoor,
-                    "precis_frontdoor_shed_total",
+                    "precis_service_shed_total",
                     reason="full",
                     priority="interactive",
                 )
@@ -324,7 +301,7 @@ class TestPreemption:
         async def go():
             frontdoor = AsyncFrontDoor(
                 service,
-                FrontDoorConfig(max_pending=1, dispatch_concurrency=1),
+                FrontDoorConfig(max_pending=1),
             )
             gate = threading.Event()
             parked = GateDeadline(gate)
@@ -351,28 +328,25 @@ class TestPreemption:
 class TestTenantQuota:
     def test_quota_shed_counted_once_per_logical_execution(self, engine):
         """Three coalesced waiters hit a tenant with no free slots: the
-        quota shed is one event (one flight, one service rejection) —
+        quota shed is one event (one flight, one shed at dispatch) —
         not three — while every waiter still sees the error."""
-        service = PrecisService(
-            engine,
-            config=ServiceConfig(
-                workers=1, queue_depth=8, tenant_slots=1
-            ),
-        )
+        service = PrecisService(engine, config=ServiceConfig(workers=2))
 
         async def go():
             gate = threading.Event()
             parked = GateDeadline(gate)
-            # the tenant's only slot is held outside the front door
-            slot_holder = service.submit(
-                QUERY, deadline=parked, tenant="acme"
+            frontdoor = AsyncFrontDoor(
+                service, FrontDoorConfig(tenant_slots=1)
             )
-            await entered(parked)
-            frontdoor = AsyncFrontDoor(service)
             try:
+                # the tenant's only slot is held by an executing flight
+                slot_holder = asyncio.ensure_future(
+                    frontdoor.submit(QUERY, deadline=parked, tenant="acme")
+                )
+                await entered(parked)
                 # all three duplicates are admitted/coalesced before the
-                # (lazily started) dispatchers take their first turn, so
-                # they share one flight deterministically
+                # idle dispatcher takes its next turn, so they share one
+                # flight deterministically
                 waiters = [
                     asyncio.ensure_future(
                         frontdoor.submit("drama", tenant="acme")
@@ -385,21 +359,21 @@ class TestTenantQuota:
                 observed = {
                     "coalesced": counter(
                         frontdoor,
-                        "precis_frontdoor_coalesced_total",
+                        "precis_service_coalesced_total",
                         priority="interactive",
                     ),
                     "quota_shed": counter(
                         frontdoor,
-                        "precis_frontdoor_shed_total",
+                        "precis_service_shed_total",
                         reason="tenant_quota",
                         priority="interactive",
                     ),
                     "executions": counter(
-                        frontdoor, "precis_frontdoor_executions_total"
+                        frontdoor, "precis_service_executions_total"
                     ),
                 }
                 gate.set()
-                await asyncio.wrap_future(slot_holder)
+                await slot_holder
                 return outcomes, observed
             finally:
                 gate.set()
@@ -415,5 +389,5 @@ class TestTenantQuota:
         assert observed == {
             "coalesced": 2,
             "quota_shed": 1,  # once per flight, not per waiter
-            "executions": 0,  # rejected at service admission
+            "executions": 1,  # only the slot holder reached the pool
         }

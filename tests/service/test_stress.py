@@ -1,23 +1,26 @@
-"""Concurrency stress: one shared PrecisService, many client threads.
+"""Concurrency stress: one shared serving stack, many clients.
 
-8 client threads × 50 mixed asks against a single service instance,
-over both storage backends. Every request must resolve exactly once
-(no lost or duplicated responses), the queue-depth gauge must return
-to zero, and every served answer must be byte-coherent with what a
-fresh single-threaded engine computes for the same query — whether it
-came out of the answer cache or a full pipeline run.
+8 closed-loop clients × 50 mixed asks through one front door over a
+shared worker pool, over both storage backends. Every request must
+resolve exactly once (no lost or duplicated responses), the in-flight
+gauges must return to zero, and every served answer must be
+byte-coherent — cost included — with what a fresh single-threaded
+engine computes for the same query, whether it came out of the answer
+cache, a coalesced flight or a full pipeline run.
 """
 
+import asyncio
 import json
-import threading
 
 import pytest
 
 from repro.cache import CacheConfig
 from repro.core import PrecisEngine, WeightThreshold
 from repro.datasets import generate_movies_database, movies_graph
-from repro.service import PrecisService, ServiceConfig
+from repro.service import AsyncFrontDoor, PrecisService, ServiceConfig
 from repro.storage import BACKEND_NAMES
+
+from .helpers import run
 
 CLIENTS = 8
 ASKS_PER_CLIENT = 50
@@ -26,13 +29,10 @@ DEGREE = 0.5
 
 
 def canonical(answer):
-    """Answer bytes for coherence comparison. The ``cost`` block is
-    excluded: the cost meter is a shared per-database instrument, so
-    concurrent asks legitimately interleave their charges — everything
-    semantic (tuples, schema, joins, narrative, flags) must match."""
-    payload = answer.to_dict()
-    payload.pop("cost")
-    return json.dumps(payload, sort_keys=True)
+    """Answer bytes for coherence comparison. The cost block is part
+    of it: each ask is charged only the reads of its own thread, so
+    concurrent asks report exactly their serial cost."""
+    return json.dumps(answer.to_dict(), sort_keys=True)
 
 
 def reference_answers(backend):
@@ -46,37 +46,34 @@ def reference_answers(backend):
 
 
 def run_stress(service):
-    """Drive the service from CLIENTS closed-loop threads; returns
-    results keyed by (client, sequence) so duplicates are impossible to
-    miss and losses show up as missing keys."""
+    """Drive the stack from CLIENTS closed-loop clients (each awaits
+    its answer before the next ask); returns results keyed by
+    (client, sequence) so duplicates are impossible to miss and losses
+    show up as missing keys."""
     results = {}
     errors = []
-    lock = threading.Lock()
-    barrier = threading.Barrier(CLIENTS)
 
-    def client(cid):
-        local = {}
-        barrier.wait()
+    async def client(frontdoor, cid):
         for i in range(ASKS_PER_CLIENT):
             query = QUERIES[(cid + i) % len(QUERIES)]
             try:
-                answer = service.ask(query, degree=WeightThreshold(DEGREE))
-                local[(cid, i)] = (query, answer)
+                answer = await frontdoor.submit(
+                    query, degree=WeightThreshold(DEGREE)
+                )
+                results[(cid, i)] = (query, answer)
             except BaseException as exc:  # noqa: BLE001 — collected
-                with lock:
-                    errors.append((cid, i, exc))
-        with lock:
-            results.update(local)
+                errors.append((cid, i, exc))
 
-    threads = [
-        threading.Thread(target=client, args=(cid,), daemon=True)
-        for cid in range(CLIENTS)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=300)
-        assert not t.is_alive(), "stress client hung"
+    async def go():
+        async with AsyncFrontDoor(service) as frontdoor:
+            await asyncio.wait_for(
+                asyncio.gather(
+                    *(client(frontdoor, cid) for cid in range(CLIENTS))
+                ),
+                timeout=300,
+            )
+
+    run(go())
     return results, errors
 
 
@@ -97,9 +94,7 @@ class TestServiceStress:
             )
             for __ in range(2)
         ]
-        service = PrecisService(
-            engines, config=ServiceConfig(workers=2, queue_depth=32)
-        )
+        service = PrecisService(engines, config=ServiceConfig(workers=2))
         try:
             results, errors = run_stress(service)
 
@@ -118,15 +113,17 @@ class TestServiceStress:
                     f"(client {cid}, ask {i})"
                 )
 
-            # gauge back to zero, counters add up, nothing shed
-            assert service.queue_depth() == 0
+            # gauges back to zero, counters add up, nothing shed
             registry = service.metrics.registry
             assert (
-                registry.counter("precis_service_requests_total").value
+                registry.counter(
+                    "precis_service_requests_total", priority="interactive"
+                ).value
                 == CLIENTS * ASKS_PER_CLIENT
             )
             text = service.metrics.prometheus()
-            assert "precis_service_queue_depth 0" in text
+            assert "precis_service_inflight 0" in text
+            assert "precis_service_pending 0" in text
             assert "precis_service_shed_total" not in text
             # the answer cache actually carried load: far fewer pipeline
             # runs than requests
@@ -143,15 +140,13 @@ class TestServiceStress:
             n_movies=80, seed=11, backend=stress_backend
         )
         engine = PrecisEngine(db, graph=movies_graph())
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=4, queue_depth=32)
-        )
+        service = PrecisService(engine, config=ServiceConfig(workers=4))
         try:
             results, errors = run_stress(service)
             assert errors == []
             assert len(results) == CLIENTS * ASKS_PER_CLIENT
             for (cid, i), (query, answer) in results.items():
                 assert canonical(answer) == expected[query]
-            assert service.queue_depth() == 0
+            assert service.metrics.inflight.value == 0
         finally:
             service.close()

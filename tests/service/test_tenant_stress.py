@@ -1,17 +1,17 @@
-"""N-tenant concurrency stress: one shared service, per-tenant overlays.
+"""N-tenant concurrency stress: one shared stack, per-tenant overlays.
 
 Extends the 8×50 single-graph stress harness (``test_stress.py``) with
-tenancy: every client thread is a tenant carrying its own weight
-overlay. Tenants deliberately collide — four share overlay A, three
-share overlay B, and one runs an ε-nudged copy of A — so the run
+tenancy: every client is a tenant carrying its own weight overlay.
+Tenants deliberately collide — four share overlay A, three share
+overlay B, and one runs an ε-nudged copy of A — so the run
 exercises cross-tenant cache *sharing* (identical overlays, one plan
 entry) and cache *isolation* (the ε tenant never sees A's answers) at
 full concurrency. Every answer must be byte-coherent with a fresh
 single-threaded engine over the equivalent materialized graph.
 """
 
+import asyncio
 import json
-import threading
 
 import pytest
 
@@ -19,11 +19,15 @@ from repro.cache import CacheConfig
 from repro.core import PrecisEngine, WeightThreshold
 from repro.datasets import generate_movies_database, movies_graph
 from repro.service import (
+    AsyncFrontDoor,
+    FrontDoorConfig,
     PrecisService,
     ServiceConfig,
     TenantQuotaExceeded,
 )
 from repro.storage import BACKEND_NAMES
+
+from .helpers import run
 
 ASKS_PER_TENANT = 25
 QUERIES = ["midnight", "drama", "garcia", "thriller", "comedy"]
@@ -56,11 +60,9 @@ TENANTS = {
 
 
 def canonical(answer):
-    """Answer bytes minus the ``cost`` block (the cost meter is a shared
-    per-database instrument; concurrent asks interleave charges)."""
-    payload = answer.to_dict()
-    payload.pop("cost")
-    return json.dumps(payload, sort_keys=True)
+    """Answer bytes, cost included (each ask is charged only its own
+    thread's reads)."""
+    return json.dumps(answer.to_dict(), sort_keys=True)
 
 
 def reference_answers(backend):
@@ -79,40 +81,38 @@ def reference_answers(backend):
 
 
 def run_tenant_stress(service):
+    """One closed-loop client per tenant through one front door."""
     results = {}
     errors = []
-    lock = threading.Lock()
-    barrier = threading.Barrier(len(TENANTS))
 
-    def client(tenant, overlay):
-        local = {}
-        barrier.wait()
+    async def client(frontdoor, tenant, overlay):
         for i in range(ASKS_PER_TENANT):
             query = QUERIES[(sum(map(ord, tenant)) + i) % len(QUERIES)]
             try:
-                answer = service.ask(
+                answer = await frontdoor.submit(
                     query,
                     degree=WeightThreshold(DEGREE),
                     weights=overlay,
                     tenant=tenant,
                 )
-                local[(tenant, i)] = (query, answer)
+                results[(tenant, i)] = (query, answer)
             except BaseException as exc:  # noqa: BLE001 — collected
-                with lock:
-                    errors.append((tenant, i, exc))
-        with lock:
-            results.update(local)
+                errors.append((tenant, i, exc))
 
-    threads = [
-        threading.Thread(target=client, args=item, daemon=True)
-        for item in TENANTS.items()
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=300)
-        assert not t.is_alive(), "tenant stress client hung"
-    return results, errors
+    async def go():
+        async with AsyncFrontDoor(service) as frontdoor:
+            await asyncio.wait_for(
+                asyncio.gather(
+                    *(
+                        client(frontdoor, tenant, overlay)
+                        for tenant, overlay in TENANTS.items()
+                    )
+                ),
+                timeout=300,
+            )
+            return frontdoor
+
+    return results, errors, run(go())
 
 
 @pytest.mark.parametrize("stress_backend", BACKEND_NAMES)
@@ -130,11 +130,9 @@ class TestTenantStress:
             )
             for __ in range(2)
         ]
-        service = PrecisService(
-            engines, config=ServiceConfig(workers=2, queue_depth=64)
-        )
+        service = PrecisService(engines, config=ServiceConfig(workers=2))
         try:
-            results, errors = run_tenant_stress(service)
+            results, errors, frontdoor = run_tenant_stress(service)
             assert errors == []
             assert len(results) == len(TENANTS) * ASKS_PER_TENANT
 
@@ -159,11 +157,13 @@ class TestTenantStress:
             answer_hits = sum(e.cache.answers.stats.hits for e in engines)
             assert plan_hits + answer_hits > 0
 
-            # bookkeeping: gauge drained, per-tenant counters add up
-            assert service.queue_depth() == 0
+            # bookkeeping: gauges drained, per-tenant counters add up
+            assert service.metrics.inflight.value == 0
             registry = service.metrics.registry
             assert (
-                registry.counter("precis_service_requests_total").value
+                registry.counter(
+                    "precis_service_requests_total", priority="interactive"
+                ).value
                 == len(TENANTS) * ASKS_PER_TENANT
             )
             for tenant in TENANTS:
@@ -173,7 +173,7 @@ class TestTenantStress:
                     ).value
                     == ASKS_PER_TENANT
                 )
-                assert service.tenant_inflight(tenant) == 0
+                assert frontdoor.tenant_inflight(tenant) == 0
         finally:
             service.close()
 
@@ -181,58 +181,58 @@ class TestTenantStress:
         """With a tight per-tenant quota and bursty (fire-then-gather)
         clients, every attempt either resolves or is shed with
         TenantQuotaExceeded — nothing lost, nothing double-counted, all
-        slots returned."""
+        slots returned. Coalescing is off so each attempt is its own
+        flight and the quota sheds count one per caller."""
         db = generate_movies_database(
             n_movies=80, seed=11, backend=stress_backend
         )
         engine = PrecisEngine(db, graph=movies_graph())
-        service = PrecisService(
-            engine,
-            config=ServiceConfig(workers=2, queue_depth=64, tenant_slots=2),
-        )
+        # more workers than slots: a tenant's second flight can reach
+        # dispatch while its first still runs
+        service = PrecisService(engine, config=ServiceConfig(workers=2))
+        config = FrontDoorConfig(tenant_slots=1, coalesce=False)
         answered = []
         quota_sheds = []
         errors = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(len(TENANTS))
 
-        def bursty_client(tenant, overlay):
-            futures = []
-            barrier.wait()
-            for i in range(ASKS_PER_TENANT):  # burst: no waiting between
-                query = QUERIES[i % len(QUERIES)]
-                try:
-                    futures.append(
-                        service.submit(
-                            query,
-                            degree=WeightThreshold(DEGREE),
-                            weights=overlay,
-                            tenant=tenant,
+        async def bursty_client(frontdoor, tenant, overlay):
+            attempts = [
+                frontdoor.submit(
+                    QUERIES[i % len(QUERIES)],
+                    degree=WeightThreshold(DEGREE),
+                    weights=overlay,
+                    tenant=tenant,
+                )
+                for i in range(ASKS_PER_TENANT)  # burst: no waiting between
+            ]
+            for i, outcome in enumerate(
+                await asyncio.gather(*attempts, return_exceptions=True)
+            ):
+                if isinstance(outcome, TenantQuotaExceeded):
+                    quota_sheds.append((tenant, i))
+                elif isinstance(outcome, BaseException):
+                    errors.append((tenant, i, outcome))
+                else:
+                    answered.append(outcome)
+
+        async def go():
+            async with AsyncFrontDoor(service, config) as frontdoor:
+                await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            bursty_client(frontdoor, tenant, overlay)
+                            for tenant, overlay in TENANTS.items()
                         )
-                    )
-                except TenantQuotaExceeded:
-                    with lock:
-                        quota_sheds.append((tenant, i))
-                except BaseException as exc:  # noqa: BLE001 — collected
-                    with lock:
-                        errors.append((tenant, i, exc))
-            for future in futures:
-                with lock:
-                    answered.append(future.result(timeout=300))
+                    ),
+                    timeout=300,
+                )
+                return frontdoor
 
         try:
-            threads = [
-                threading.Thread(target=bursty_client, args=item, daemon=True)
-                for item in TENANTS.items()
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=300)
-                assert not t.is_alive(), "bursty client hung"
+            frontdoor = run(go())
 
             assert errors == []
-            # a 2-slot quota against a 25-deep burst must actually shed
+            # a 1-slot quota against a 25-deep burst must actually shed
             assert quota_sheds
             assert (
                 len(answered) + len(quota_sheds)
@@ -249,11 +249,14 @@ class TestTenantStress:
             )
             assert shed_total == len(quota_sheds)
             assert (
-                registry.counter("precis_service_requests_total").value
+                registry.counter(
+                    "precis_service_answered_total", priority="interactive"
+                ).value
                 == len(answered)
             )
             for tenant in TENANTS:
-                assert service.tenant_inflight(tenant) == 0
-            assert service.queue_depth() == 0
+                assert frontdoor.tenant_inflight(tenant) == 0
+            assert service.metrics.inflight.value == 0
+            assert service.metrics.pending.value == 0
         finally:
             service.close()

@@ -1,27 +1,32 @@
-"""End-to-end request tracing through the serving layer
-(repro.obs.context + repro.service.service).
+"""End-to-end request tracing through the serving stack
+(repro.obs.context + repro.service).
 
-The contract under test: with a :class:`TraceBuffer` on the service,
-every request — answered, degraded, shed, failed, retried — leaves one
-trace whose span tree covers submit → queue → retries → the engine's
-ask tree; the same trace id shows up in the answer's EXPLAIN record,
-the latency histogram's exemplars and the slow-query log; and bad
-outcomes are captured even at sample rate 0 (tail-biased admission).
+The contract under test: with a :class:`TraceBuffer` on the pool, every
+request through the front door — answered, degraded, shed, failed,
+retried — leaves one trace whose span tree covers submit → queue →
+retries → the engine's ask tree; the same trace id shows up in the
+answer's EXPLAIN record, the latency histogram's exemplars and the
+slow-query log; and bad outcomes are captured even at sample rate 0
+(tail-biased admission).
 """
 
+import asyncio
 import threading
 
 import pytest
 
-from repro.core import PrecisEngine
+from repro.core import Deadline, PrecisEngine
 from repro.datasets import movies_graph, paper_instance
 from repro.obs import MetricsRegistry
 from repro.obs.context import (
     TraceBuffer,
+    TraceContext,
     current_trace_id,
     validate_chrome_trace,
 )
 from repro.service import (
+    AsyncFrontDoor,
+    FrontDoorConfig,
     PrecisService,
     QueueFull,
     ServiceClosed,
@@ -29,7 +34,8 @@ from repro.service import (
     TenantQuotaExceeded,
 )
 
-from .faults import make_flaky
+from .faults import AfterNChecks, make_flaky
+from .helpers import GateDeadline, entered, run, serve, spin
 
 
 @pytest.fixture()
@@ -42,13 +48,32 @@ def serve_one(engine_, query="Allen", buffer=None, **submit_kwargs):
     with PrecisService(
         engine_, config=ServiceConfig(workers=1), traces=buffer
     ) as service:
-        answer = service.ask(query, **submit_kwargs)
+        answer = serve(service, query, **submit_kwargs)
     return answer, buffer
+
+
+def gated(service, config, body):
+    """Run ``body(frontdoor, gate, parked)`` on a front door over
+    *service*; always opens the gate and closes both."""
+
+    async def go():
+        frontdoor = AsyncFrontDoor(service, config)
+        gate = threading.Event()
+        try:
+            return await body(frontdoor, gate, GateDeadline(gate))
+        finally:
+            gate.set()
+            await frontdoor.close()
+
+    try:
+        return run(go())
+    finally:
+        service.close()
 
 
 class TestAnsweredRequestTrace:
     def test_tree_spans_submit_to_response(self, engine):
-        answer, buffer = serve_one(engine)
+        answer, buffer = serve_one(engine, deadline=Deadline.after(3600))
         [trace] = buffer.traces()
         names = trace.stage_names()
         # the root covers the whole request; queue is first; the
@@ -61,6 +86,8 @@ class TestAnsweredRequestTrace:
         assert trace.outcome == "answered"
         assert trace.retries == 0
         assert trace.worker == "precis-worker-0"
+        # the front door minted the context with the deadline budget
+        assert 0.0 < trace.context.deadline_s <= 3600.0
         # timing invariants: root spans at least queue + ask
         root = trace.root
         assert root.duration_s >= trace.queue_wait_s
@@ -81,7 +108,7 @@ class TestAnsweredRequestTrace:
         with PrecisService(
             engine, config=ServiceConfig(workers=1)
         ) as service:
-            answer = service.ask("Allen")
+            answer = serve(service, "Allen")
         assert answer.explanation.trace_id is None
         assert "trace:" not in answer.explanation.render()
 
@@ -94,16 +121,17 @@ class TestAnsweredRequestTrace:
             registry=registry,
             traces=buffer,
         ) as service:
-            service.ask("Allen")
+            serve(service, "Allen")
         [trace] = buffer.traces()
         hist = registry.histogram(
-            "precis_service_seconds",
-            "end-to-end request latency including queueing",
+            "precis_service_seconds", priority="interactive"
         )
         assert trace.trace_id in hist.exemplars()
         # and the snapshot surfaces it on the owning bucket
         snapshot = registry.snapshot()
-        buckets = snapshot["histograms"]["precis_service_seconds"]["buckets"]
+        buckets = snapshot["histograms"][
+            'precis_service_seconds{priority="interactive"}'
+        ]["buckets"]
         assert any(
             b.get("exemplar") == trace.trace_id for b in buckets
         )
@@ -128,7 +156,10 @@ class TestAnsweredRequestTrace:
         with PrecisService(
             engine, config=ServiceConfig(workers=1), traces=buffer
         ) as service:
-            future = service.submit("Allen")
+            # the pool traces under the context its submitter hands it
+            future = service.submit(
+                "Allen", context=TraceContext.mint("Allen")
+            )
             future.add_done_callback(
                 lambda f: seen_at_callback.append(len(buffer))
             )
@@ -140,15 +171,15 @@ class TestAnsweredRequestTrace:
 
     def test_chrome_export_of_live_traffic_validates(self, engine):
         buffer = TraceBuffer(sample_rate=1.0)
+        queries = ("Allen", "comedy", "Scorsese", "Hanks")
+
+        async def go(frontdoor):
+            await asyncio.gather(*(frontdoor.submit(q) for q in queries))
+
         with PrecisService(
             engine, config=ServiceConfig(workers=2), traces=buffer
         ) as service:
-            futures = [
-                service.submit(q)
-                for q in ("Allen", "comedy", "Scorsese", "Hanks")
-            ]
-            for future in futures:
-                future.result()
+            gated(service, None, lambda frontdoor, *_: go(frontdoor))
         assert len(buffer) == 4
         assert validate_chrome_trace(buffer.to_chrome()) == []
 
@@ -164,47 +195,38 @@ class TestTailBiasedCapture:
     def test_answered_is_sampled_out_but_degraded_is_kept(self, engine):
         buffer = TraceBuffer(sample_rate=0.0)
         with PrecisService(
-            engine,
-            config=ServiceConfig(workers=1, shed_stale=False),
-            traces=buffer,
+            engine, config=ServiceConfig(workers=1), traces=buffer
         ) as service:
-            healthy = service.ask("Allen")
+            healthy = serve(service, "Allen")
             assert not healthy.degraded
             assert len(buffer) == 0  # sampled out
-            degraded = service.ask("Allen", timeout_s=0.0)
+            # the deadline trips inside the engine: answered, partial
+            degraded = serve(service, "Allen", deadline=AfterNChecks(0))
             assert degraded.degraded
         [trace] = buffer.traces()
         assert trace.outcome == "degraded"
         assert trace.degraded_stage == degraded.degraded_stage
-        assert trace.context.deadline_s is not None
 
     def test_shed_full_is_always_captured(self, engine):
-        release = threading.Event()
-        started = threading.Event()
-
-        class Gate:
-            def ask(self, query, **kwargs):
-                started.set()
-                release.wait(10)
-                return engine.ask(query, **kwargs)
-
         buffer = TraceBuffer(sample_rate=0.0)
         service = PrecisService(
-            [Gate()],
-            config=ServiceConfig(workers=1, queue_depth=1),
-            traces=buffer,
+            engine, config=ServiceConfig(workers=1), traces=buffer
         )
-        try:
-            blocker = service.submit("Allen")
-            started.wait(10)
-            queued = service.submit("Allen")  # fills the depth-1 queue
+
+        async def body(frontdoor, gate, parked):
+            blocker = asyncio.ensure_future(
+                frontdoor.submit("Allen", deadline=parked)
+            )
+            await entered(parked)
+            # fills the one pending slot
+            queued = asyncio.ensure_future(frontdoor.submit("Drama"))
+            await spin(lambda: frontdoor.pending() == 2, "queue full")
             with pytest.raises(QueueFull):
-                service.submit("comedy", tenant="acme")
-        finally:
-            release.set()
-            blocker.result()
-            queued.result()
-            service.close()
+                await frontdoor.submit("comedy", tenant="acme")
+            gate.set()
+            await asyncio.gather(blocker, queued)
+
+        gated(service, FrontDoorConfig(max_pending=1), body)
         shed = [t for t in buffer.traces() if t.outcome == "shed_full"]
         [trace] = shed
         assert trace.context.tenant == "acme"
@@ -212,32 +234,22 @@ class TestTailBiasedCapture:
         assert trace.stage_names() == ["request", "shed"]
 
     def test_shed_tenant_quota_is_always_captured(self, engine):
-        release = threading.Event()
-        started = threading.Event()
-
-        class Gate:
-            def ask(self, query, **kwargs):
-                started.set()
-                release.wait(10)
-                return engine.ask(query, **kwargs)
-
         buffer = TraceBuffer(sample_rate=0.0)
         service = PrecisService(
-            [Gate()],
-            config=ServiceConfig(
-                workers=1, queue_depth=8, tenant_slots=1
-            ),
-            traces=buffer,
+            engine, config=ServiceConfig(workers=2), traces=buffer
         )
-        try:
-            blocker = service.submit("Allen", tenant="acme")
-            started.wait(10)
+
+        async def body(frontdoor, gate, parked):
+            blocker = asyncio.ensure_future(
+                frontdoor.submit("Allen", deadline=parked, tenant="acme")
+            )
+            await entered(parked)
             with pytest.raises(TenantQuotaExceeded):
-                service.submit("Allen", tenant="acme")
-        finally:
-            release.set()
-            blocker.result()
-            service.close()
+                await frontdoor.submit("comedy", tenant="acme")
+            gate.set()
+            await blocker
+
+        gated(service, FrontDoorConfig(tenant_slots=1), body)
         kept = [
             t for t in buffer.traces()
             if t.outcome == "shed_tenant_quota"
@@ -249,9 +261,13 @@ class TestTailBiasedCapture:
         service = PrecisService(
             engine, config=ServiceConfig(workers=1), traces=buffer
         )
-        service.close()
-        with pytest.raises(ServiceClosed):
-            service.submit("Allen")
+
+        async def body(frontdoor, gate, parked):
+            await frontdoor.close()
+            with pytest.raises(ServiceClosed):
+                await frontdoor.submit("Allen")
+
+        gated(service, None, body)
         [trace] = buffer.traces()
         assert trace.outcome == "shed_closed"
 
@@ -264,7 +280,7 @@ class TestTailBiasedCapture:
         with PrecisService(
             engine_, config=ServiceConfig(workers=1), traces=buffer
         ) as service:
-            answer = service.ask("Allen")
+            answer = serve(service, "Allen")
         assert answer.found
         [trace] = buffer.traces()
         assert trace.outcome == "answered"
@@ -300,7 +316,7 @@ class TestCallerSuppliedTracer:
         with PrecisService(
             engine, config=ServiceConfig(workers=1), traces=buffer
         ) as service:
-            service.ask("Allen", tracer=own)
+            serve(service, "Allen", tracer=own)
         # the caller's tracer saw the ask; the service still traced the
         # request envelope (request/queue) without the engine tree
         assert sink.last.name == "ask"

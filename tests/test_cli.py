@@ -322,7 +322,8 @@ class TestServeBenchTracing:
         import json
 
         directory, __ = bench_dir
-        payload = json.loads((directory / "BENCH.json").read_text())["serve"]
+        serve = json.loads((directory / "BENCH.json").read_text())["serve"]
+        payload = serve["coalesced"]
         assert payload["traces"]["kept"] == 6
         assert payload["slo"]["objectives"]
         assert "attributed_fraction" in payload["profile"]
