@@ -58,13 +58,12 @@ def test_ask_latency(benchmark, engines, n_movies):
     benchmark.extra_info["backend"] = engines["backend"]
     # where the latency goes, not just how much of it there is: best-of-3
     # per-stage breakdown via the repro.obs tracer
-    stats = stage_breakdown(lambda t: _ask(engine, name, tracer=t))
+    root = stage_breakdown(lambda t: _ask(engine, name, tracer=t))
     benchmark.extra_info["stage_ms"] = {
-        stage.name: round(stage.duration_ms, 4)
-        for stage in stats.stages
-        if stage.depth == 1
+        stage.name: round(stage.duration_s * 1e3, 4)
+        for stage in root.children
     }
-    benchmark.extra_info["counters"] = dict(stats.counters)
+    benchmark.extra_info["counters"] = root.total_counters()
 
 
 def test_ask_cost_is_size_independent(benchmark, engines):

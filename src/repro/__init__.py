@@ -66,7 +66,6 @@ from .obs import (
     EngineMetrics,
     InMemorySink,
     MetricsRegistry,
-    QueryStats,
     Tracer,
     prometheus_text,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "Tracer",
     "NULL_TRACER",
     "InMemorySink",
-    "QueryStats",
     "EngineMetrics",
     "MetricsRegistry",
     "prometheus_text",

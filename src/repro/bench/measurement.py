@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from ..obs import InMemorySink, QueryStats, Tracer, format_stats
+from ..obs import InMemorySink, Span, Tracer, format_span_table
 
 __all__ = [
     "time_call",
@@ -38,49 +38,46 @@ def time_call(fn: Callable[[], object], repeat: int = 3) -> float:
 
 def trace_stages(
     fn: Callable[[Tracer], object],
-) -> tuple[object, Optional[QueryStats]]:
-    """Run *fn* under a fresh tracer; return its result + per-stage stats.
+) -> tuple[object, Optional[Span]]:
+    """Run *fn* under a fresh tracer; return its result + root span.
 
     *fn* receives the tracer (pass it to ``engine.ask(..., tracer=t)``
-    or construct the engine with it). Stats come from the last root span
-    the call produced — for one ``ask`` that is the whole query — or
-    None if the call opened no spans.
+    or construct the engine with it). The span is the last root the
+    call produced — for one ``ask`` that is the whole query — or None
+    if the call opened no spans.
 
-    >>> answer, stats = trace_stages(lambda t: engine.ask(q, tracer=t))
-    >>> stats.stage("database_generator").duration_ms   # doctest: +SKIP
+    >>> answer, root = trace_stages(lambda t: engine.ask(q, tracer=t))
+    >>> root.find("database_generator").duration_s   # doctest: +SKIP
     """
     sink = InMemorySink()
-    tracer = Tracer([sink])
-    result = fn(tracer)
-    if not sink.spans:
-        return result, None
-    return result, QueryStats.from_span(sink.spans[-1])
+    result = fn(Tracer([sink]))
+    return result, sink.last
 
 
 def stage_breakdown(
     fn: Callable[[Tracer], object], repeat: int = 3
-) -> Optional[QueryStats]:
-    """Per-stage stats of the *fastest* of *repeat* traced runs —
-    the tracing analogue of :func:`time_call`, so benches can report
-    where the best-case latency goes instead of one end-to-end number.
+) -> Optional[Span]:
+    """Root span of the *fastest* of *repeat* traced runs — the
+    tracing analogue of :func:`time_call`, so benches can report where
+    the best-case latency goes instead of one end-to-end number.
     """
-    best: Optional[QueryStats] = None
+    best: Optional[Span] = None
     for __ in range(repeat):
-        ___, stats = trace_stages(fn)
-        if stats is None:
+        ___, root = trace_stages(fn)
+        if root is None:
             continue
-        if best is None or stats.duration_s < best.duration_s:
-            best = stats
+        if best is None or root.duration_s < best.duration_s:
+            best = root
     return best
 
 
-def print_stage_breakdown(title: str, stats: Optional[QueryStats]) -> None:
+def print_stage_breakdown(title: str, root: Optional[Span]) -> None:
     """Print one run's per-stage table under a series-style header."""
     print(f"\n== {title} ==")
-    if stats is None:
+    if root is None:
         print("(no spans recorded)")
         return
-    print(format_stats(stats))
+    print(format_span_table(root))
 
 
 @dataclass(frozen=True)

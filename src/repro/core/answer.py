@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..obs import QueryStats
 from ..obs.explain import Explanation
+from ..obs.tracer import Span
 from ..relational.cost import CostSnapshot
 from ..relational.database import Database
 from ..relational.datatypes import render
@@ -39,11 +39,13 @@ class PrecisAnswer:
     matches: list[TokenMatch] = field(default_factory=list)
     narrative: Optional[str] = None
     cost: CostSnapshot = field(default_factory=CostSnapshot)
-    #: per-stage timings + counters of the run that produced this answer
-    #: (``repro.obs``); None unless the engine ran with tracing enabled.
-    #: Deliberately excluded from :meth:`to_dict` so traced and untraced
-    #: answers serialize identically — export via ``stats.to_dict()``.
-    stats: Optional[QueryStats] = None
+    #: the closed root span of the traced ask that returned this answer
+    #: (``repro.obs``) — the record itself, not a copy: ``find``/
+    #: ``walk``/``total_counters`` read it. None unless the ask ran with
+    #: tracing enabled. Deliberately excluded from :meth:`to_dict` so
+    #: traced and untraced answers serialize identically — export via
+    #: ``stats.to_dict()``.
+    stats: Optional[Span] = None
     #: structured provenance (``repro.obs.explain``): why each relation
     #: and tuple batch is in this précis and which constraint bounded
     #: it. Attached by :meth:`~repro.core.engine.PrecisEngine.ask`; None

@@ -16,6 +16,7 @@ a :class:`~repro.core.answer.PrecisAnswer`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Optional, Union
 
 from ..cache import (
@@ -34,7 +35,7 @@ from ..obs import (
     EngineMetrics,
     InMemorySink,
     MetricsRegistry,
-    QueryStats,
+    Span,
     Tracer,
     current_trace_id,
 )
@@ -73,7 +74,6 @@ class PrecisEngine:
         default_degree: Optional[DegreeConstraint] = None,
         default_cardinality: Optional[CardinalityConstraint] = None,
         cache: Union[CacheConfig, EngineCache, bool, None] = None,
-        cache_plans: bool = False,
         drop_stopwords: bool = False,
         tracer: Optional[Tracer] = None,
         metrics: Union[EngineMetrics, MetricsRegistry, bool, None] = None,
@@ -118,10 +118,6 @@ class PrecisEngine:
             differs discards the entry (counted as an invalidation).
             Mutate through the database/:class:`SynchronizedWriter`/
             graph APIs and cached state can never go stale.
-        cache_plans:
-            Legacy switch equivalent to
-            ``cache=CacheConfig(plans=True, answers=False)``; ignored
-            when *cache* is given.
         drop_stopwords:
             Ignore bare single-word stopword tokens ("the", "of") in
             free-form queries. Quoted phrase tokens keep their
@@ -139,7 +135,9 @@ class PrecisEngine:
             be shared across engines), ``True`` (fresh registry), or
             ``None`` (off — the default, zero overhead). When enabled,
             every :meth:`ask` feeds end-to-end and per-stage latency
-            histograms, pipeline counters and cache hit/miss series;
+            histograms, pipeline counters and cache hit/miss series,
+            all read off the ask's span tree (recorded, when nobody
+            traces, through one sinkless tracer the engine keeps);
             export via :meth:`metrics_snapshot` /
             :meth:`metrics_prometheus`.
         slow_query_ms:
@@ -151,6 +149,11 @@ class PrecisEngine:
         self.db = db
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = self._resolve_metrics(metrics, slow_query_ms)
+        # Metrics digest each ask's span tree even when nobody traces:
+        # one sinkless tracer for the engine's lifetime records it (its
+        # span stack is thread-local; a Tracer per ask would allocate a
+        # threading.local each time, cyclic garbage on the hot path).
+        self._metered_tracer = Tracer() if self.metrics is not None else None
         self.graph = graph if graph is not None else graph_from_schema(db.schema)
         if index is not None:
             self.index = index
@@ -173,12 +176,11 @@ class PrecisEngine:
         )
         self.drop_stopwords = drop_stopwords
         self.profiles = ProfileRegistry()
-        self.cache = self._resolve_cache(cache, cache_plans)
+        self.cache = self._resolve_cache(cache)
 
     @staticmethod
     def _resolve_cache(
         cache: Union[CacheConfig, EngineCache, bool, None],
-        cache_plans: bool,
     ) -> Optional[EngineCache]:
         if isinstance(cache, EngineCache):
             return cache
@@ -186,8 +188,6 @@ class PrecisEngine:
             return EngineCache(cache)
         if cache is True:
             return EngineCache(CacheConfig(plans=True, answers=True))
-        if cache is None and cache_plans:
-            return EngineCache(CacheConfig(plans=True, answers=False))
         return None
 
     @staticmethod
@@ -494,7 +494,7 @@ class PrecisEngine:
         tuples survive the cardinality budget (the §7 value-weight
         extension). With tracing enabled (engine- or call-level
         *tracer*), the whole run is recorded under an ``"ask"`` root
-        span and the answer carries
+        span, and that span is the answer's
         :attr:`~repro.core.answer.PrecisAnswer.stats`.
 
         With the answer cache enabled (``cache=True`` or
@@ -504,7 +504,9 @@ class PrecisEngine:
         :class:`~repro.core.answer.PrecisAnswer` object without
         re-running the pipeline, provided the database, index and graph
         epochs still match the entry's validity token. Calls with a
-        *tuple_weigher* (an opaque callable) are never cached.
+        *tuple_weigher* (an opaque callable) are never cached. A traced
+        ask gets an answer object of its own carrying its own root span;
+        the cached entry itself never carries any ask's spans.
 
         *deadline* (:mod:`repro.core.deadline`) is a cooperative time
         budget checked at stage boundaries and inside the generator
@@ -519,12 +521,7 @@ class PrecisEngine:
         cached answers are complete by construction and cost no
         pipeline time).
         """
-        tracer = tracer if tracer is not None else self.tracer
-        metrics = self.metrics
-        if metrics is not None and not tracer.enabled:
-            # metrics need the span tree for stage latencies; a private
-            # sinkless tracer records it without any sink plumbing
-            tracer = Tracer()
+        tracer, traced = self._ask_tracer(tracer)
         deadline = deadline if deadline is not None else NO_DEADLINE
         if isinstance(query, str):
             query = PrecisQuery.parse(query)
@@ -650,13 +647,35 @@ class PrecisEngine:
                 if cache_key is not None and degraded_stage is None:
                     # partial answers must never poison the cache
                     answer_lru.put(cache_key, answer, token)
-        if tracer.enabled:
-            answer.stats = QueryStats.from_span(root)
-        if metrics is not None:
-            metrics.observe_ask(root, query.text, trace_id=trace_id)
-            if self.cache is not None:
-                metrics.observe_cache_stats(self.cache_stats())
+        if traced:
+            if cache_key is not None:
+                # a cached answer is shared by every later hit, so it
+                # never carries one ask's spans: this ask gets its own
+                answer = replace(answer, stats=root)
+            else:
+                answer.stats = root
+        self._observe(root, query, trace_id)
         return answer
+
+    def _ask_tracer(self, tracer: Optional[Tracer]) -> tuple[Tracer, bool]:
+        """The tracer one ask records through, and whether the caller
+        traced it (its root span then becomes ``answer.stats``)."""
+        tracer = tracer if tracer is not None else self.tracer
+        if tracer.enabled:
+            return tracer, True
+        if self._metered_tracer is not None:
+            return self._metered_tracer, False
+        return tracer, False
+
+    def _observe(
+        self, root: Span, query: PrecisQuery, trace_id: Optional[str]
+    ) -> None:
+        """Feed one closed ask root to the engine metrics, when on."""
+        if self.metrics is None:
+            return
+        self.metrics.observe_ask(root, query.text, trace_id=trace_id)
+        if self.cache is not None:
+            self.metrics.observe_cache_stats(self.cache_stats())
 
     def _run_translator(self, answer: PrecisAnswer, tracer: Tracer):
         """Call the configured translator, threading the tracer through
@@ -694,7 +713,9 @@ class PrecisEngine:
         For a query whose tokens each match one place, this returns a
         single answer equivalent to :meth:`ask`. With ``rank=True`` the
         answers come sorted by decreasing
-        :meth:`~repro.core.answer.PrecisAnswer.relevance`.
+        :meth:`~repro.core.answer.PrecisAnswer.relevance`. With tracing
+        enabled, each answer's ``stats`` is its ``occurrence`` subtree
+        of the one ``ask_per_occurrence`` root.
         """
         if isinstance(query, str):
             query = PrecisQuery.parse(query)
@@ -711,10 +732,7 @@ class PrecisEngine:
             or self.default_cardinality
         )
 
-        tracer = tracer if tracer is not None else self.tracer
-        metrics = self.metrics
-        if metrics is not None and not tracer.enabled:
-            tracer = Tracer()
+        tracer, traced = self._ask_tracer(tracer)
         answers: list[PrecisAnswer] = []
         trace_id = current_trace_id()
         with tracer.span("ask_per_occurrence") as root:
@@ -760,13 +778,10 @@ class PrecisEngine:
                                 answer.narrative = self._run_translator(
                                     answer, tracer
                                 )
-                    if tracer.enabled:
-                        answer.stats = QueryStats.from_span(occ_span)
+                    if traced:
+                        answer.stats = occ_span
                     answers.append(answer)
-        if metrics is not None:
-            metrics.observe_ask(root, query.text, trace_id=trace_id)
-            if self.cache is not None:
-                metrics.observe_cache_stats(self.cache_stats())
+        self._observe(root, query, trace_id)
         if rank:
             answers.sort(key=lambda a: -a.relevance())
         return answers

@@ -23,7 +23,7 @@ from ..core.database_generator import (
     GeneratorReport,
 )
 from ..core.result_schema import ResultSchema
-from ..obs import QueryStats, format_stats
+from ..obs import Span, format_span_table
 from ..obs.explain import (
     BatchProvenance,
     CacheProvenance,
@@ -134,23 +134,23 @@ def render_plan(answer: PrecisAnswer) -> str:
     return "\n".join(lines)
 
 
-def render_stats(source: PrecisAnswer | QueryStats) -> str:
+def render_stats(source: PrecisAnswer | Span) -> str:
     """The per-stage timing + counter table of a traced run.
 
-    Accepts either a :class:`~repro.obs.QueryStats` or a
+    Accepts either a root :class:`~repro.obs.Span` or a
     :class:`~repro.core.answer.PrecisAnswer` produced with tracing
     enabled (``PrecisEngine(..., tracer=Tracer(...))`` or a per-call
     ``tracer=``); raises ``ValueError`` for an untraced answer, since an
     untraced run records nothing to render.
     """
-    stats = source.stats if isinstance(source, PrecisAnswer) else source
-    if stats is None:
+    root = source.stats if isinstance(source, PrecisAnswer) else source
+    if root is None:
         raise ValueError(
             "answer carries no stats — run the engine with tracing enabled "
             "(PrecisEngine(..., tracer=repro.obs.Tracer()) or ask(..., "
             "tracer=...))"
         )
-    return format_stats(stats)
+    return format_span_table(root)
 
 
 def _edge_text(edge) -> str:

@@ -2,9 +2,10 @@
 
 The measurement substrate every scaling/perf PR builds on: a
 :class:`Tracer` with nestable stage spans (wall-clock start + monotonic
-duration), typed integer counters, and pluggable sinks; plus
-:class:`QueryStats`, the per-query digest the engine hangs on
-:attr:`repro.core.answer.PrecisAnswer.stats`.
+duration), typed integer counters, and pluggable sinks. The closed
+:class:`Span` tree of one ask is its only record: the engine hangs the
+root on :attr:`repro.core.answer.PrecisAnswer.stats`, and metrics,
+``--stats`` and trace files all read that same tree.
 
 The whole subsystem is opt-in: every instrumented call site defaults to
 :data:`NULL_TRACER`, a shared no-op whose cost is one attribute check,
@@ -18,8 +19,9 @@ Quickstart::
     sink = InMemorySink()
     engine = PrecisEngine(db, tracer=Tracer([sink]))
     answer = engine.ask('"Woody Allen"')
-    answer.stats.counter("tuples_emitted")   # == answer.total_tuples()
-    answer.stats.stage("match").duration_ms  # inverted-index time
+    answer.stats is sink.last                            # the root span
+    answer.stats.total_counters()["tuples_emitted"]      # == total_tuples()
+    answer.stats.find("match").duration_s                # index time
 
 On top of per-query tracing sit the *service-level* layers:
 :mod:`repro.obs.metrics` (a thread-safe :class:`MetricsRegistry` of
@@ -63,11 +65,10 @@ from .metrics import (
     prometheus_text,
     write_metrics,
 )
-from .profile import ScopedProfiler, StackSampler
-from .sinks import InMemorySink, JsonLinesSink, TableSink, format_span_table
+from .profile import StackSampler
+from .sinks import InMemorySink, format_span_table
 from .slo import SLObjective, SLOTracker
-from .stats import COUNTER_GLOSSARY, QueryStats, StageStats, format_stats
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer
+from .tracer import COUNTER_GLOSSARY, NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "Tracer",
@@ -75,12 +76,7 @@ __all__ = [
     "NULL_TRACER",
     "Span",
     "InMemorySink",
-    "JsonLinesSink",
-    "TableSink",
     "format_span_table",
-    "QueryStats",
-    "StageStats",
-    "format_stats",
     "COUNTER_GLOSSARY",
     "Counter",
     "Gauge",
@@ -109,5 +105,4 @@ __all__ = [
     "SLObjective",
     "SLOTracker",
     "StackSampler",
-    "ScopedProfiler",
 ]

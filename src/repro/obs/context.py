@@ -177,38 +177,6 @@ class TraceContext:
         return f"TraceContext({self.trace_id}{tenant}, {self.priority})"
 
 
-# ---------------------------------------------------------------- span serde
-#
-# Span.to_dict() records durations but not sibling *offsets*, which the
-# Chrome exporter needs to lay children out inside their parent. These
-# two helpers serialize a tree with offsets relative to the tree's
-# root, and rebuild Span objects whose monotonic fields reproduce the
-# original layout — so a trace survives a JSONL round trip and still
-# renders correctly.
-
-
-def _span_to_dict(span: Span, root: Span) -> dict:
-    return {
-        "name": span.name,
-        "offset_s": span._mono_start - root._mono_start,
-        "duration_s": span.duration_s,
-        "wall_start": span.wall_start,
-        "counters": dict(span.counters),
-        "children": [_span_to_dict(child, root) for child in span.children],
-    }
-
-
-def _span_from_dict(data: dict) -> Span:
-    span = Span(data["name"])
-    offset = float(data.get("offset_s", 0.0))
-    span._mono_start = offset
-    span._mono_end = offset + float(data.get("duration_s", 0.0))
-    span.wall_start = float(data.get("wall_start", 0.0))
-    span.counters = dict(data.get("counters", {}))
-    span.children = [_span_from_dict(child) for child in data["children"]]
-    return span
-
-
 def synthetic_span(
     name: str,
     wall_start: float,
@@ -319,9 +287,7 @@ class RequestTrace:
                 "worker": self.worker,
                 "coalesced_into": self.coalesced_into,
                 "root": (
-                    _span_to_dict(self.root, self.root)
-                    if self.root is not None
-                    else None
+                    self.root.to_dict() if self.root is not None else None
                 ),
             }
         )
@@ -332,7 +298,7 @@ class RequestTrace:
         root = data.get("root")
         return cls(
             context=TraceContext.from_dict(data),
-            root=_span_from_dict(root) if root is not None else None,
+            root=Span.from_dict(root) if root is not None else None,
             outcome=data.get("outcome", "answered"),
             duration_s=float(data.get("duration_s", 0.0)),
             queue_wait_s=float(data.get("queue_wait_s", 0.0)),

@@ -1,35 +1,25 @@
 """Hot-path profiling: where does an ask actually spend its time?
 
-Two complementary harnesses over one *stage map* (module → named
-pipeline stage, the same names the metrics histograms use):
+:class:`StackSampler` is a statistical profiler over one *stage map*
+(module → named pipeline stage, the same names the metrics histograms
+use). A background thread snapshots every live thread's stack via
+``sys._current_frames()`` at a fixed interval and attributes each busy
+sample to the pipeline stage of its innermost ``repro`` frame;
+builtin/stdlib leaf time therefore rolls up to the repro code that
+called it, which is what a "vectorize the hot path" decision needs.
+Samples parked in known blocking waits (queue.get, lock/condition wait,
+future.result) are classified ``idle`` and excluded from attribution —
+a worker waiting for work is not a hot spot. Zero per-call overhead on
+the measured code; cost is one stack walk per thread per interval.
 
-* :class:`StackSampler` — a statistical profiler. A background thread
-  snapshots every live thread's stack via ``sys._current_frames()`` at
-  a fixed interval and attributes each busy sample to the pipeline
-  stage of its innermost ``repro`` frame; builtin/stdlib leaf time
-  therefore rolls up to the repro code that called it, which is what a
-  "vectorize the hot path" decision needs. Samples parked in known
-  blocking waits (queue.get, lock/condition wait, future.result) are
-  classified ``idle`` and excluded from attribution — a worker waiting
-  for work is not a hot spot. Zero per-call overhead on the measured
-  code; cost is one stack walk per thread per interval.
-* :class:`ScopedProfiler` — a deterministic ``cProfile`` harness with
-  span-scoped enable/disable, for when exact call counts matter more
-  than low overhead (single-ask investigations, not serving
-  benchmarks). Its breakdown aggregates self-time (``tottime``) by the
-  same stage map.
-
-Both report the same shape: ``{"samples"/"seconds", "stages": {...},
-"fractions": {...}, "attributed_fraction": f}`` where
-``attributed_fraction`` is the share of busy time landing in *named
-pipeline stages* — the quantity ``serve-bench --profile`` gates and
-writes to ``BENCH_precis.json``.
+The report is ``{"samples", "stages": {...}, "fractions": {...},
+"attributed_fraction": f}`` where ``attributed_fraction`` is the share
+of busy samples landing in *named pipeline stages* — the quantity
+``serve-bench --profile`` gates and writes to ``BENCH_precis.json``.
 """
 
 from __future__ import annotations
 
-import cProfile
-import pstats
 import sys
 import threading
 import time
@@ -40,7 +30,6 @@ __all__ = [
     "classify_path",
     "classify_frame",
     "StackSampler",
-    "ScopedProfiler",
 ]
 
 #: (path fragment, stage) — first match wins, so more specific
@@ -134,15 +123,15 @@ def classify_frame(frame) -> str:
     return "runtime"
 
 
-def _breakdown(stages: dict[str, float], unit: str) -> dict:
-    """The common report shape over per-stage weights."""
+def _breakdown(stages: dict[str, int]) -> dict:
+    """The report shape over per-stage sample counts."""
     busy = {k: v for k, v in stages.items() if k != "idle"}
     total_busy = sum(busy.values())
     attributed = sum(
         v for k, v in busy.items() if k in PIPELINE_STAGES
     )
     return {
-        unit: sum(stages.values()),
+        "samples": sum(stages.values()),
         "stages": dict(sorted(stages.items(), key=lambda kv: -kv[1])),
         "fractions": (
             {k: v / total_busy for k, v in busy.items()}
@@ -171,7 +160,7 @@ class StackSampler:
             raise ValueError("interval_s must be positive")
         self.interval_s = interval_s
         self._lock = threading.Lock()
-        self._stages: dict[str, float] = {}
+        self._stages: dict[str, int] = {}
         self._samples = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -209,7 +198,7 @@ class StackSampler:
 
     def breakdown(self) -> dict:
         with self._lock:
-            return _breakdown(dict(self._stages), "samples")
+            return _breakdown(dict(self._stages))
 
     def __enter__(self) -> "StackSampler":
         return self.start()
@@ -221,66 +210,3 @@ class StackSampler:
         running = "running" if self._thread is not None else "stopped"
         return f"StackSampler({running}, {self._samples} samples)"
 
-
-class ScopedProfiler:
-    """Deterministic cProfile harness with scoped enable.
-
-    ``with profiler.profile():`` turns cProfile on for exactly that
-    region (a span, an ask, a generator loop) in the calling thread;
-    regions accumulate into one profile until :meth:`breakdown`.
-    """
-
-    def __init__(self):
-        self._profile = cProfile.Profile()
-        self._lock = threading.Lock()
-
-    class _Scope:
-        __slots__ = ("_owner",)
-
-        def __init__(self, owner: "ScopedProfiler"):
-            self._owner = owner
-
-        def __enter__(self):
-            self._owner._profile.enable()
-            return self._owner
-
-        def __exit__(self, *exc_info):
-            self._owner._profile.disable()
-            return False
-
-    def profile(self) -> "ScopedProfiler._Scope":
-        return ScopedProfiler._Scope(self)
-
-    def breakdown(self, top: int = 20) -> dict:
-        """Self-time by stage plus the *top* hottest repro functions."""
-        stats = pstats.Stats(self._profile)
-        stages: dict[str, float] = {}
-        functions: list[tuple[float, str]] = []
-        for (filename, lineno, name), entry in stats.stats.items():
-            self_time = entry[2]  # tottime
-            if self_time <= 0:
-                continue
-            stage = classify_path(filename)
-            if stage is None:
-                stages["runtime"] = stages.get("runtime", 0.0) + self_time
-                continue
-            stages[stage] = stages.get(stage, 0.0) + self_time
-            functions.append(
-                (self_time, f"{stage}: {name} ({_short(filename)}:{lineno})")
-            )
-        functions.sort(key=lambda pair: -pair[0])
-        out = _breakdown(stages, "seconds")
-        out["hottest"] = [
-            {"self_s": seconds, "function": label}
-            for seconds, label in functions[:top]
-        ]
-        return out
-
-    def __repr__(self):
-        return "ScopedProfiler(cProfile)"
-
-
-def _short(filename: str) -> str:
-    path = _normalize(filename)
-    marker = path.rfind("/repro/")
-    return path[marker + 1 :] if marker >= 0 else path

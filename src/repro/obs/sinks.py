@@ -1,25 +1,18 @@
-"""Trace sinks — where closed root spans go.
+"""Trace sinks — where closed root spans go — and the span table.
 
-A sink is any object with ``emit(span)``. Three are provided:
-
-* :class:`InMemorySink` — keeps spans in a list; the test / programmatic
-  default.
-* :class:`JsonLinesSink` — one JSON object per root span per line, for
-  offline analysis (``jq``-able); accepts an open stream or a path.
-* :class:`TableSink` — renders each root span as an aligned
-  human-readable table (the ``--stats`` CLI view).
+A sink is any object with ``emit(span)``; :class:`InMemorySink` keeps
+spans in a list (the test / programmatic default). Trace files are the
+:class:`~repro.obs.context.TraceBuffer`'s JSONL export, and
+:func:`format_span_table` renders one tree as the ``--stats`` table.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import Optional
 
 from .tracer import Span
 
-__all__ = ["InMemorySink", "JsonLinesSink", "TableSink", "format_span_table"]
+__all__ = ["InMemorySink", "format_span_table"]
 
 
 class InMemorySink:
@@ -57,38 +50,6 @@ class InMemorySink:
         return f"InMemorySink({len(self.spans)} spans)"
 
 
-class JsonLinesSink:
-    """Writes one sorted-key JSON line per root span.
-
-    Accepts an already-open text stream (kept open) or a filesystem
-    path (opened for append; call :meth:`close` or use as a context
-    manager).
-    """
-
-    def __init__(self, target: Union[TextIO, str, Path]):
-        if isinstance(target, (str, Path)):
-            self._stream: TextIO = open(target, "a", encoding="utf-8")
-            self._owns_stream = True
-        else:
-            self._stream = target
-            self._owns_stream = False
-
-    def emit(self, span: Span) -> None:
-        self._stream.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-        self._stream.flush()
-
-    def close(self) -> None:
-        if self._owns_stream:
-            self._stream.close()
-
-    def __enter__(self) -> "JsonLinesSink":
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
-
-
 def format_span_table(span: Span) -> str:
     """An aligned stage/time/counter table for one span tree."""
     rows: list[tuple[str, str, str]] = []
@@ -114,14 +75,3 @@ def format_span_table(span: Span) -> str:
         )
     return "\n".join(lines)
 
-
-class TableSink:
-    """Prints each root span as a human-readable table."""
-
-    def __init__(self, stream: Optional[TextIO] = None):
-        self._stream = stream
-
-    def emit(self, span: Span) -> None:
-        stream = self._stream if self._stream is not None else sys.stdout
-        print(format_span_table(span), file=stream)
-        print("", file=stream)

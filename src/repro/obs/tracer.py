@@ -17,8 +17,12 @@ without instrumentation.
 Counter semantics: ``count`` *adds* to the innermost open span,
 ``gauge`` *sets*. Counts issued while no span is open are dropped (the
 null path behaves identically). Counter values are plain ints; the
-canonical names are listed in
-:data:`repro.obs.stats.COUNTER_GLOSSARY`.
+canonical names are listed in :data:`COUNTER_GLOSSARY`.
+
+A closed span tree is the one per-ask record: the engine hangs the
+``ask`` root on :attr:`repro.core.answer.PrecisAnswer.stats`, metrics
+digest it, ``--stats`` renders it and trace files store its
+:meth:`Span.to_dict` form.
 """
 
 from __future__ import annotations
@@ -27,7 +31,32 @@ import threading
 import time
 from typing import Iterable, Optional
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "COUNTER_GLOSSARY"]
+
+
+#: canonical counter names -> meaning (see docs/observability.md); the
+#: engine only ever emits these names (plus the odd extra documented at
+#: its call site), so dashboards and tests can key on them
+COUNTER_GLOSSARY: dict[str, str] = {
+    "tokens_matched": "query tokens that matched at least one tuple",
+    "relations_expanded": "relations admitted into the result schema G'",
+    "paths_pruned": "candidate paths cut by a terminal degree failure",
+    "paths_pushed": "paths pushed onto the schema generator's queue",
+    "paths_popped": "paths popped off the schema generator's queue",
+    "paths_admitted": "projection paths admitted into G'",
+    "seed_tuples": "tuples seeded from the inverted-index matches",
+    "joins_executed": "G' join edges executed by the database generator",
+    "joins_skipped": "G' join edges skipped (no driving values / budget)",
+    "tuples_emitted": "tuples deposited into the answer database",
+    "cache_hit": "plan-cache hits (result schema served from cache)",
+    "cache_miss": "plan-cache misses (schema was generated anew)",
+    "answer_cache_hit": "answer-cache hits (whole ask short-circuited)",
+    "answer_cache_miss": "answer-cache misses (pipeline ran in full)",
+    "cache_invalidation": "cache entries discarded for a stale epoch token",
+    "paragraphs_emitted": "narrative paragraphs produced by the translator",
+    "attributes_indexed": "(relation, attribute) pairs indexed",
+    "values_indexed": "non-NULL attribute values added to the index",
+}
 
 
 class Span:
@@ -100,14 +129,37 @@ class Span:
         return totals
 
     def to_dict(self) -> dict:
-        """JSON-compatible snapshot (durations in seconds)."""
-        return {
-            "name": self.name,
-            "wall_start": self.wall_start,
-            "duration_s": self.duration_s,
-            "counters": dict(self.counters),
-            "children": [child.to_dict() for child in self.children],
-        }
+        """JSON-compatible snapshot of the tree (seconds throughout).
+
+        Each span's ``offset_s`` is its start relative to this span's,
+        which is what lays siblings out inside their parent once the
+        tree is rebuilt by :meth:`from_dict`."""
+        origin = self._mono_start
+
+        def encode(span: "Span") -> dict:
+            return {
+                "name": span.name,
+                "offset_s": span._mono_start - origin,
+                "duration_s": span.duration_s,
+                "wall_start": span.wall_start,
+                "counters": dict(span.counters),
+                "children": [encode(child) for child in span.children],
+            }
+
+        return encode(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Span":
+        """Rebuild a closed tree from :meth:`to_dict` output. Monotonic
+        times are the recorded offsets, so every offset and duration
+        survives the round trip."""
+        span = cls(data["name"])
+        span._mono_start = float(data.get("offset_s", 0.0))
+        span._mono_end = span._mono_start + float(data.get("duration_s", 0.0))
+        span.wall_start = float(data.get("wall_start", 0.0))
+        span.counters = dict(data.get("counters", {}))
+        span.children = [cls.from_dict(child) for child in data["children"]]
+        return span
 
     def __repr__(self):
         return (

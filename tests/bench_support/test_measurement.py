@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import fit_linear, print_series, time_call
+from repro.bench import fit_linear, measurement, print_series, time_call
 
 
 class TestFitLinear:
@@ -36,10 +36,18 @@ class TestFitLinear:
 
 
 class TestTimeCall:
-    def test_returns_positive_seconds(self):
-        elapsed = time_call(lambda: sum(range(1000)), repeat=2)
+    def test_returns_positive_seconds(self, monkeypatch):
+        """Best of *repeat*, read off a fake clock: runs taking 0.5, 0.2
+        and 0.3 s report 0.2 s."""
+        readings = iter([10.0, 10.5, 20.0, 20.2, 30.0, 30.3])
+        monkeypatch.setattr(
+            measurement.time, "perf_counter", lambda: next(readings)
+        )
+        calls = []
+        elapsed = time_call(lambda: calls.append(1), repeat=3)
+        assert elapsed == pytest.approx(0.2)
         assert elapsed > 0
-        assert elapsed < 1.0
+        assert len(calls) == 3
 
 
 class TestPrintSeries:

@@ -41,8 +41,30 @@ class TestHits:
         tracer = Tracer([sink])
         engine.ask(WOODY, degree=D09, tracer=tracer)
         answer = engine.ask(WOODY, degree=D09, tracer=tracer)
-        assert answer.stats.counter("answer_cache_hit") == 1
-        assert answer.stats.stage("cache") is not None
+        assert answer.stats.total_counters()["answer_cache_hit"] == 1
+        assert answer.stats.find("cache") is not None
+
+    def test_traced_hit_leaves_earlier_answers_alone(self, engine):
+        """A traced hit gets an answer object of its own carrying its
+        own root span; the cached entry and every answer already handed
+        out keep theirs."""
+        first = engine.ask(WOODY, tracer=Tracer())
+        first_stats = first.stats
+        second = engine.ask(WOODY, tracer=Tracer())
+        assert second is not first
+        assert first.stats is first_stats
+        assert [span.name for span, __ in first.stats.walk()][:3] == [
+            "ask", "cache", "match",
+        ]
+        assert [span.name for span, __ in second.stats.walk()] == [
+            "ask", "cache",
+        ]
+        assert second.to_dict() == first.to_dict()
+        # an untraced hit returns the cached entry itself, spanless
+        cached = engine.ask(WOODY)
+        assert cached is engine.ask(WOODY)
+        assert cached.stats is None
+        assert cached is not first and cached is not second
 
     def test_string_and_parsed_queries_share_entries(self, engine):
         from repro.core import PrecisQuery
@@ -162,9 +184,11 @@ class TestConfiguration:
         )
         assert engine.cache is None
 
-    def test_legacy_cache_plans_keeps_plan_layer_only(self):
+    def test_plan_only_config_keeps_plan_layer_only(self):
         engine = PrecisEngine(
-            paper_instance(), graph=movies_graph(), cache_plans=True
+            paper_instance(),
+            graph=movies_graph(),
+            cache=CacheConfig(plans=True, answers=False),
         )
         assert engine.cache.plans is not None
         assert engine.cache.answers is None

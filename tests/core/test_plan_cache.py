@@ -3,13 +3,16 @@
 import pytest
 
 from repro import PrecisEngine, TopRProjections, WeightThreshold
+from repro.cache import CacheConfig
 from repro.datasets import movies_graph, paper_instance
 
 
 @pytest.fixture()
 def engine():
     return PrecisEngine(
-        paper_instance(), graph=movies_graph(), cache_plans=True
+        paper_instance(),
+        graph=movies_graph(),
+        cache=CacheConfig(plans=True, answers=False),
     )
 
 

@@ -194,20 +194,15 @@ class TestTraversalMechanics:
 
 class TestPerformanceGuard:
     def test_large_graph_generates_quickly(self):
-        """A 100-relation, 800-attribute graph must plan in well under a
-
-        second (Figure 7's 'negligible' claim at scale)."""
-        import time
-
+        """A 100-relation, 800-attribute graph plans to the full top-50
+        projection. Figure 7's 'negligible' claim at this scale — under
+        a second — is timed in ``benchmarks/test_wall_time_bounds.py``."""
         from repro.bench import random_schema_graph
 
         big = random_schema_graph(
             n_relations=100, attrs_per_relation=8, extra_joins=80, seed=0
         )
-        start = time.perf_counter()
         schema = generate_result_schema(
             big, [big.relations[0]], TopRProjections(50)
         )
-        elapsed = time.perf_counter() - start
         assert len(schema.projected_attributes) == 50
-        assert elapsed < 1.0

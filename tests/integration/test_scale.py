@@ -1,6 +1,6 @@
-"""Larger-scale smoke tests: invariants hold and latency stays sane."""
-
-import time
+"""Larger-scale smoke tests: invariants hold and the work per query
+stays bounded by the answer, not the database (the wall-time bound on
+the same query lives in ``benchmarks/test_wall_time_bounds.py``)."""
 
 import pytest
 
@@ -30,15 +30,17 @@ class TestBigMovies:
             row["DNAME"]
             for row in engine.db.relation("DIRECTOR").scan(["DNAME"])
         )
-        start = time.perf_counter()
         answer = engine.ask(
             f'"{name}"',
             degree=WeightThreshold(0.9),
             cardinality=MaxTuplesPerRelation(10),
         )
-        elapsed = time.perf_counter() - start
         assert answer.found
-        assert elapsed < 2.0  # generous; typically ~2 ms
+        assert all(n <= 10 for n in answer.cardinalities().values())
+        # the modeled retrieval cost is capped by the answer, however
+        # large the source database grows
+        cap = 10 * len(answer.result_schema.relations)
+        assert answer.cost.tuple_reads <= cap < engine.db.total_tuples()
 
     def test_answer_invariants_at_scale(self, engine):
         title = next(

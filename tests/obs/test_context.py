@@ -264,6 +264,27 @@ class TestJsonlRoundTrip:
         assert back[0].root is None
         assert back[0].outcome == "shed_full"
 
+    def test_span_dicts_keep_the_trace_file_keys(self):
+        """The trace file's span dicts are ``Span.to_dict()``: exactly
+        these keys at every depth, offsets relative to the root."""
+        stream = io.StringIO()
+        buffer = TraceBuffer(sample_rate=1.0)
+        trace = make_trace()
+        buffer.offer(trace)
+        buffer.export_jsonl(stream)
+        root = json.loads(stream.getvalue())["root"]
+        assert root == trace.root.to_dict()
+        stack = [root]
+        while stack:
+            span = stack.pop()
+            assert set(span) == {
+                "name", "offset_s", "duration_s", "wall_start",
+                "counters", "children",
+            }
+            stack.extend(span["children"])
+        assert root["offset_s"] == 0.0
+        assert root["children"][1]["offset_s"] == pytest.approx(0.010 / 5)
+
 
 class TestChromeExport:
     def test_exported_document_validates(self):

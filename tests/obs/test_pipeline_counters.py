@@ -4,7 +4,8 @@ The counters are only trustworthy if they agree with what the answer
 itself says happened: ``tuples_emitted`` must equal the answer's tuple
 count, ``seed_tuples``/``joins_executed`` must mirror the generator
 report, ``cache_hit`` must flip on the second identical ask, and an
-engine without tracing must hang no stats on its answers at all.
+engine without tracing must hang no stats on its answers at all. A
+traced answer's ``stats`` is the recorded span tree itself, not a copy.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro import (
     Tracer,
     WeightThreshold,
 )
+from repro.cache import CacheConfig
 from repro.datasets import (
     generate_library_database,
     generate_movies_database,
@@ -71,27 +73,27 @@ class TestCounterInvariants:
             cardinality=MaxTuplesPerRelation(4),
         )
         assert answer.found
-        stats = answer.stats
-        assert stats is not None
-        assert stats.counter("tuples_emitted") == answer.total_tuples()
-        assert stats.counter("seed_tuples") == sum(
+        assert answer.stats is not None
+        totals = answer.stats.total_counters()
+        assert totals["tuples_emitted"] == answer.total_tuples()
+        assert totals["seed_tuples"] == sum(
             answer.report.seed_counts.values()
         )
-        assert stats.counter("joins_executed") == answer.report.joins_executed
-        assert stats.counter("joins_skipped") == len(
+        assert totals["joins_executed"] == answer.report.joins_executed
+        assert totals.get("joins_skipped", 0) == len(
             answer.report.skipped_edges
         )
-        assert stats.counter("tokens_matched") == sum(
+        assert totals["tokens_matched"] == sum(
             1 for match in answer.matches if match.found
         )
-        assert stats.counter("relations_expanded") == len(
+        assert totals["relations_expanded"] == len(
             answer.result_schema.relations
         )
 
     def test_stage_layout(self, traced_setup):
         engine, query, __ = traced_setup
         answer = engine.ask(query, degree=WeightThreshold(0.5))
-        names = answer.stats.stage_names()
+        names = [span.name for span, __ in answer.stats.walk()]
         assert names[0] == "ask"
         for stage in ("match", "schema", "schema_generator",
                       "database_generator"):
@@ -99,9 +101,14 @@ class TestCounterInvariants:
         assert answer.stats.duration_s > 0
         # children are contained in the root's wall time
         child_total = sum(
-            s.duration_s for s in answer.stats.stages if s.depth == 1
+            child.duration_s for child in answer.stats.children
         )
         assert child_total <= answer.stats.duration_s
+
+    def test_stats_is_the_recorded_root(self, traced_setup):
+        engine, query, sink = traced_setup
+        answer = engine.ask(query, degree=WeightThreshold(0.5))
+        assert answer.stats is sink.last
 
     def test_build_index_span_recorded(self, traced_setup):
         engine, __, sink = traced_setup
@@ -115,8 +122,9 @@ class TestCounterInvariants:
         answer = engine.ask("zzzzzz-no-such-token")
         assert not answer.found
         assert answer.stats is not None
-        assert answer.stats.counter("tokens_matched") == 0
-        assert answer.stats.counter("tuples_emitted") == 0
+        totals = answer.stats.total_counters()
+        assert totals.get("tokens_matched", 0) == 0
+        assert totals.get("tuples_emitted", 0) == 0
 
 
 class TestPlanCacheCounters:
@@ -124,17 +132,17 @@ class TestPlanCacheCounters:
         engine = PrecisEngine(
             paper_instance(),
             graph=movies_graph(),
-            cache_plans=True,
+            cache=CacheConfig(plans=True, answers=False),
             tracer=Tracer([mem_sink]),
         )
         first = engine.ask('"Woody Allen"', degree=WeightThreshold(0.9))
         second = engine.ask('"Woody Allen"', degree=WeightThreshold(0.9))
-        assert first.stats.counter("cache_hit") == 0
-        assert first.stats.counter("cache_miss") == 1
-        assert second.stats.counter("cache_hit") == 1
-        assert second.stats.counter("cache_miss") == 0
+        assert first.stats.total_counters()["cache_hit"] == 0
+        assert first.stats.total_counters()["cache_miss"] == 1
+        assert second.stats.total_counters()["cache_hit"] == 1
+        assert second.stats.total_counters()["cache_miss"] == 0
         # a cache hit skips the schema generator entirely
-        assert "schema_generator" not in second.stats.stage_names()
+        assert second.stats.find("schema_generator") is None
         assert second.cardinalities() == first.cardinalities()
 
     def test_no_cache_counters_when_cache_disabled(self, mem_sink):
@@ -142,8 +150,8 @@ class TestPlanCacheCounters:
             paper_instance(), graph=movies_graph(), tracer=Tracer([mem_sink])
         )
         answer = engine.ask('"Woody Allen"')
-        assert "cache_hit" not in answer.stats.counters
-        assert "cache_miss" not in answer.stats.counters
+        assert "cache_hit" not in answer.stats.total_counters()
+        assert "cache_miss" not in answer.stats.total_counters()
 
 
 class TestTranslateStage:
@@ -156,9 +164,9 @@ class TestTranslateStage:
         )
         answer = engine.ask('"Woody Allen"', degree=WeightThreshold(0.9))
         assert answer.narrative
-        stage = answer.stats.stage("translate")
+        stage = answer.stats.find("translate")
         assert stage is not None
-        assert answer.stats.counter("paragraphs_emitted") == (
+        assert stage.counter("paragraphs_emitted") == (
             answer.narrative.count("\n\n") + 1
         )
 
@@ -172,15 +180,24 @@ class TestPerOccurrence:
         assert len(answers) == 2  # director + actor homonym
         for answer in answers:
             assert answer.stats is not None
-            assert answer.stats.stage_names()[0] == "occurrence"
+            assert answer.stats.name == "occurrence"
             assert (
-                answer.stats.counter("tuples_emitted")
+                answer.stats.total_counters()["tuples_emitted"]
                 == answer.total_tuples()
             )
-        # one root span for the whole per-occurrence run
+        # one root span for the whole per-occurrence run, and each
+        # answer's stats is its own occurrence child of that root
         assert [s.name for s in mem_sink.spans if s.name != "build_index"] == [
             "ask_per_occurrence"
         ]
+        occurrences = [
+            child
+            for child in mem_sink.last.children
+            if child.name == "occurrence"
+        ]
+        assert len(occurrences) == len(answers)
+        for answer, occurrence in zip(answers, occurrences):
+            assert answer.stats is occurrence
 
 
 class TestTracingDisabled:

@@ -1,5 +1,5 @@
-"""Hot-path profiling (repro.obs.profile): the module → stage map, the
-statistical sampler's idle/busy attribution, and the cProfile harness.
+"""Hot-path profiling (repro.obs.profile): the module → stage map and
+the statistical sampler's idle/busy attribution.
 
 Deterministic frame tests build real frames with controlled filenames
 via ``compile(..., fake_path, "exec")`` — no monkeypatching of frame
@@ -12,8 +12,6 @@ import threading
 import pytest
 
 from repro.obs.profile import (
-    PIPELINE_STAGES,
-    ScopedProfiler,
     StackSampler,
     classify_frame,
     classify_path,
@@ -144,33 +142,3 @@ class TestStackSampler:
         # stop is idempotent
         sampler.stop()
 
-
-class TestScopedProfiler:
-    def test_breakdown_attributes_real_engine_work(self):
-        from repro.core import PrecisEngine
-        from repro.datasets import movies_graph, paper_instance
-
-        engine = PrecisEngine(paper_instance(), graph=movies_graph())
-        profiler = ScopedProfiler()
-        with profiler.profile():
-            for __ in range(5):
-                engine.ask("Allen")
-        report = profiler.breakdown(top=5)
-        assert report["seconds"] > 0
-        assert report["attributed_fraction"] > 0.5
-        assert set(report["stages"]) & PIPELINE_STAGES
-        assert 0 < len(report["hottest"]) <= 5
-        hottest = report["hottest"][0]
-        assert hottest["self_s"] > 0
-        assert ": " in hottest["function"]
-
-    def test_unprofiled_regions_are_excluded(self):
-        profiler = ScopedProfiler()
-        with profiler.profile():
-            pass
-        # work outside the scope must not appear
-        sum(range(10000))
-        report = profiler.breakdown()
-        assert report["attributed_fraction"] == 0.0 or (
-            report["seconds"] < 0.01
-        )

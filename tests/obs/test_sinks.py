@@ -1,17 +1,6 @@
-"""Sink output formats: in-memory, line-JSON, human-readable table."""
+"""The in-memory sink and the human-readable span table."""
 
-import io
-import json
-
-from repro.obs import (
-    InMemorySink,
-    JsonLinesSink,
-    TableSink,
-    Tracer,
-    format_span_table,
-    format_stats,
-    QueryStats,
-)
+from repro.obs import format_span_table
 
 
 def _sample_tree(tracer):
@@ -39,64 +28,7 @@ class TestInMemorySink:
         assert mem_sink.counter_total("tuples_emitted") == 20
 
 
-class TestJsonLinesSink:
-    def test_one_valid_json_object_per_root(self):
-        stream = io.StringIO()
-        tracer = Tracer([JsonLinesSink(stream)])
-        _sample_tree(tracer)
-        _sample_tree(tracer)
-        lines = stream.getvalue().strip().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            record = json.loads(line)
-            assert record["name"] == "ask"
-            assert record["duration_s"] >= 0
-            children = {c["name"]: c for c in record["children"]}
-            assert children["match"]["counters"] == {"tokens_matched": 1}
-            assert (
-                children["database_generator"]["counters"]["tuples_emitted"]
-                == 10
-            )
-
-    def test_write_read_round_trip_preserves_to_dict(self, tmp_path):
-        """What JsonLinesSink writes is exactly Span.to_dict, bit for bit
-        recoverable: parse the line back and compare against the live
-        span tree, nested children and counters included."""
-        path = tmp_path / "trace.jsonl"
-        capture = InMemorySink()
-        with JsonLinesSink(path) as sink:
-            tracer = Tracer([sink, capture])
-            _sample_tree(tracer)
-        recovered = json.loads(path.read_text())
-        assert recovered == capture.last.to_dict()
-        # and the recovered dict survives a second dump/parse unchanged
-        assert json.loads(json.dumps(recovered)) == recovered
-
-    def test_path_target_appends_and_closes(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonLinesSink(path) as sink:
-            tracer = Tracer([sink])
-            _sample_tree(tracer)
-        with JsonLinesSink(path) as sink:
-            tracer = Tracer([sink])
-            _sample_tree(tracer)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert all(json.loads(line)["name"] == "ask" for line in lines)
-
-
 class TestTableOutput:
-    def test_table_sink_prints_every_stage(self):
-        stream = io.StringIO()
-        tracer = Tracer([TableSink(stream)])
-        _sample_tree(tracer)
-        text = stream.getvalue()
-        assert "stage" in text and "time" in text and "counters" in text
-        assert "ask" in text
-        assert "  match" in text  # indented child
-        assert "tuples_emitted=10" in text
-        assert "totals:" in text
-
     def test_format_span_table_alignment(self, tracer, mem_sink):
         _sample_tree(tracer)
         lines = format_span_table(mem_sink.last).splitlines()
@@ -126,9 +58,3 @@ class TestTableOutput:
             "totals: tokens_matched=2"
         )
 
-    def test_format_stats_matches_span_table_content(self, tracer, mem_sink):
-        _sample_tree(tracer)
-        stats_text = format_stats(QueryStats.from_span(mem_sink.last))
-        assert "joins_executed=3" in stats_text
-        assert "totals:" in stats_text
-        assert "tokens_matched=1" in stats_text

@@ -1,5 +1,7 @@
-"""Tracer core: span nesting, counter semantics, the no-op path."""
+"""Tracer core: span nesting, counter semantics, the dict form of a
+span tree, the no-op path."""
 
+import json
 import time
 
 import pytest
@@ -8,7 +10,6 @@ from repro.obs import (
     NULL_TRACER,
     InMemorySink,
     NullTracer,
-    QueryStats,
     Span,
     Tracer,
 )
@@ -128,32 +129,50 @@ class TestCounters:
         assert span.counter("absent", -1) == -1
 
 
-class TestQueryStatsAggregation:
-    def test_from_span_flattens_with_depth(self, tracer, mem_sink):
-        with tracer.span("ask"):
-            tracer.count("a", 1)
-            with tracer.span("match"):
-                tracer.count("b", 2)
-            with tracer.span("schema"):
-                with tracer.span("schema_generator"):
-                    tracer.count("b", 3)
-        stats = QueryStats.from_span(mem_sink.spans[0])
-        assert stats.stage_names() == (
-            "ask", "match", "schema", "schema_generator",
-        )
-        assert stats.stage("schema_generator").depth == 2
-        assert stats.counter("b") == 5  # aggregated across the tree
-        assert stats.stage("match").counters == {"b": 2}  # own only
-        assert stats.duration_s == mem_sink.spans[0].duration_s
+def _sample_tree(tracer):
+    with tracer.span("ask"):
+        tracer.count("n", 4)
+        with tracer.span("match"):
+            tracer.count("tokens_matched", 1)
+        with tracer.span("schema"):
+            with tracer.span("schema_generator"):
+                tracer.count("paths_popped", 3)
 
+
+class TestSpanDict:
     def test_to_dict_round_trip_shape(self, tracer, mem_sink):
-        with tracer.span("ask"):
-            tracer.count("n", 4)
-        stats = QueryStats.from_span(mem_sink.spans[0])
-        d = stats.to_dict()
+        _sample_tree(tracer)
+        root = mem_sink.last
+        d = root.to_dict()
+        assert set(d) == {
+            "name", "offset_s", "duration_s", "wall_start", "counters",
+            "children",
+        }
+        assert d["offset_s"] == 0.0
         assert d["counters"] == {"n": 4}
-        assert d["stages"][0]["name"] == "ask"
-        assert d["duration_s"] == stats.duration_s
+        assert d["duration_s"] == root.duration_s
+        assert [c["name"] for c in d["children"]] == ["match", "schema"]
+        # offsets are relative to the root, at every depth
+        generator = root.find("schema_generator")
+        assert d["children"][1]["children"][0]["offset_s"] == (
+            generator._mono_start - root._mono_start
+        )
+        rebuilt = Span.from_dict(d)
+        assert rebuilt.finished
+        assert [(s.name, depth) for s, depth in rebuilt.walk()] == [
+            (s.name, depth) for s, depth in root.walk()
+        ]
+        assert rebuilt.total_counters() == root.total_counters()
+        assert rebuilt.to_dict() == d
+
+    def test_write_read_round_trip_preserves_to_dict(self, tracer, mem_sink):
+        """A span tree written as JSON and read back is the same tree:
+        nested children, counters, durations and offsets included."""
+        _sample_tree(tracer)
+        original = mem_sink.last.to_dict()
+        recovered = json.loads(json.dumps(original, sort_keys=True))
+        assert recovered == original
+        assert Span.from_dict(recovered).to_dict() == original
 
 
 class TestNoOpPath:

@@ -22,10 +22,12 @@ from repro.service import (
     FrontDoorConfig,
     FrontDoorHTTP,
     PrecisService,
+    RetryPolicy,
     ServiceConfig,
 )
+from repro.storage import PermanentStorageError, TransientStorageError
 
-from .faults import gate_reads
+from .faults import gate_reads, make_flaky
 from .helpers import http_get, run, spin
 
 QUERY = '"Woody Allen"'
@@ -128,6 +130,52 @@ class TestAsk:
         status, body = run(go())
         assert status == 408
         assert body["error"] == "StaleRequest"
+
+
+class TestStorageFaults:
+    """A broken store at the HTTP edge: the caller gets a 500 whose JSON
+    body names the error class, and the next ask after the store heals
+    is answered normally."""
+
+    @pytest.mark.parametrize(
+        "error, named",
+        [
+            (PermanentStorageError, "PermanentStorageError"),
+            (TransientStorageError, "RetryExhausted"),
+        ],
+    )
+    def test_fault_is_500_until_the_store_heals(self, error, named):
+        db = paper_instance()
+        engine = PrecisEngine(db, graph=movies_graph())
+        expected = engine.ask(QUERY).to_dict()
+        # every tuple read fails, more times than the retries allow
+        wrappers = make_flaky(
+            db, fail_times=10_000, methods={"get_many"}, error=error
+        )
+        service = PrecisService(
+            engine,
+            config=ServiceConfig(
+                workers=1, retry=RetryPolicy(attempts=3, base_delay_s=0)
+            ),
+        )
+
+        async def go():
+            async with serving(service) as http:
+                failed = await http_get(http.host, http.port, f"/ask?q={Q}")
+                for wrapper in wrappers.values():
+                    wrapper.heal()
+                healed = await http_get(http.host, http.port, f"/ask?q={Q}")
+                return failed, healed
+
+        try:
+            (status, body), (healed_status, healed_body) = run(go())
+        finally:
+            service.close()
+        assert status == 500
+        assert body["error"] == named
+        assert any(w.failures["get_many"] for w in wrappers.values())
+        assert healed_status == 200
+        assert healed_body == expected
 
 
 class TestRoutes:
