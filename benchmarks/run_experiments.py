@@ -15,13 +15,20 @@ Every experiment also returns its table as a structured payload, and
 (``--json-out`` overrides the path, ``--json-out -`` skips the file):
 per-experiment wall-clock timings plus, for the ``overhead``
 experiment, the key service counters from a metrics-enabled warm loop.
+Each experiment carries a ``stamp`` naming the host, CPU count, Python
+version and git commit (with a dirty flag) it was measured on; the
+stamp is per experiment because a partial run merges into an existing
+file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import random
+import subprocess
 import time
 from pathlib import Path
 
@@ -31,6 +38,7 @@ from repro.bench import (
     fit_linear,
     print_series,
     random_schema_graph,
+    time_call,
 )
 from repro.core import (
     MaxTuplesPerRelation,
@@ -43,15 +51,6 @@ from repro.core import (
 )
 from repro.core.schema_generator import SchemaGeneratorStats
 from repro.graph import random_weight_assignments
-
-
-def _time(fn, repeat=3):
-    best = float("inf")
-    for __ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _table(title, columns, rows, **extra):
@@ -82,7 +81,7 @@ def figure_7():
                     personalized, [origin], TopRProjections(d)
                 )
 
-        seconds = _time(sweep, repeat=1)
+        seconds = time_call(sweep, repeat=1)
         stats = SchemaGeneratorStats()
         generate_result_schema(
             graph.with_weights(weight_sets[0]), [origins[0]],
@@ -125,7 +124,7 @@ def figure_8(backend=None):
     chain = _Chain(4, backend)
     rows = []
     for c_r in (10, 30, 50, 70, 90):
-        seconds = _time(lambda: chain.run(c_r, STRATEGY_NAIVE))
+        seconds = time_call(lambda: chain.run(c_r, STRATEGY_NAIVE))
         with chain.db.meter.measure() as measured:
             chain.run(c_r, STRATEGY_NAIVE)
         rows.append(
@@ -147,8 +146,8 @@ def figure_9(backend=None):
     rows = []
     for n_r in range(1, 9):
         chain = _Chain(n_r, backend)
-        t_naive = _time(lambda: chain.run(50, STRATEGY_NAIVE))
-        t_rr = _time(lambda: chain.run(50, STRATEGY_ROUND_ROBIN))
+        t_naive = time_call(lambda: chain.run(50, STRATEGY_NAIVE))
+        t_rr = time_call(lambda: chain.run(50, STRATEGY_ROUND_ROBIN))
         with chain.db.meter.measure() as m_naive:
             chain.run(50, STRATEGY_NAIVE)
         with chain.db.meter.measure() as m_rr:
@@ -311,7 +310,7 @@ def ablation_cache(backend=None):
             for query in queries:
                 engine.ask(query, cardinality=MaxTuplesPerRelation(10))
 
-        seconds = _time(warm)
+        seconds = time_call(warm)
         stats = engine.cache_stats()
         hits = sum(layer["hits"] for layer in stats.values())
         misses = sum(layer["misses"] for layer in stats.values())
@@ -361,7 +360,7 @@ def metrics_overhead(backend=None):
             for query in queries:
                 engine.ask(query, cardinality=MaxTuplesPerRelation(10))
 
-        seconds = _time(warm)
+        seconds = time_call(warm)
         rows.append([label, seconds / len(queries) * 1e3])
         if label == "metrics":
             snapshot = engine.metrics_snapshot()
@@ -441,17 +440,15 @@ def frontdoor_bench(backend=None):
     makespan), shed rate and the coalescing hit rate — the gate in
     benchmarks/test_frontdoor.py asserts hit rate >= 0.4 and goodput
     ratio >= 1.5 on these same counters."""
-    import time as _time
-
     from repro.service import LoadConfig, movies_workload, run_bench
 
     engine, queries = movies_workload(n_movies=200, backend=backend)
     for query in queries:
         engine.ask(query)  # warm
-    start = _time.perf_counter()
+    start = time.perf_counter()
     for query in queries:
         engine.ask(query)
-    mean_ask = (_time.perf_counter() - start) / len(queries)
+    mean_ask = (time.perf_counter() - start) / len(queries)
     workers = 2
     rate = 2.0 * workers / mean_ask
     config = LoadConfig(
@@ -491,9 +488,11 @@ def frontdoor_bench(backend=None):
 
 def tracing_overhead(backend=None):
     """Cost and yield of end-to-end request tracing (repro.obs.context):
-    throughput with sampling on vs off (budget: <= 5% at 10%), plus the
-    statistical profiler's per-stage self-time attribution — the
-    correlation layer must be cheap enough to leave on."""
+    throughput with sampling on vs off (budget: <= 5% at 10%), plus
+    where served time goes, read from the span trees of a load run
+    that keeps every request — the correlation layer must be cheap
+    enough to leave on."""
+    from repro.obs import TraceBuffer
     from repro.service import (
         LoadConfig,
         measure_trace_overhead,
@@ -503,33 +502,49 @@ def tracing_overhead(backend=None):
 
     engine, queries = movies_workload(n_movies=200, backend=backend)
     overhead = measure_trace_overhead(engine, queries, sample_rate=0.1)
-    profiled = run_bench(
+    traces = TraceBuffer(sample_rate=1.0)
+    run_bench(
         engine,
         queries,
         LoadConfig(clients=4, requests=15),
         workers=2,
         compare_coalescing=False,
-        profile=True,
-    )["coalesced"]
-    profile = profiled.get("profile", {})
+        traces=traces,
+    )
+    # self time (a span's duration minus its children's) per span name,
+    # summed over every kept tree
+    roots = [t.root for t in traces.traces() if t.root is not None]
+    self_s: dict[str, float] = {}
+    for root in roots:
+        for span, __ in root.walk():
+            own = span.duration_s - sum(c.duration_s for c in span.children)
+            self_s[span.name] = self_s.get(span.name, 0.0) + own
+    total = sum(self_s.values()) or 1.0
+    shares = {name: seconds / total for name, seconds in self_s.items()}
     rows = [
         [
             f"{overhead['sample_rate']:.0%}",
             overhead["baseline_rps"],
             overhead["traced_rps"],
             overhead["overhead_pct"],
-            profile.get("attributed_fraction", 0.0) * 100.0,
         ]
     ]
-    return _table(
+    payload = _table(
         "Tracing overhead — sampling on vs off, best of "
         f"{overhead['rounds']}",
-        ["sample", "base req/s", "traced req/s", "overhead %",
-         "profiled %"],
+        ["sample", "base req/s", "traced req/s", "overhead %"],
         rows,
         overhead=overhead,
-        profile=profile,
+        stages={"n": len(roots), "shares": shares},
     )
+    print(
+        f"   self time over {len(roots)} span trees: "
+        + ", ".join(
+            f"{name}={share:.0%}"
+            for name, share in sorted(shares.items(), key=lambda kv: -kv[1])
+        )
+    )
+    return payload
 
 
 def _deep_size(obj, seen=None) -> int:
@@ -605,7 +620,7 @@ def tenants_scaling(backend=None, tenant_counts=(1, 10, 100, 1000)):
                 )
 
         sweep()  # warm pass
-        seconds = _time(sweep, repeat=1)
+        seconds = time_call(sweep, repeat=1)
         stats = engine.cache.plans.stats
         consulted = stats.hits + stats.misses
         hit_rate = stats.hits / consulted if consulted else 0.0
@@ -650,6 +665,34 @@ def tenants_scaling(backend=None, tenant_counts=(1, 10, 100, 1000)):
     return payload
 
 
+def _stamp() -> dict:
+    """What a run was measured on: host, CPU count, Python version, and
+    the git commit of this checkout (None outside one) with whether its
+    tracked files had uncommitted changes."""
+
+    def git(*args):
+        try:
+            return subprocess.run(
+                ["git", *args],
+                cwd=Path(__file__).resolve().parent,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "host": platform.node(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "commit": commit,
+        "dirty": bool(status) if commit else None,
+    }
+
+
 def main(argv=None):
     from repro.storage import BACKEND_NAMES
 
@@ -685,6 +728,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     backend = args.backend
     print(f"(storage backend: {backend})")
+    stamp = _stamp()
     experiments = {}
     for name in args.figures or list(figures):
         fn = figures[name]
@@ -694,6 +738,7 @@ def main(argv=None):
         else:
             payload = fn(backend=backend)
         payload["seconds"] = time.perf_counter() - start
+        payload["stamp"] = stamp
         experiments[name] = payload
     if args.json_out != "-":
         # merge semantics: a partial run (e.g. just-added experiments)

@@ -10,8 +10,10 @@ A précis query *is* that extractor: pick a few anchor values, let the
 result schema span the whole schema (weight threshold 0), bound the
 volume with a cardinality constraint, and the answer is a small,
 referentially consistent database. This script carves a test database
-out of a 500-movie instance, verifies its integrity, exports it to CSV
-and runs SQL against the extract.
+out of a 500-movie instance, verifies its integrity, exports it to CSV,
+loads the CSVs into a SQLite file beside them (open it with the
+``sqlite3`` shell) and runs SQL against the extract with stdlib
+``sqlite3``.
 
 Run::
 
@@ -20,6 +22,7 @@ Run::
 
 import sys
 import tempfile
+from pathlib import Path
 
 from repro import (
     MaxTuplesPerRelation,
@@ -29,7 +32,6 @@ from repro import (
 from repro.core import STRATEGY_ROUND_ROBIN
 from repro.datasets import generate_movies_database, movies_graph
 from repro.relational.csvio import load_database, save_database
-from repro.relational.sql import execute
 
 
 def main():
@@ -62,13 +64,20 @@ def main():
     save_database(extract, out_dir)
     print("exported to     :", out_dir)
 
-    # the extract is a real database: reload it and query it with SQL
-    reloaded = load_database(out_dir, enforce_foreign_keys=False)
-    rows = execute(
-        reloaded,
-        "SELECT m.TITLE, d.DNAME FROM MOVIE m, DIRECTOR d "
-        "WHERE m.DID = d.DID LIMIT 5",
+    # the extract is a real database: load it into SQLite, one table
+    # per relation, and let SQLite itself answer SQL over it
+    sqlite_file = Path(out_dir) / "extract.sqlite"
+    copy = load_database(
+        out_dir, enforce_foreign_keys=False, backend=f"sqlite:{sqlite_file}"
     )
+    try:
+        rows = copy.backend.connection.execute(
+            "SELECT m.TITLE, d.DNAME FROM MOVIE m, DIRECTOR d "
+            "WHERE m.DID = d.DID LIMIT 5"
+        ).fetchall()
+    finally:
+        copy.close()
+    print("SQLite copy     :", sqlite_file)
     print("\nSQL over the extract (movies and their directors):")
     for row in rows:
         print("  ", row)

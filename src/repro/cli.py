@@ -311,12 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace ring-buffer capacity (default 256)",
     )
     bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the statistical profiler (repro.obs.profile) across "
-        "the bench and record the per-stage self-time breakdown",
-    )
-    bench.add_argument(
         "--trace-overhead",
         action="store_true",
         help="also measure tracing's throughput cost (sampling on vs "
@@ -857,7 +851,6 @@ def _cmd_serve_bench(args, out) -> int:
         max_pending=args.max_pending,
         compare_coalescing=not args.no_baseline,
         traces=traces,
-        profile=args.profile,
     )
     payload["backend"] = args.backend
     on = payload["coalesced"]
@@ -920,20 +913,6 @@ def _cmd_serve_bench(args, out) -> int:
             f"  traces: {kept} kept ({stats['kept_triggered']} triggered, "
             f"{stats['kept_sampled']} sampled of {stats['offered']} "
             f"offered) -> {args.trace_out}",
-            file=out,
-        )
-    if args.profile and "profile" in on:
-        profile = on["profile"]
-        stages = ", ".join(
-            f"{stage}={fraction:.0%}"
-            for stage, fraction in sorted(
-                profile["fractions"].items(), key=lambda kv: -kv[1]
-            )[:5]
-        )
-        print(
-            f"  profile: {profile['samples']} samples, "
-            f"{profile['attributed_fraction']:.0%} in pipeline stages "
-            f"({stages})",
             file=out,
         )
     if args.trace_overhead:

@@ -65,7 +65,6 @@ from .metrics import (
     prometheus_text,
     write_metrics,
 )
-from .profile import StackSampler
 from .sinks import InMemorySink, format_span_table
 from .slo import SLObjective, SLOTracker
 from .tracer import COUNTER_GLOSSARY, NULL_TRACER, NullTracer, Span, Tracer
@@ -104,5 +103,4 @@ __all__ = [
     "validate_chrome_trace",
     "SLObjective",
     "SLOTracker",
-    "StackSampler",
 ]

@@ -5,8 +5,8 @@ fully-tested engine exposing exactly what the précis algorithms need:
 typed schemas with primary/foreign keys, tuple-id addressed storage,
 hash/sorted indexes on join attributes, IN-list and tid-list selections
 with limits (NaïveQ), round-robin scan cursors, per-operation cost
-accounting matching the paper's ``IndexTime``/``TupleTime`` model, CSV
-round-tripping, and a conjunctive mini-SQL layer for the baselines.
+accounting matching the paper's ``IndexTime``/``TupleTime`` model, and
+CSV round-tripping.
 """
 
 from .cost import CostMeter, CostParameters, CostSnapshot
@@ -26,7 +26,7 @@ from .errors import (
     UnknownTupleError,
 )
 from .index import HashIndex, SortedIndex
-from .query import RoundRobinScans, select_by_tids, select_eq, select_in, top_n
+from .query import RoundRobinScans
 from .relation import Relation
 from .stats import FanoutStats, RelationStats, database_summary, fanout_stats, relation_stats
 from .row import Row
@@ -47,10 +47,6 @@ __all__ = [
     "HashIndex",
     "SortedIndex",
     "RoundRobinScans",
-    "select_by_tids",
-    "select_eq",
-    "select_in",
-    "top_n",
     "RelationalError",
     "SchemaError",
     "TypeMismatchError",

@@ -17,7 +17,6 @@ is the in-memory reference store.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ..storage.base import StorageBackend
@@ -303,32 +302,6 @@ class Database:
         if enforce_foreign_keys:
             db.check_integrity()
         return db
-
-    # ------------------------------------------------------------------ csv io
-
-    def to_csv_dir(self, directory: Union[str, Path]) -> None:
-        """Export schema + contents as a CSV directory (see ``csvio``)."""
-        from .csvio import save_database
-
-        save_database(self, directory)
-
-    @classmethod
-    def from_csv_dir(
-        cls,
-        directory: Union[str, Path],
-        enforce_foreign_keys: bool = True,
-        create_indexes: bool = True,
-        backend: Union[str, StorageBackend, None] = None,
-    ) -> "Database":
-        """Load a database saved with :meth:`to_csv_dir`."""
-        from .csvio import load_database
-
-        return load_database(
-            directory,
-            enforce_foreign_keys=enforce_foreign_keys,
-            create_indexes=create_indexes,
-            backend=backend,
-        )
 
 
 def _topological_load_order(schema: DatabaseSchema) -> list[str]:

@@ -78,7 +78,8 @@ class QueryError(RelationalError):
 
 
 class SQLSyntaxError(QueryError):
-    """The mini-SQL parser could not parse the input string."""
+    """The DDL parser (:func:`~repro.relational.ddl.parse_ddl`) could not
+    parse the input string."""
 
     def __init__(self, message, position=None):
         self.position = position

@@ -7,9 +7,8 @@ set of tuple ids. Index maintenance is transparent: the owning
 insert and delete.
 
 A sorted index (value-ordered) is also provided; the précis algorithms do
-not need range scans, but the DISCOVER/BANKS baselines and the mini-SQL
-executor benefit from ordered access, and the index/scan-equivalence
-property tests exercise both.
+not need range scans, and the index/scan-equivalence property tests
+exercise both.
 """
 
 from __future__ import annotations

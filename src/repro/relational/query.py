@@ -1,17 +1,12 @@
-"""Query operators used by the précis generators and the baselines.
+"""The RoundRobin access path of the Result Database Generator.
 
-The Result Database Generator never executes actual joins: it fetches
-tuples of one relation whose join attribute takes values drawn from
-already-retrieved tuples of another (paper §5.2, the queries
-``σ_Ids(R_j)[π(R_j)]``). The operators here implement exactly those
-access paths, plus the two subset strategies the paper compares:
-
-* :func:`select_by_tids` — ``σ_Tids(R)[π(R)]`` with an optional limit
-  (**NaïveQ** over an id list: keep an arbitrary prefix, Oracle-RowNum
-  style);
-* :func:`select_in` — the IN-list probe, again with optional limit;
-* :class:`RoundRobinScans` — one open scan of joining tuples per driving
-  value, consumed one tuple per scan per round (**RoundRobin**).
+The generator never executes actual joins: it fetches tuples of one
+relation whose join attribute takes values drawn from already-retrieved
+tuples of another (paper §5.2, the queries ``σ_Ids(R_j)[π(R_j)]``).
+NaïveQ issues those as one IN-list probe (``Relation.lookup_in``) and
+keeps an arbitrary prefix of ``Relation.fetch_many``;
+:class:`RoundRobinScans` keeps one open scan of joining tuples per
+driving value, consumed one tuple per scan per round (**RoundRobin**).
 """
 
 from __future__ import annotations
@@ -21,68 +16,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .relation import Relation
 from .row import Row
 
-__all__ = [
-    "select_by_tids",
-    "select_eq",
-    "select_in",
-    "top_n",
-    "RoundRobinScans",
-]
-
-
-def select_by_tids(
-    relation: Relation,
-    tids: Iterable[int],
-    attributes: Optional[Sequence[str]] = None,
-    limit: Optional[int] = None,
-) -> list[Row]:
-    """Fetch the tuples with the given ids, projected, optionally truncated.
-
-    Tids are visited in sorted order so that results are deterministic
-    across runs (sets have no stable order in CPython across processes).
-    """
-    return relation.fetch_many(sorted(tids), attributes, limit)
-
-
-def select_eq(
-    relation: Relation,
-    attribute: str,
-    value: Any,
-    attributes: Optional[Sequence[str]] = None,
-    limit: Optional[int] = None,
-) -> list[Row]:
-    """``σ_{attribute=value}(R)[attributes]`` via index when available."""
-    tids = relation.lookup(attribute, value)
-    return select_by_tids(relation, tids, attributes, limit)
-
-
-def select_in(
-    relation: Relation,
-    attribute: str,
-    values: Iterable[Any],
-    attributes: Optional[Sequence[str]] = None,
-    limit: Optional[int] = None,
-) -> list[Row]:
-    """``σ_{attribute IN values}(R)[attributes]`` — the NaïveQ join probe.
-
-    With ``limit`` set, an arbitrary (but deterministic) prefix is kept;
-    for 1-to-n joins this is exactly the paper's risk case where some
-    driving tuples may end up with no join partners.
-    """
-    tids = relation.lookup_in(attribute, values)
-    return select_by_tids(relation, tids, attributes, limit)
-
-
-def top_n(rows: Iterable[Row], n: Optional[int]) -> list[Row]:
-    """Keep the first *n* rows (all of them if *n* is None)."""
-    if n is None:
-        return list(rows)
-    out = []
-    for row in rows:
-        if len(out) >= n:
-            break
-        out.append(row)
-    return out
+__all__ = ["RoundRobinScans"]
 
 
 class RoundRobinScans:

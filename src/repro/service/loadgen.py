@@ -41,7 +41,6 @@ from typing import Optional, Sequence
 
 from ..core.engine import PrecisEngine
 from ..obs.context import TraceBuffer
-from ..obs.profile import StackSampler
 from ..obs.slo import SLOTracker
 from .errors import (
     QueueFull,
@@ -336,7 +335,6 @@ def run_bench(
     max_pending: int = 256,
     compare_coalescing: bool = True,
     traces: Optional[TraceBuffer] = None,
-    profile: bool = False,
     **submit_kwargs,
 ) -> dict:
     """The serving experiment: the stream through a fresh pool + front
@@ -347,9 +345,8 @@ def run_bench(
     The coalesced arm carries the request-side picture: the final
     metric ``counters``, the ``slo`` snapshot, the ``inflight``/
     ``pending`` gauges after the run (0 once everything resolved),
-    the trace-buffer stats when *traces* is given, and the per-stage
-    ``profile`` of the statistical profiler
-    (:class:`~repro.obs.profile.StackSampler`) when *profile* is set.
+    and the trace-buffer stats when *traces* is given; the kept span
+    trees stay in *traces* for the caller to read.
     """
 
     def arm(coalesce: bool) -> dict:
@@ -358,7 +355,6 @@ def run_bench(
             config=ServiceConfig(workers=workers),
             traces=traces if coalesce else None,
         )
-        sampler = StackSampler() if profile and coalesce else None
 
         async def run() -> dict:
             frontdoor = AsyncFrontDoor(
@@ -372,20 +368,15 @@ def run_bench(
             finally:
                 await frontdoor.close()
 
-        if sampler is not None:
-            sampler.start()
         try:
             payload = asyncio.run(run())
         finally:
-            report = sampler.stop() if sampler is not None else None
             service.close()
         metrics = service.metrics
         payload["inflight_after"] = metrics.inflight.value
         payload["pending_after"] = metrics.pending.value
         payload["counters"] = metrics.snapshot()["counters"]
         payload["slo"] = SLOTracker(metrics.registry).snapshot()
-        if report is not None:
-            payload["profile"] = report
         if traces is not None and coalesce:
             payload["traces"] = traces.stats()
         return payload

@@ -111,18 +111,21 @@ class TestAnswerIsADatabase:
         back = load_database(path, enforce_foreign_keys=False)
         assert back.cardinalities() == answer.cardinalities()
 
-    def test_sql_over_answer(self, engine, synthetic_movies):
-        from repro.relational.sql import execute
-
+    def test_sql_over_answer(self, engine, synthetic_movies, tmp_path):
         name = _any_director(synthetic_movies)
         answer = engine.ask(
             f'"{name}"', degree=WeightThreshold(0.9),
             cardinality=MaxTuplesPerRelation(4),
         )
-        rows = execute(
-            answer.database,
-            "SELECT m.TITLE FROM MOVIE m, DIRECTOR d WHERE m.DID = d.DID",
+        copy = load_database(
+            save_database(answer.database, tmp_path / "precis"),
+            enforce_foreign_keys=False,
+            backend="sqlite",
         )
+        rows = copy.backend.connection.execute(
+            "SELECT m.TITLE FROM MOVIE m, DIRECTOR d WHERE m.DID = d.DID"
+        ).fetchall()
+        copy.close()
         assert len(rows) == len(answer.rows_of("MOVIE"))
 
 

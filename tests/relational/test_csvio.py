@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational import Database, SchemaError
+from repro.relational import SchemaError
 from repro.relational.csvio import (
     load_database,
     save_database,
@@ -68,9 +68,10 @@ class TestDatabaseRoundtrip:
         }
         assert rows[92] == "\\N"
 
-    def test_database_methods_roundtrip(self, tiny_db, tmp_path, backend):
-        tiny_db.to_csv_dir(tmp_path / "d")
-        back = Database.from_csv_dir(tmp_path / "d", backend=backend)
+    def test_roundtrip_onto_each_backend(self, tiny_db, tmp_path, backend):
+        back = load_database(
+            save_database(tiny_db, tmp_path / "d"), backend=backend
+        )
         assert back.backend_name == backend
         assert back.cardinalities() == tiny_db.cardinalities()
         originals = sorted(

@@ -1,6 +1,6 @@
-"""Unit tests for the query operators — including the paper's NaïveQ
+"""Unit tests for the RoundRobin scan cursors and their fairness
 
-prefix semantics and the RoundRobin fairness property."""
+property (paper §5.2)."""
 
 import pytest
 
@@ -9,10 +9,6 @@ from repro.relational import (
     DataType,
     RelationSchema,
     RoundRobinScans,
-    select_by_tids,
-    select_eq,
-    select_in,
-    top_n,
 )
 from repro.relational.relation import Relation
 
@@ -34,44 +30,6 @@ def children():
         rel.insert({"CID": cid, "PID": pid})
     rel.create_index("PID")
     return rel
-
-
-class TestSelectByTids:
-    def test_sorted_deterministic(self, children):
-        rows = select_by_tids(children, {3, 1, 2})
-        assert [r.tid for r in rows] == [1, 2, 3]
-
-    def test_limit_prefix(self, children):
-        rows = select_by_tids(children, range(1, 11), limit=4)
-        assert [r.tid for r in rows] == [1, 2, 3, 4]
-
-    def test_projection(self, children):
-        rows = select_by_tids(children, [1], attributes=["PID"])
-        assert rows[0].attributes == ("PID",)
-
-
-class TestSelectEqAndIn:
-    def test_select_eq(self, children):
-        rows = select_eq(children, "PID", 2)
-        assert {r["CID"] for r in rows} == {7, 8, 9}
-
-    def test_select_in(self, children):
-        rows = select_in(children, "PID", [2, 3])
-        assert {r["CID"] for r in rows} == {7, 8, 9, 10}
-
-    def test_naive_starvation(self, children):
-        """The paper's NaïveQ risk: an arbitrary prefix over a 1-to-n
-
-        join can starve later driving values entirely."""
-        rows = select_in(children, "PID", [1, 2, 3], limit=6)
-        pids = {r["PID"] for r in rows}
-        assert pids == {1}  # parent 1's six children hog the prefix
-
-    def test_top_n(self, children):
-        rows = list(children.scan())
-        assert len(top_n(rows, 3)) == 3
-        assert len(top_n(rows, None)) == 10
-        assert top_n(rows, 0) == []
 
 
 class TestRoundRobin:

@@ -294,8 +294,8 @@ class TestMetricsExport:
 class TestServeBenchTracing:
     @pytest.fixture(scope="class")
     def bench_dir(self, tmp_path_factory):
-        """One small traced + profiled serve-bench run shared by the
-        class: its JSONL capture, JSON payload, and printed output."""
+        """One small traced serve-bench run shared by the class: its
+        JSONL capture, JSON payload, and printed output."""
         directory = tmp_path_factory.mktemp("serve")
         trace_path = directory / "trace.jsonl"
         json_path = directory / "BENCH.json"
@@ -305,7 +305,6 @@ class TestServeBenchTracing:
                 "--clients", "2", "--requests", "3", "--workers", "1",
                 "--trace-out", str(trace_path),
                 "--trace-sample", "1.0",
-                "--profile",
                 "--json-out", str(json_path),
             ]
         )
@@ -318,7 +317,7 @@ class TestServeBenchTracing:
         lines = (directory / "trace.jsonl").read_text().splitlines()
         assert len(lines) == 6
 
-    def test_payload_carries_slo_profile_and_trace_stats(self, bench_dir):
+    def test_payload_carries_slo_and_trace_stats(self, bench_dir):
         import json
 
         directory, __ = bench_dir
@@ -326,7 +325,6 @@ class TestServeBenchTracing:
         payload = serve["coalesced"]
         assert payload["traces"]["kept"] == 6
         assert payload["slo"]["objectives"]
-        assert "attributed_fraction" in payload["profile"]
 
     def test_export_chrome_validates(self, bench_dir):
         import json

@@ -4,6 +4,7 @@ its cheap tables runnable (the heavy sweeps are exercised by the
 pytest-benchmark suite)."""
 
 import importlib.util
+import platform
 import sys
 from pathlib import Path
 
@@ -65,6 +66,10 @@ def test_main_writes_bench_json(tmp_path, capsys):
     assert experiment["rows"]
     assert experiment["seconds"] >= 0
     assert document["total_seconds"] >= experiment["seconds"] * 0.99
+    stamp = experiment["stamp"]
+    assert set(stamp) == {"host", "cpus", "python", "commit", "dirty"}
+    assert stamp["python"] == platform.python_version()
+    assert stamp["cpus"] >= 1
 
 
 def test_tenants_scaling_payload(capsys):
