@@ -14,10 +14,16 @@ Both bounds evict least-recently-used entries first and count
 **evictions**. Sizes are estimates — the byte bound exists to keep an
 answer cache from hoarding arbitrarily large result databases, not to
 account memory exactly.
+
+One lock serializes every operation that reads or reorders the
+entries, so threads may share a cache: the worker threads of a pool
+over one engine, and the event loop that answers cached asks at
+admission (:mod:`repro.service.frontdoor`).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
@@ -104,6 +110,7 @@ class LRUCache:
         self._sizer = sizer or (lambda value: 1)
         self._entries: dict[Hashable, _Entry] = {}
         self._bytes = 0
+        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------- queries
@@ -119,6 +126,14 @@ class LRUCache:
         """Summed size estimates of the live entries."""
         return self._bytes
 
+    def holds(self, key: Hashable, version: Hashable = None) -> bool:
+        """True iff a live entry (one stored at *version*) sits under
+        *key*. Counts no lookup, drops nothing and leaves recency
+        alone: a :meth:`get` that follows does all three."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return entry is not None and entry.version == version
+
     def get(self, key: Hashable, version: Hashable = None) -> Any:
         """The live value under *key*, or :data:`MISSING`.
 
@@ -126,20 +141,21 @@ class LRUCache:
         removed, counted as an invalidation, and the lookup is a miss.
         A hit refreshes the entry's recency.
         """
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return MISSING
-        if entry.version != version:
-            self._remove(key, entry)
-            self.stats.invalidations += 1
-            self.stats.misses += 1
-            return MISSING
-        # refresh recency: move to the most-recent end
-        del self._entries[key]
-        self._entries[key] = entry
-        self.stats.hits += 1
-        return entry.value
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.stats.misses += 1
+                return MISSING
+            if entry.version != version:
+                self._remove(key, entry)
+                self.stats.invalidations += 1
+                self.stats.misses += 1
+                return MISSING
+            # refresh recency: move to the most-recent end
+            del self._entries[key]
+            self._entries[key] = entry
+            self.stats.hits += 1
+            return entry.value
 
     # ------------------------------------------------------------- writes
 
@@ -149,37 +165,41 @@ class LRUCache:
         size = self._sizer(value) if self.max_bytes is not None else 0
         if self.max_bytes is not None and size > self.max_bytes:
             return  # would evict everything and still not fit
-        old = self._entries.get(key)
-        if old is not None:
-            self._remove(key, old)
-        self._entries[key] = _Entry(version, value, size)
-        self._bytes += size
-        while len(self._entries) > self.max_entries or (
-            self.max_bytes is not None and self._bytes > self.max_bytes
-        ):
-            lru_key = next(iter(self._entries))
-            self._remove(lru_key, self._entries[lru_key])
-            self.stats.evictions += 1
+        with self._lock:
+            old = self._entries.get(key)
+            if old is not None:
+                self._remove(key, old)
+            self._entries[key] = _Entry(version, value, size)
+            self._bytes += size
+            while len(self._entries) > self.max_entries or (
+                self.max_bytes is not None and self._bytes > self.max_bytes
+            ):
+                lru_key = next(iter(self._entries))
+                self._remove(lru_key, self._entries[lru_key])
+                self.stats.evictions += 1
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; returns True iff it existed."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return False
-        self._remove(key, entry)
-        self.stats.invalidations += 1
-        return True
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return False
+            self._remove(key, entry)
+            self.stats.invalidations += 1
+            return True
 
     def clear(self) -> int:
         """Drop every entry (each counted as an invalidation); returns
         the number dropped."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        self._bytes = 0
-        self.stats.invalidations += dropped
-        return dropped
+        with self._lock:
+            dropped = len(self._entries)
+            self._entries.clear()
+            self._bytes = 0
+            self.stats.invalidations += dropped
+            return dropped
 
     def _remove(self, key: Hashable, entry: _Entry) -> None:
+        # callers hold self._lock
         del self._entries[key]
         self._bytes -= entry.size
 

@@ -12,6 +12,7 @@ translator is configured — the natural-language narrative.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,6 +63,12 @@ class PrecisAnswer:
     #: ``"schema"`` / ``"tuples"`` / ``"translate"``); None when not
     #: degraded. Mirrored into EXPLAIN provenance.
     degraded_stage: Optional[str] = None
+
+    def __post_init__(self):
+        # the to_json() bytes once computed, in one slot that shallow
+        # copies share: a traced cache hit is such a copy, differing
+        # only in ``stats``, which the encoding leaves out
+        self._encoded: list[Optional[bytes]] = [None]
 
     # ------------------------------------------------------------- queries
 
@@ -158,6 +165,22 @@ class PrecisAnswer:
                 "scan_steps": self.cost.scan_steps,
             },
         }
+
+    def to_json(self) -> bytes:
+        """:meth:`to_dict` as sorted-key UTF-8 JSON — the body of a
+        served answer.
+
+        Encoded on the first call and kept, so every caller holding
+        this answer (cache hits, coalesced waiters) shares one
+        encoding, and so does a shallow copy (``copy.copy``). An answer
+        is complete when :meth:`~repro.core.engine.PrecisEngine.ask`
+        returns it and is never changed afterwards."""
+        slot = self._encoded
+        if slot[0] is None:
+            slot[0] = json.dumps(self.to_dict(), sort_keys=True).encode(
+                "utf-8"
+            )
+        return slot[0]
 
     # ------------------------------------------------------------- display
 

@@ -16,7 +16,7 @@ a :class:`~repro.core.answer.PrecisAnswer`.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
 from typing import Iterable, Optional, Union
 
 from ..cache import (
@@ -472,6 +472,23 @@ class PrecisEngine:
             path_scoped,
         )
 
+    def holds_answer(self, signature: Optional[tuple]) -> bool:
+        """True iff the answer cache holds a live answer under
+        *signature* (an :meth:`ask_signature` result): one stored under
+        the current data, index and graph epochs.
+
+        Counts no lookup and leaves recency alone — the :meth:`ask`
+        that serves the answer does both. The async front door asks
+        this at admission to answer a cached ask on its event loop
+        (:mod:`repro.service.frontdoor`). A write or an eviction may
+        still land before that ask, which then runs the pipeline."""
+        answers = self.cache.answers if self.cache is not None else None
+        if answers is None or signature is None:
+            return False
+        return answers.holds(
+            signature, answer_token(self.db, self.index, self.graph)
+        )
+
     def ask(
         self,
         query: PrecisQuery | str,
@@ -651,9 +668,10 @@ class PrecisEngine:
             if cache_key is not None:
                 # a cached answer is shared by every later hit, so it
                 # never carries one ask's spans: this ask gets its own
-                answer = replace(answer, stats=root)
-            else:
-                answer.stats = root
+                # (a shallow copy, which shares the answer's encoded
+                # body; stats are not part of it)
+                answer = copy.copy(answer)
+            answer.stats = root
         self._observe(root, query, trace_id)
         return answer
 

@@ -695,11 +695,11 @@ class ServiceMetrics:
 
     Accounting granularity, deliberately mixed:
 
-    * **per waiter** — ``requests``, ``coalesced``, ``answered``,
-      ``degraded``, the latency histogram and the ``inflight`` gauge:
-      every caller that submitted, including coalesced followers,
-      shows up once, so availability and goodput are measured in
-      user-visible answers;
+    * **per waiter** — ``requests``, ``coalesced``, ``admission_hits``,
+      ``answered``, ``degraded``, the latency histogram and the
+      ``inflight`` gauge: every caller that submitted, including
+      coalesced followers, shows up once, so availability and goodput
+      are measured in user-visible answers;
     * **per flight** (one logical engine execution) — ``executions``,
       ``failures``, ``retries`` and the ``pending`` gauge: a failed
       flight with ten coalesced waiters failed *once* upstream.
@@ -708,6 +708,11 @@ class ServiceMetrics:
     submit and ``stale_follower`` refuse one waiter; ``preempted``,
     ``stale`` at dispatch and ``tenant_quota`` refuse one flight, and
     every waiter coalesced onto it sees the same error.
+
+    Every request is an execution's leader, a coalesced follower, an
+    admission hit or shed at submit, so ``requests`` equals
+    ``executions + coalesced + admission_hits + sheds`` — less the
+    ``stale_follower`` sheds, which refuse a follower already counted.
 
     The optional *tenant* on the recorders adds a tenant-labelled
     series NEXT TO the fleet series (never instead of it).
@@ -752,6 +757,15 @@ class ServiceMetrics:
         self.registry.counter(
             "precis_service_coalesced_total",
             "requests coalesced into an in-flight identical ask",
+            priority=priority,
+        ).inc()
+
+    def admission_hit(self, priority: str) -> None:
+        """A request answered from the engine's answer cache at
+        admission, without a flight or a worker."""
+        self.registry.counter(
+            "precis_service_admission_hits_total",
+            "requests answered from the answer cache at admission",
             priority=priority,
         ).inc()
 

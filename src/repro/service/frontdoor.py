@@ -42,6 +42,17 @@ request-per-user web front end needs:
   (:class:`~repro.service.errors.TenantQuotaExceeded`) and the one
   shed fans out to every waiter. The slot is released when the flight
   resolves.
+* **Admission hits** — when the first engine's answer cache holds a
+  live answer under the request's signature
+  (:meth:`~repro.core.engine.PrecisEngine.holds_answer`), the request
+  is answered on the loop by
+  :meth:`~repro.core.engine.PrecisEngine.ask`, which serves the cached
+  answer: no flight, no pending slot, no worker. Closed and stale
+  sheds still come first; a full pending queue and a tenant holding
+  all its slots do not refuse it, since both bound executions. A
+  write or an eviction landing between the check and the ask makes
+  that one ask run the pipeline on the loop; its answer is still
+  correct.
 
 Dispatch runs one flight per pool worker, so the pool's hand-off queue
 stays empty and ordering decisions live entirely in the priority queue
@@ -57,12 +68,15 @@ traces the execution — front-door queueing plus the full engine
 subtree; every follower and every shed waiter gets its own ``request``
 span here, followers with a ``coalesced`` child and
 :attr:`~repro.obs.context.RequestTrace.coalesced_into` naming the
-leader's trace id.
+leader's trace id. An admission hit is traced here too: its
+``request`` root holds the engine's ``ask`` → ``cache`` subtree, with
+worker ``frontdoor`` and no queue wait.
 
 Everything here runs on one event loop: submissions, admission,
 coalescing bookkeeping, quotas and dispatch are loop-confined (no
-locks), and only the engine execution crosses into the pool's worker
-threads.
+locks), and only flights cross into the pool's worker threads. The
+one engine call made on the loop is an admission hit's ask, whose
+cache read takes the cache's own lock.
 """
 
 from __future__ import annotations
@@ -75,7 +89,14 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..core.deadline import NO_DEADLINE, Deadline
-from ..obs.context import RequestTrace, TraceContext, synthetic_span
+from ..obs.context import (
+    RequestTrace,
+    TraceContext,
+    activate,
+    deactivate,
+    synthetic_span,
+)
+from ..obs.tracer import Tracer
 from .errors import (
     QueueFull,
     ServiceClosed,
@@ -202,6 +223,8 @@ class AsyncFrontDoor:
         self._started = False
         self._work: Optional[asyncio.Event] = None
         self._dispatchers: list[asyncio.Task] = []
+        # records traced admission hits; its span stack is the loop's
+        self._tracer = Tracer()
 
     # ------------------------------------------------------------- submit
 
@@ -226,7 +249,9 @@ class AsyncFrontDoor:
         arguments go to :meth:`~repro.core.engine.PrecisEngine.ask` and
         take part in the coalescing signature (an argument the
         signature cannot canonicalize — e.g. a *tuple_weigher* —
-        disables coalescing for that request only).
+        disables coalescing for that request only). A request whose
+        answer the first engine's answer cache holds is answered at
+        admission, on the loop, without a flight.
         """
         if priority not in _RANK:
             raise ValueError(
@@ -258,11 +283,22 @@ class AsyncFrontDoor:
                 self._shed(context, "stale", priority, tenant)
                 raise StaleRequest(0.0)
 
+            engine = self.service.engines[0]
+            caches_answers = (
+                engine.cache is not None and engine.cache.answers is not None
+            )
             key = (
-                self._coalesce_key(query, ask_kwargs)
-                if self.config.coalesce
+                self._signature(engine, query, ask_kwargs)
+                if self.config.coalesce or caches_answers
                 else None
             )
+            if engine.holds_answer(key):
+                return self._answer_hit(
+                    engine, query, deadline, ask_kwargs, priority, tenant,
+                    context, start,
+                )
+            if not self.config.coalesce:
+                key = None
             flight = self._flights.get(key) if key is not None else None
             if flight is not None and flight.state != "done":
                 # -------- follower: identical ask already in flight
@@ -299,10 +335,11 @@ class AsyncFrontDoor:
         )
         return Deadline.after(seconds) if seconds is not None else NO_DEADLINE
 
-    def _coalesce_key(self, query, ask_kwargs) -> Optional[tuple]:
-        """The flight key of one submission: the engine's canonical ask
-        signature, or None when the call must not be coalesced."""
-        engine = self.service.engines[0]
+    @staticmethod
+    def _signature(engine, query, ask_kwargs) -> Optional[tuple]:
+        """The engine's canonical ask signature of one submission — its
+        flight key and its answer-cache key — or None when the call must
+        not be coalesced or cached."""
         try:
             return engine.ask_signature(query, **ask_kwargs)
         except TypeError:
@@ -310,6 +347,75 @@ class AsyncFrontDoor:
             # unknown kwarg...): run it uncoalesced, the engine will
             # surface any real error
             return None
+
+    def _answer_hit(
+        self, engine, query, deadline, ask_kwargs, priority, tenant,
+        context, start,
+    ):
+        """Answer an admission hit on the loop. It goes through
+        :meth:`~repro.core.engine.PrecisEngine.ask`, so the engine's
+        cache counters and metrics see it, and is counted, timed and
+        traced like any other answer."""
+        self.metrics.admission_hit(priority)
+        root = None
+        token = activate(context) if context is not None else None
+        try:
+            if context is None:
+                answer = engine.ask(query, deadline=deadline, **ask_kwargs)
+            else:
+                with self._tracer.span("request") as root:
+                    answer = engine.ask(
+                        query, deadline=deadline, tracer=self._tracer,
+                        **ask_kwargs,
+                    )
+        except Exception as exc:
+            # only an ask the cache lost since the check runs the
+            # pipeline, and so can fail
+            self.metrics.failed(type(exc).__name__)
+            self._offer_hit_trace(context, root, "failed", error=exc)
+            raise
+        finally:
+            if token is not None:
+                deactivate(token)
+        degraded_stage = answer.degraded_stage if answer.degraded else None
+        self._offer_hit_trace(
+            context, root, "degraded" if answer.degraded else "answered",
+            degraded_stage=degraded_stage,
+        )
+        self.metrics.answered(
+            time.monotonic() - start,
+            priority,
+            degraded_stage=degraded_stage,
+            tenant=tenant,
+            trace_id=context.trace_id if context is not None else None,
+        )
+        return answer
+
+    def _offer_hit_trace(
+        self,
+        context: Optional[TraceContext],
+        root,
+        outcome: str,
+        degraded_stage: Optional[str] = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """An admission hit's trace: its ``request`` root, moved back
+        to the submit instant, over the engine's ``ask`` subtree."""
+        if context is None:
+            return
+        root.wall_start = context.submitted_wall
+        root._mono_start = context.submitted_mono
+        self.service.traces.offer(
+            RequestTrace(
+                context=context,
+                root=root,
+                outcome=outcome,
+                duration_s=root.duration_s,
+                degraded_stage=degraded_stage,
+                error=type(error).__name__ if error is not None else None,
+                worker="frontdoor",
+            )
+        )
 
     # ---------------------------------------------------------- admission
 

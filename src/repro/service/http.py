@@ -321,7 +321,9 @@ class FrontDoorHTTP:
                 {"error": type(exc).__name__, "detail": str(exc)},
                 "application/json",
             )
-        return 200, answer.to_dict(), "application/json"
+        # the answer's kept encoding: a cache hit or a coalesced
+        # waiter writes bytes another request already encoded
+        return 200, answer.to_json(), "application/json"
 
     async def _respond(
         self,

@@ -1,5 +1,9 @@
 """Unit tests for the versioned LRU building block."""
 
+import os
+import sys
+import threading
+
 import pytest
 
 from repro.cache import MISSING, LRUCache
@@ -122,3 +126,47 @@ class TestEviction:
         cache.put("k", "x" * 30, version=1)
         cache.get("k", version=2)
         assert cache.current_bytes == 0
+
+
+class TestSharedAcrossThreads:
+    def test_concurrent_get_and_put_stay_consistent(self):
+        """More threads than cores get-then-put over 32 keys into an
+        8-entry cache, switching every microsecond so that they
+        interleave inside ``get`` and ``put``. Unlocked, this raises (a
+        dict changed size during eviction, or a KeyError) or loses an
+        entry's bytes or a counted lookup."""
+        cache = LRUCache(max_entries=8, max_bytes=1_000, sizer=len)
+        n_threads = max(2, (os.cpu_count() or 1) + 1)
+        rounds = 10_000
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(rounds):
+                    key = (i * 7 + offset) % 32
+                    version = (i // 64) % 2
+                    if cache.get(key, version) is MISSING:
+                        cache.put(key, "x" * (key + 1), version)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(3 * offset,))
+                for offset in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= cache.max_entries
+        live = [key for key in range(32) if key in cache]
+        assert len(live) == len(cache)
+        assert cache.current_bytes == sum(key + 1 for key in live)
+        assert cache.stats.lookups == n_threads * rounds

@@ -22,6 +22,7 @@ __all__ = [
     "canonical",
     "entered",
     "http_get",
+    "http_get_bytes",
     "run",
     "serve",
     "spin",
@@ -101,9 +102,11 @@ def serve(service, query, frontdoor_config=None, **submit_kwargs):
     return run(go())
 
 
-async def http_get(host: str, port: int, target: str, method: str = "GET"):
+async def http_get_bytes(
+    host: str, port: int, target: str, method: str = "GET"
+) -> tuple[int, bytes]:
     """A raw single-shot HTTP client on the test's own loop; returns
-    (status, parsed-or-raw body)."""
+    (status, body bytes as sent)."""
     reader, writer = await asyncio.open_connection(host, port)
     writer.write(
         f"{method} {target} HTTP/1.1\r\nHost: test\r\n\r\n".encode()
@@ -116,7 +119,13 @@ async def http_get(host: str, port: int, target: str, method: str = "GET"):
     except (ConnectionResetError, BrokenPipeError):
         pass
     head, __, body = raw.partition(b"\r\n\r\n")
-    status = int(head.split()[1])
+    return int(head.split()[1]), body
+
+
+async def http_get(host: str, port: int, target: str, method: str = "GET"):
+    """:func:`http_get_bytes` with the body parsed as JSON when it is
+    JSON; returns (status, parsed-or-raw body)."""
+    status, body = await http_get_bytes(host, port, target, method)
     try:
         parsed = json.loads(body)
     except ValueError:

@@ -84,8 +84,8 @@ class TestServiceStress:
         db = generate_movies_database(
             n_movies=80, seed=11, backend=stress_backend
         )
-        # worker-per-engine replicas: each engine (and its caches) is
-        # only ever touched by its own worker thread
+        # worker-per-engine replicas: each engine runs its own worker's
+        # asks (the first also serves the front door's admission hits)
         engines = [
             PrecisEngine(
                 db,
