@@ -4,7 +4,7 @@ The subsystem that makes repeated précis traffic cheap *and* correct
 under live updates. The old ad-hoc plan cache was documented as "never
 coherent with graph mutation"; this package replaces it with:
 
-* :class:`LRUCache` — a bounded (entries and/or bytes) LRU whose
+* :class:`LRUCache` — an entry-bounded LRU whose
   entries carry the validity token they were computed under, with
   hit / miss / eviction / invalidation counters
   (:class:`CacheStats`);
@@ -35,7 +35,6 @@ from .engine_cache import (
     CacheConfig,
     EngineCache,
     answer_key,
-    answer_size_estimate,
     plan_key,
 )
 from .lru import MISSING, CacheStats, LRUCache
@@ -49,7 +48,6 @@ __all__ = [
     "EngineCache",
     "plan_key",
     "answer_key",
-    "answer_size_estimate",
     "plan_token",
     "answer_token",
 ]

@@ -19,7 +19,7 @@ invalidation follows the token contract of :mod:`repro.cache.versions`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .lru import LRUCache
 
@@ -28,7 +28,6 @@ __all__ = [
     "EngineCache",
     "plan_key",
     "answer_key",
-    "answer_size_estimate",
 ]
 
 
@@ -93,20 +92,6 @@ def answer_key(
     return key
 
 
-def answer_size_estimate(answer) -> int:
-    """Rough in-memory footprint of one cached answer, in bytes.
-
-    Deliberately cheap and deliberately approximate: ~128 bytes per
-    result tuple plus the narrative text. Used by the answer cache's
-    ``max_bytes`` bound to keep huge result databases from monopolizing
-    the cache — not for exact memory accounting.
-    """
-    size = 256 + answer.total_tuples() * 128
-    if answer.narrative:
-        size += 2 * len(answer.narrative)
-    return size
-
-
 # ------------------------------------------------------------------ config
 
 
@@ -120,9 +105,6 @@ class CacheConfig:
     answers: bool = False
     plan_entries: int = 256
     answer_entries: int = 128
-    #: optional byte budget for the answer cache
-    #: (see :func:`answer_size_estimate`)
-    answer_bytes: Optional[int] = None
 
     def __post_init__(self):
         if self.plan_entries <= 0:
@@ -140,11 +122,7 @@ class EngineCache:
             LRUCache(self.config.plan_entries) if self.config.plans else None
         )
         self.answers: Optional[LRUCache] = (
-            LRUCache(
-                self.config.answer_entries,
-                max_bytes=self.config.answer_bytes,
-                sizer=answer_size_estimate,
-            )
+            LRUCache(self.config.answer_entries)
             if self.config.answers
             else None
         )

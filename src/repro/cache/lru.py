@@ -8,12 +8,8 @@ an older token is dropped on sight and counted as an **invalidation**,
 which is how graph/index/data epochs (see :mod:`repro.cache.versions`)
 turn mutation into cache eviction without any notification plumbing.
 
-Bounds: ``max_entries`` caps the entry count; ``max_bytes`` (optional)
-caps the sum of per-entry sizes as reported by the ``sizer`` callable.
-Both bounds evict least-recently-used entries first and count
-**evictions**. Sizes are estimates — the byte bound exists to keep an
-answer cache from hoarding arbitrarily large result databases, not to
-account memory exactly.
+Bound: ``max_entries`` caps the entry count; a put past it evicts the
+least-recently-used entry and counts an **eviction**.
 
 One lock serializes every operation that reads or reorders the
 entries, so threads may share a cache: the worker threads of a pool
@@ -25,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Hashable
 
 __all__ = ["MISSING", "CacheStats", "LRUCache"]
 
@@ -69,47 +65,16 @@ class CacheStats:
         )
 
 
-class _Entry:
-    __slots__ = ("version", "value", "size")
-
-    def __init__(self, version: Hashable, value: Any, size: int):
-        self.version = version
-        self.value = value
-        self.size = size
-
-
 class LRUCache:
-    """Versioned LRU mapping with entry- and byte-count bounds.
+    """Versioned LRU mapping holding at most *max_entries* (positive)
+    live entries."""
 
-    Parameters
-    ----------
-    max_entries:
-        Maximum number of live entries (must be positive).
-    max_bytes:
-        Optional cap on the summed ``sizer`` estimates of live values.
-        A single value larger than the whole budget is simply not
-        cached.
-    sizer:
-        ``value -> int`` size estimator; only consulted when
-        *max_bytes* is set. Defaults to counting every value as 1 (so a
-        bare *max_bytes* degenerates into a second entry bound).
-    """
-
-    def __init__(
-        self,
-        max_entries: int = 128,
-        max_bytes: Optional[int] = None,
-        sizer: Optional[Callable[[Any], int]] = None,
-    ):
+    def __init__(self, max_entries: int = 128):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._sizer = sizer or (lambda value: 1)
-        self._entries: dict[Hashable, _Entry] = {}
-        self._bytes = 0
+        #: key -> (version, value), least recently used first
+        self._entries: dict[Hashable, tuple[Hashable, Any]] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -121,18 +86,13 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    @property
-    def current_bytes(self) -> int:
-        """Summed size estimates of the live entries."""
-        return self._bytes
-
     def holds(self, key: Hashable, version: Hashable = None) -> bool:
         """True iff a live entry (one stored at *version*) sits under
         *key*. Counts no lookup, drops nothing and leaves recency
         alone: a :meth:`get` that follows does all three."""
         with self._lock:
             entry = self._entries.get(key)
-            return entry is not None and entry.version == version
+            return entry is not None and entry[0] == version
 
     def get(self, key: Hashable, version: Hashable = None) -> Any:
         """The live value under *key*, or :data:`MISSING`.
@@ -146,8 +106,8 @@ class LRUCache:
             if entry is None:
                 self.stats.misses += 1
                 return MISSING
-            if entry.version != version:
-                self._remove(key, entry)
+            if entry[0] != version:
+                del self._entries[key]
                 self.stats.invalidations += 1
                 self.stats.misses += 1
                 return MISSING
@@ -155,38 +115,19 @@ class LRUCache:
             del self._entries[key]
             self._entries[key] = entry
             self.stats.hits += 1
-            return entry.value
+            return entry[1]
 
     # ------------------------------------------------------------- writes
 
     def put(self, key: Hashable, value: Any, version: Hashable = None) -> None:
-        """Store *value* under *key* at *version*, evicting LRU entries
-        as needed to respect both bounds."""
-        size = self._sizer(value) if self.max_bytes is not None else 0
-        if self.max_bytes is not None and size > self.max_bytes:
-            return  # would evict everything and still not fit
+        """Store *value* under *key* at *version* as the most recent
+        entry, evicting the least-recently-used one past the bound."""
         with self._lock:
-            old = self._entries.get(key)
-            if old is not None:
-                self._remove(key, old)
-            self._entries[key] = _Entry(version, value, size)
-            self._bytes += size
-            while len(self._entries) > self.max_entries or (
-                self.max_bytes is not None and self._bytes > self.max_bytes
-            ):
-                lru_key = next(iter(self._entries))
-                self._remove(lru_key, self._entries[lru_key])
+            self._entries.pop(key, None)
+            self._entries[key] = (version, value)
+            if len(self._entries) > self.max_entries:
+                del self._entries[next(iter(self._entries))]
                 self.stats.evictions += 1
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns True iff it existed."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            self._remove(key, entry)
-            self.stats.invalidations += 1
-            return True
 
     def clear(self) -> int:
         """Drop every entry (each counted as an invalidation); returns
@@ -194,17 +135,11 @@ class LRUCache:
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
-            self._bytes = 0
             self.stats.invalidations += dropped
             return dropped
 
-    def _remove(self, key: Hashable, entry: _Entry) -> None:
-        # callers hold self._lock
-        del self._entries[key]
-        self._bytes -= entry.size
-
     def __repr__(self):
-        bound = f"{self.max_entries} entries"
-        if self.max_bytes is not None:
-            bound += f", {self.max_bytes} bytes"
-        return f"LRUCache({len(self)} live, bound {bound}, {self.stats!r})"
+        return (
+            f"LRUCache({len(self)} live, bound {self.max_entries} entries, "
+            f"{self.stats!r})"
+        )

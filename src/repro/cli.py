@@ -21,21 +21,17 @@ weights.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import (
-    CompositeCardinality,
-    CompositeDegree,
-    MaxPathLength,
-    MaxTotalTuples,
-    MaxTuplesPerRelation,
+    ConstraintOptionError,
     PrecisEngine,
-    TopRProjections,
-    WeightThreshold,
     answer_ddl,
     emitted_queries,
+    read_constraints,
     render_plan,
     render_stats,
 )
@@ -52,6 +48,20 @@ from .storage import BACKEND_NAMES, resolve_backend
 __all__ = ["main", "build_parser"]
 
 _GRAPH_FILE = "_graph.json"
+
+
+def _milliseconds(text: str) -> float:
+    """argparse type of the millisecond budgets: any number but NaN
+    (negative = already expired, ``inf`` = never expires)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a number of milliseconds, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--deadline-ms",
-            type=float,
+            type=_milliseconds,
             metavar="N",
             help="cooperative time budget for the ask (repro.core."
             "deadline): on expiry the pipeline stops at the next "
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--deadline-ms",
-        type=float,
+        type=_milliseconds,
         default=None,
         help="per-request deadline; expired requests degrade or are shed",
     )
@@ -346,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--timeout-ms",
-        type=float,
+        type=_milliseconds,
         default=None,
         help="default per-request deadline for requests carrying none",
     )
@@ -422,30 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         "problems",
     )
     return parser
-
-
-def _degree(args):
-    parts = []
-    if args.degree_weight is not None:
-        parts.append(WeightThreshold(args.degree_weight))
-    if args.degree_top is not None:
-        parts.append(TopRProjections(args.degree_top))
-    if args.degree_length is not None:
-        parts.append(MaxPathLength(args.degree_length))
-    if not parts:
-        return WeightThreshold(0.9)
-    return parts[0] if len(parts) == 1 else CompositeDegree(*parts)
-
-
-def _cardinality(args):
-    parts = []
-    if args.per_relation is not None:
-        parts.append(MaxTuplesPerRelation(args.per_relation))
-    if args.total is not None:
-        parts.append(MaxTotalTuples(args.total))
-    if not parts:
-        return None
-    return parts[0] if len(parts) == 1 else CompositeCardinality(*parts)
 
 
 def _deadline(args):
@@ -604,8 +590,8 @@ def _cmd_query(args, out) -> int:
     )
     answer = engine.ask(
         args.query,
-        degree=_degree(args),
-        cardinality=_cardinality(args),
+        degree=args.degree,
+        cardinality=args.cardinality,
         strategy=args.strategy,
         deadline=_deadline(args),
     )
@@ -652,8 +638,8 @@ def _cmd_explain(args, out) -> int:
     )
     answer = engine.ask(
         args.query,
-        degree=_degree(args),
-        cardinality=_cardinality(args),
+        degree=args.degree,
+        cardinality=args.cardinality,
         strategy=args.strategy,
         translate=False,
         deadline=_deadline(args),
@@ -686,7 +672,7 @@ def _cmd_estimate(args, out) -> int:
         metrics=_metrics_requested(args),
         slow_query_ms=args.slow_query_ms,
     )
-    schema, matches, __ = engine.plan(args.query, _degree(args))
+    schema, matches, __ = engine.plan(args.query, args.degree)
     if schema.is_empty():
         print(f"no match for {args.query!r}", file=out)
         return 1
@@ -993,9 +979,26 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code (a usage error exits 2
+    through :class:`SystemExit`, as argparse does)."""
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("query", "explain", "estimate"):
+        try:
+            args.degree, args.cardinality = read_constraints(
+                args.degree_weight,
+                args.degree_top,
+                args.degree_length,
+                args.per_relation,
+                args.total,
+            )
+        except ConstraintOptionError as exc:
+            flag = "--" + exc.option.replace("_", "-")
+            parser.error(
+                f"argument {flag}: {exc.value!r} is out of range "
+                f"({exc.reason})"
+            )
     return _COMMANDS[args.command](args, out)
 
 

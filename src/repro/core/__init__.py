@@ -5,6 +5,7 @@ from .constraints import (
     CardinalityConstraint,
     CompositeCardinality,
     CompositeDegree,
+    ConstraintOptionError,
     DeadlineCardinality,
     DegreeConstraint,
     MaxPathLength,
@@ -15,6 +16,7 @@ from .constraints import (
     Unlimited,
     WeightThreshold,
     cardinality_for_response_time,
+    read_constraints,
 )
 from .deadline import NO_DEADLINE, Deadline
 from .database_generator import (
@@ -78,6 +80,8 @@ __all__ = [
     "DeadlineCardinality",
     "Unlimited",
     "cardinality_for_response_time",
+    "ConstraintOptionError",
+    "read_constraints",
     "Deadline",
     "NO_DEADLINE",
     "emitted_queries",

@@ -54,6 +54,8 @@ __all__ = [
     "DeadlineCardinality",
     "Unlimited",
     "cardinality_for_response_time",
+    "ConstraintOptionError",
+    "read_constraints",
 ]
 
 
@@ -369,3 +371,70 @@ def cardinality_for_response_time(
     params = params or CostParameters()
     c_r = math.floor(target_cost / (n_relations * params.unit_fetch))
     return MaxTuplesPerRelation(max(0, c_r))
+
+
+# -------------------------------------------------------------------- options
+
+
+class ConstraintOptionError(ValueError):
+    """A constraint option whose value its constraint rejects.
+
+    *option* is the option's name (``"per_relation"``), *value* what was
+    given and *reason* the constraint's complaint.
+    """
+
+    def __init__(self, option: str, value, reason: str):
+        super().__init__(f"bad {option!r}: {value!r} ({reason})")
+        self.option = option
+        self.value = value
+        self.reason = reason
+
+
+def _option(name: str, build, value):
+    if value is None:
+        return None
+    try:
+        return build(value)
+    except ValueError as exc:
+        raise ConstraintOptionError(name, value, str(exc)) from None
+
+
+def _compose(composite, parts: list):
+    parts = [part for part in parts if part is not None]
+    if not parts:
+        return None
+    return parts[0] if len(parts) == 1 else composite(*parts)
+
+
+def read_constraints(
+    degree_weight: Optional[float] = None,
+    degree_top: Optional[int] = None,
+    degree_length: Optional[int] = None,
+    per_relation: Optional[int] = None,
+    total: Optional[int] = None,
+) -> tuple[Optional[DegreeConstraint], Optional[CardinalityConstraint]]:
+    """The ``(degree, cardinality)`` pair that the constraint options of
+    ``repro query`` and of ``/ask`` name.
+
+    A side with no option given is None, so the engine default applies;
+    several options on one side compose (:class:`CompositeDegree`,
+    :class:`CompositeCardinality`). A value its constraint rejects — a
+    negative count, a weight outside [0, 1] or NaN — raises
+    :class:`ConstraintOptionError` naming the option.
+    """
+    degree = _compose(
+        CompositeDegree,
+        [
+            _option("degree_weight", WeightThreshold, degree_weight),
+            _option("degree_top", TopRProjections, degree_top),
+            _option("degree_length", MaxPathLength, degree_length),
+        ],
+    )
+    cardinality = _compose(
+        CompositeCardinality,
+        [
+            _option("per_relation", MaxTuplesPerRelation, per_relation),
+            _option("total", MaxTotalTuples, total),
+        ],
+    )
+    return degree, cardinality

@@ -22,6 +22,7 @@ path to a single attribute check.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Optional
 
@@ -47,8 +48,11 @@ class Deadline:
         expires_at: Optional[float],
         clock: Callable[[], float] = time.monotonic,
     ):
-        """*expires_at* is a timestamp on *clock*'s axis; ``None`` never
-        expires."""
+        """*expires_at* is a timestamp on *clock*'s axis; ``None`` (or
+        ``inf``) never expires. NaN is rejected: it would never expire,
+        yet report no time remaining."""
+        if expires_at is not None and math.isnan(expires_at):
+            raise ValueError("a deadline cannot be NaN")
         self.expires_at = expires_at
         self.clock = clock
 
@@ -58,7 +62,8 @@ class Deadline:
     def after(
         cls, seconds: float, clock: Callable[[], float] = time.monotonic
     ) -> "Deadline":
-        """A deadline *seconds* from now (negative = already expired)."""
+        """A deadline *seconds* from now (negative = already expired,
+        ``inf`` = never expires, NaN = :class:`ValueError`)."""
         return cls(clock() + seconds, clock)
 
     @classmethod

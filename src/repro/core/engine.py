@@ -233,23 +233,42 @@ class PrecisEngine:
             return self.profiles.get(profile)
         return profile
 
-    def _effective_graph(
+    def _resolve(
         self,
-        resolved: Optional[Profile],
+        query: PrecisQuery | str,
+        degree: Optional[DegreeConstraint],
+        cardinality: Optional[CardinalityConstraint],
+        profile: Optional[Profile | str],
         weights: Optional[dict[tuple, float]],
-    ) -> SchemaGraph:
-        """The graph this ask traverses: the base graph seen through the
-        profile's weights plus any query-time overrides (overrides win).
+    ) -> tuple[
+        PrecisQuery, DegreeConstraint, CardinalityConstraint, SchemaGraph
+    ]:
+        """The parsed query, constraints and graph one call runs with.
 
-        A copy-on-write :class:`~repro.graph.overlay.WeightOverlay` —
-        never a clone — so per-tenant weighting costs O(overrides), the
-        base graph is shared by every concurrent ask, and the overlay's
-        canonical fingerprint keys the plan/answer caches (coinciding
-        tenants share entries). Returns the base graph itself when
-        there is nothing to override.
+        Explicit constraints win over the profile's, which win over the
+        engine defaults. The graph is the base graph seen through the
+        profile's weights plus any query-time overrides (overrides win):
+        a copy-on-write :class:`~repro.graph.overlay.WeightOverlay` —
+        never a clone — whose canonical fingerprint keys both caches, or
+        the base graph itself when nothing is overridden. :meth:`ask`,
+        :meth:`ask_signature`, :meth:`plan` and
+        :meth:`ask_per_occurrence` all resolve here, so the signature
+        the front door keys on is the key :meth:`ask` caches under.
         """
-        return overlay_graph(
+        if isinstance(query, str):
+            query = PrecisQuery.parse(query)
+        resolved = self._resolve_profile(profile)
+        if resolved is not None:
+            degree = degree or resolved.degree
+            cardinality = cardinality or resolved.cardinality
+        graph = overlay_graph(
             self.graph, resolved.weights if resolved else None, weights
+        )
+        return (
+            query,
+            degree or self.default_degree,
+            cardinality or self.default_cardinality,
+            graph,
         )
 
     # --------------------------------------------------------------- asking
@@ -309,33 +328,26 @@ class PrecisEngine:
         traversal, leaving a valid partial schema whose ``stop`` records
         ``kind="deadline"``. Partial schemas never enter the plan cache.
         """
-        schema, matches, graph, __ = self._plan(
-            query, degree, profile, weights, tracer, deadline
+        query, degree, __, graph = self._resolve(
+            query, degree, None, profile, weights
+        )
+        schema, matches, __ = self._plan(
+            query, degree, graph,
+            tracer if tracer is not None else self.tracer, deadline,
         )
         return schema, matches, graph
 
     def _plan(
         self,
-        query: PrecisQuery | str,
-        degree: Optional[DegreeConstraint] = None,
-        profile: Optional[Profile | str] = None,
-        weights: Optional[dict[tuple, float]] = None,
-        tracer: Optional[Tracer] = None,
-        deadline: Deadline = NO_DEADLINE,
-        graph: Optional[SchemaGraph] = None,
-    ) -> tuple[ResultSchema, list[TokenMatch], SchemaGraph, str]:
-        """:meth:`plan` plus the plan-cache outcome (``"hit"`` /
-        ``"miss"`` / ``"off"`` / ``"uncacheable"``) for provenance.
-        *graph* lets :meth:`ask` hand down the effective (overlay)
-        graph it already built instead of deriving it again."""
-        tracer = tracer if tracer is not None else self.tracer
-        if isinstance(query, str):
-            query = PrecisQuery.parse(query)
-        resolved = self._resolve_profile(profile)
-        if graph is None:
-            graph = self._effective_graph(resolved, weights)
-        degree = degree or (resolved.degree if resolved else None) or self.default_degree
-
+        query: PrecisQuery,
+        degree: DegreeConstraint,
+        graph: SchemaGraph,
+        tracer: Tracer,
+        deadline: Deadline,
+    ) -> tuple[ResultSchema, list[TokenMatch], str]:
+        """Steps 1–2 over resolved parameters (see :meth:`_resolve`),
+        plus the plan-cache outcome (``"hit"`` / ``"miss"`` / ``"off"``
+        / ``"uncacheable"``) for provenance."""
         with tracer.span("match"):
             matches = self.match(query, deadline=deadline)
             tracer.count(
@@ -386,7 +398,7 @@ class PrecisEngine:
                 tracer.count("cache_hit", 1 if hit else 0)
                 tracer.count("cache_miss", 0 if hit else 1)
                 if hit:
-                    return cached, matches, graph, outcome
+                    return cached, matches, outcome
             schema = generate_result_schema(
                 graph, token_relations, degree, tracer=tracer,
                 deadline=deadline,
@@ -398,7 +410,7 @@ class PrecisEngine:
             )
             if cacheable and not degraded:
                 plans.put(key, schema, token)
-        return schema, matches, graph, outcome
+        return schema, matches, outcome
 
     @staticmethod
     def _signature(
@@ -449,26 +461,11 @@ class PrecisEngine:
         """
         if tuple_weigher is not None:
             return None
-        if isinstance(query, str):
-            query = PrecisQuery.parse(query)
-        resolved = self._resolve_profile(profile)
-        degree = (
-            degree
-            or (resolved.degree if resolved else None)
-            or self.default_degree
-        )
-        cardinality = (
-            cardinality
-            or (resolved.cardinality if resolved else None)
-            or self.default_cardinality
+        query, degree, cardinality, graph = self._resolve(
+            query, degree, cardinality, profile, weights
         )
         return self._signature(
-            query,
-            degree,
-            cardinality,
-            strategy,
-            self._effective_graph(resolved, weights),
-            translate,
+            query, degree, cardinality, strategy, graph, translate,
             path_scoped,
         )
 
@@ -540,31 +537,17 @@ class PrecisEngine:
         """
         tracer, traced = self._ask_tracer(tracer)
         deadline = deadline if deadline is not None else NO_DEADLINE
-        if isinstance(query, str):
-            query = PrecisQuery.parse(query)
-        resolved = self._resolve_profile(profile)
-        degree = (
-            degree
-            or (resolved.degree if resolved else None)
-            or self.default_degree
+        query, degree, cardinality, graph = self._resolve(
+            query, degree, cardinality, profile, weights
         )
-        cardinality = (
-            cardinality
-            or (resolved.cardinality if resolved else None)
-            or self.default_cardinality
-        )
-
-        # the graph this ask actually traverses: base, or a flattened
-        # copy-on-write overlay (profile weights + query-time overrides)
-        effective_graph = self._effective_graph(resolved, weights)
 
         answer_lru = self.cache.answers if self.cache is not None else None
         cache_key = None
         answer_outcome = "off" if answer_lru is None else "uncacheable"
         if answer_lru is not None and tuple_weigher is None:
             cache_key = self._signature(
-                query, degree, cardinality, strategy, effective_graph,
-                translate, path_scoped,
+                query, degree, cardinality, strategy, graph, translate,
+                path_scoped,
             )
 
         # the serving layer's request context (None for direct asks):
@@ -599,9 +582,8 @@ class PrecisEngine:
                 degraded_stage: Optional[str] = None
                 if deadline.expired():
                     degraded_stage = "match"
-                schema, matches, __, plan_outcome = self._plan(
-                    query, degree, resolved, weights, tracer=tracer,
-                    deadline=deadline, graph=effective_graph,
+                schema, matches, plan_outcome = self._plan(
+                    query, degree, graph, tracer, deadline
                 )
                 if (
                     degraded_stage is None
@@ -735,21 +717,9 @@ class PrecisEngine:
         enabled, each answer's ``stats`` is its ``occurrence`` subtree
         of the one ``ask_per_occurrence`` root.
         """
-        if isinstance(query, str):
-            query = PrecisQuery.parse(query)
-        resolved = self._resolve_profile(profile)
-        graph = self._effective_graph(resolved, weights)
-        degree = (
-            degree
-            or (resolved.degree if resolved else None)
-            or self.default_degree
+        query, degree, cardinality, graph = self._resolve(
+            query, degree, cardinality, profile, weights
         )
-        cardinality = (
-            cardinality
-            or (resolved.cardinality if resolved else None)
-            or self.default_cardinality
-        )
-
         tracer, traced = self._ask_tracer(tracer)
         answers: list[PrecisAnswer] = []
         trace_id = current_trace_id()

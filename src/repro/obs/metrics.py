@@ -561,11 +561,10 @@ class EngineMetrics:
         self,
         registry: Optional[MetricsRegistry] = None,
         slow_query_ms: Optional[float] = None,
-        slow_log_capacity: int = 32,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.slow_queries: Optional[SlowQueryLog] = (
-            SlowQueryLog(slow_query_ms, slow_log_capacity)
+            SlowQueryLog(slow_query_ms)
             if slow_query_ms is not None
             else None
         )

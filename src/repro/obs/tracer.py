@@ -9,14 +9,14 @@ closed, to its sinks (see :mod:`repro.obs.sinks`).
 
 The default tracer everywhere in the engine is :data:`NULL_TRACER`,
 whose ``span()`` hands back one shared no-op context manager and whose
-``count()``/``gauge()`` return immediately — tracing off costs one
+``count()`` returns immediately — tracing off costs one
 attribute check per call site and allocates nothing, so the pipeline's
 behaviour (and the answers it produces) are byte-identical with and
 without instrumentation.
 
-Counter semantics: ``count`` *adds* to the innermost open span,
-``gauge`` *sets*. Counts issued while no span is open are dropped (the
-null path behaves identically). Counter values are plain ints; the
+Counter semantics: ``count`` *adds* to the innermost open span. Counts
+issued while no span is open are dropped (the null path behaves
+identically). Counter values are plain ints; the
 canonical names are listed in :data:`COUNTER_GLOSSARY`.
 
 A closed span tree is the one per-ask record: the engine hangs the
@@ -251,12 +251,6 @@ class Tracer:
         counters = self._stack[-1].counters
         counters[name] = counters.get(name, 0) + amount
 
-    def gauge(self, name: str, value: int) -> None:
-        """Set counter *name* of the innermost open span to *value*."""
-        if not self.enabled or not self._stack:
-            return
-        self._stack[-1].counters[name] = value
-
     # ------------------------------------------------------------- stack
 
     @property
@@ -298,9 +292,6 @@ class NullTracer(Tracer):
         return _NULL_SPAN_CONTEXT
 
     def count(self, name: str, amount: int = 1) -> None:
-        return None
-
-    def gauge(self, name: str, value: int) -> None:
         return None
 
 

@@ -3,7 +3,7 @@
 The paper ran on Oracle 9i; this package replaces it with a small,
 fully-tested engine exposing exactly what the précis algorithms need:
 typed schemas with primary/foreign keys, tuple-id addressed storage,
-hash/sorted indexes on join attributes, IN-list and tid-list selections
+hash indexes on join attributes, IN-list and tid-list selections
 with limits (NaïveQ), round-robin scan cursors, per-operation cost
 accounting matching the paper's ``IndexTime``/``TupleTime`` model, and
 CSV round-tripping.
@@ -25,7 +25,7 @@ from .errors import (
     TypeMismatchError,
     UnknownTupleError,
 )
-from .index import HashIndex, SortedIndex
+from .index import HashIndex
 from .query import RoundRobinScans
 from .relation import Relation
 from .stats import FanoutStats, RelationStats, database_summary, fanout_stats, relation_stats
@@ -45,7 +45,6 @@ __all__ = [
     "Relation",
     "Row",
     "HashIndex",
-    "SortedIndex",
     "RoundRobinScans",
     "RelationalError",
     "SchemaError",

@@ -226,17 +226,17 @@ class Database:
 
     # ------------------------------------------------------------------ indexes
 
-    def create_join_indexes(self, kind: str = "hash") -> None:
+    def create_join_indexes(self) -> None:
         """Index every attribute that participates in a foreign key —
 
         the "indexes on all join attributes" setup of the paper's §6."""
         for fk in self.schema.foreign_keys:
             source = self.relation(fk.source)
             if not source.has_index(fk.column):
-                source.create_index(fk.column, kind)
+                source.create_index(fk.column)
             target = self.relation(fk.target)
             if not target.has_index(fk.target_column):
-                target.create_index(fk.target_column, kind)
+                target.create_index(fk.target_column)
 
     # ------------------------------------------------------------------ checks
 
@@ -270,9 +270,6 @@ class Database:
             )
 
     # ------------------------------------------------------------------ utility
-
-    def snapshot_costs(self):
-        return self.meter.snapshot()
 
     @classmethod
     def from_rows(

@@ -199,23 +199,13 @@ class Relation:
 
     # ------------------------------------------------------------------ indexes
 
-    def create_index(self, attribute: str, kind: str = "hash") -> None:
+    def create_index(self, attribute: str) -> None:
         """Build (or rebuild) a secondary index on *attribute*."""
         self.schema.column(attribute)  # validates existence
-        if kind not in ("hash", "sorted"):
-            raise SchemaError(f"unknown index kind {kind!r}")
-        self.store.create_index(attribute, kind)
+        self.store.create_index(attribute)
 
     def has_index(self, attribute: str) -> bool:
         return self.store.has_index(attribute)
-
-    def index_on(self, attribute: str):
-        """The backend's index handle (an object with a ``kind``)."""
-        return self.store.index_on(attribute)
-
-    @property
-    def indexed_attributes(self) -> tuple[str, ...]:
-        return self.store.indexed_attributes
 
     # ------------------------------------------------------------------ reads
 

@@ -153,6 +153,10 @@ class FrontDoorConfig:
     def __post_init__(self):
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
+        if self.default_timeout_s is not None and math.isnan(
+            self.default_timeout_s
+        ):
+            raise ValueError("default_timeout_s cannot be NaN")
         if self.tenant_slots is not None and self.tenant_slots < 1:
             raise ValueError("tenant_slots must be at least 1")
 
@@ -257,6 +261,8 @@ class AsyncFrontDoor:
             raise ValueError(
                 f"priority must be one of {sorted(_RANK)}, got {priority!r}"
             )
+        # a NaN budget raises here, before the request is counted
+        deadline = self._resolve_deadline(deadline, timeout_s)
         self._ensure_started()
         start = time.monotonic()
         context: Optional[TraceContext] = None
@@ -272,7 +278,6 @@ class AsyncFrontDoor:
             if self._closed:
                 self._shed(context, "closed", priority, tenant)
                 raise ServiceClosed("front door is closed")
-            deadline = self._resolve_deadline(deadline, timeout_s)
             if context is not None and deadline.expires():
                 context.deadline_s = deadline.remaining()
             # Shed-on-stale at submit: an already-expired request

@@ -15,9 +15,10 @@ Routes (all GET; responses are JSON unless noted):
     ``degree_length``, ``per_relation``, ``total``, ``strategy``,
     ``translate`` (0/1). Shed outcomes map onto status codes: 408 for
     a stale (deadline-expired) request, 429 for queue-full and
-    tenant-quota sheds, 503 once closed, 400 for malformed parameters,
-    500 for execution failures — each with a JSON body naming the
-    error class.
+    tenant-quota sheds, 503 once closed, 400 for malformed parameters
+    (including a constraint value out of range and a NaN
+    ``deadline_ms``), 500 for execution failures — each with a JSON
+    body naming the error class.
 ``/metrics``
     Prometheus text exposition of the shared registry (the serving
     stack's one metrics family, plus the engines' series when they
@@ -44,16 +45,7 @@ import json
 from typing import Any, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from ..core import (
-    CompositeDegree,
-    MaxPathLength,
-    MaxTotalTuples,
-    MaxTuplesPerRelation,
-    CompositeCardinality,
-    TopRProjections,
-    WeightThreshold,
-)
-from ..core.deadline import Deadline
+from ..core import ConstraintOptionError, Deadline, read_constraints
 from .errors import (
     QueueFull,
     ServiceClosed,
@@ -100,37 +92,25 @@ def _param(params: dict, name: str, cast, default=None):
         raise _BadRequest(f"bad {name!r}: {values[-1]!r}") from exc
 
 
+def _deadline_after_ms(text: str) -> Deadline:
+    return Deadline.after(float(text) / 1000.0)
+
+
 def _ask_kwargs(params: dict) -> dict[str, Any]:
     """Translate /ask query parameters into submit() keyword arguments
-    (mirrors the CLI's --degree-*/--per-relation/--total flags)."""
-    kwargs: dict[str, Any] = {}
-    degree = []
-    weight = _param(params, "degree_weight", float)
-    if weight is not None:
-        degree.append(WeightThreshold(weight))
-    top = _param(params, "degree_top", int)
-    if top is not None:
-        degree.append(TopRProjections(top))
-    length = _param(params, "degree_length", int)
-    if length is not None:
-        degree.append(MaxPathLength(length))
-    if degree:
-        kwargs["degree"] = (
-            degree[0] if len(degree) == 1 else CompositeDegree(*degree)
+    (the constraint parameters are read as the CLI reads its
+    --degree-*/--per-relation/--total flags)."""
+    try:
+        degree, cardinality = read_constraints(
+            degree_weight=_param(params, "degree_weight", float),
+            degree_top=_param(params, "degree_top", int),
+            degree_length=_param(params, "degree_length", int),
+            per_relation=_param(params, "per_relation", int),
+            total=_param(params, "total", int),
         )
-    cardinality = []
-    per_relation = _param(params, "per_relation", int)
-    if per_relation is not None:
-        cardinality.append(MaxTuplesPerRelation(per_relation))
-    total = _param(params, "total", int)
-    if total is not None:
-        cardinality.append(MaxTotalTuples(total))
-    if cardinality:
-        kwargs["cardinality"] = (
-            cardinality[0]
-            if len(cardinality) == 1
-            else CompositeCardinality(*cardinality)
-        )
+    except ConstraintOptionError as exc:
+        raise _BadRequest(str(exc)) from exc
+    kwargs: dict[str, Any] = {"degree": degree, "cardinality": cardinality}
     strategy = _param(params, "strategy", str)
     if strategy is not None:
         kwargs["strategy"] = strategy
@@ -279,15 +259,10 @@ class FrontDoorHTTP:
             if priority not in (PRIORITY_INTERACTIVE, PRIORITY_BATCH):
                 raise _BadRequest(f"bad 'priority': {priority!r}")
             tenant = _param(params, "tenant", str)
-            deadline_ms = _param(params, "deadline_ms", float)
+            deadline = _param(params, "deadline_ms", _deadline_after_ms)
             kwargs = _ask_kwargs(params)
         except _BadRequest as exc:
             return 400, {"error": str(exc)}, "application/json"
-        deadline = (
-            Deadline.after(deadline_ms / 1000.0)
-            if deadline_ms is not None
-            else None
-        )
         try:
             answer = await self.frontdoor.submit(
                 query,

@@ -19,8 +19,8 @@ Backend selection threads through
     Database(schema, backend="sqlite")
     Database.from_rows(schema, data, backend=SQLiteBackend("precis.db"))
 
-See ``docs/storage.md`` for the protocol contract and how to write a
-third backend.
+See ``docs/storage.md`` for the protocol contract and how to add a
+third backend to :func:`~repro.storage.registry.resolve_backend`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .base import (
     TupleStore,
 )
 from .memory import MemoryBackend, MemoryStore
-from .registry import BACKEND_NAMES, register_backend, resolve_backend
+from .registry import BACKEND_NAMES, resolve_backend
 from .sqlite import SQLiteBackend, SQLiteStore
 
 __all__ = [
@@ -48,5 +48,4 @@ __all__ = [
     "SQLiteBackend",
     "BACKEND_NAMES",
     "resolve_backend",
-    "register_backend",
 ]

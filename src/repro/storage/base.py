@@ -169,26 +169,13 @@ class TupleStore(abc.ABC):
     # ------------------------------------------------------------- indexes
 
     @abc.abstractmethod
-    def create_index(self, attribute: str, kind: str = "hash") -> None:
-        """Build (or rebuild) a secondary index on *attribute*.
-
-        *kind* is ``"hash"`` or ``"sorted"``; backends without distinct
-        physical structures (SQLite b-trees serve both) record the kind
-        and provide equivalent probe behavior.
-        """
+    def create_index(self, attribute: str) -> None:
+        """Build (or rebuild) a secondary equality index on *attribute*:
+        it serves :meth:`lookup`, :meth:`lookup_in` and
+        :meth:`distinct_values` without changing their results."""
 
     @abc.abstractmethod
     def has_index(self, attribute: str) -> bool: ...
-
-    @abc.abstractmethod
-    def index_on(self, attribute: str):
-        """The index handle for *attribute* — any object with a ``kind``
-        attribute; raise :class:`~repro.relational.errors.SchemaError`
-        when no index exists."""
-
-    @property
-    @abc.abstractmethod
-    def indexed_attributes(self) -> tuple[str, ...]: ...
 
     # ------------------------------------------------------------- lifecycle
 

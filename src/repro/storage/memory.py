@@ -3,18 +3,17 @@
 Tuples live in an insertion-ordered ``dict[tid, tuple]`` (tid order ==
 insertion order == ascending, since tids are assigned monotonically),
 the primary key in a ``dict[pk tuple, tid]``, and secondary indexes as
-:class:`~repro.relational.index.HashIndex` /
-:class:`~repro.relational.index.SortedIndex` objects maintained on every
-insert and delete. This is the semantics reference every other backend
-is property-tested against.
+:class:`~repro.relational.index.HashIndex` objects maintained on every
+insert, update and delete. This is the semantics reference every other
+backend is property-tested against.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from ..relational.errors import PrimaryKeyViolation, SchemaError, UnknownTupleError
-from ..relational.index import HashIndex, SortedIndex
+from ..relational.errors import PrimaryKeyViolation, UnknownTupleError
+from ..relational.index import HashIndex
 from ..relational.schema import RelationSchema
 from .base import StorageBackend, TupleStore
 
@@ -32,7 +31,7 @@ class MemoryStore(TupleStore):
             schema.positions(schema.primary_key) if schema.primary_key else ()
         )
         self._pk_index: dict[tuple, int] = {}
-        self._indexes: dict[str, HashIndex | SortedIndex] = {}
+        self._indexes: dict[str, HashIndex] = {}
 
     # ------------------------------------------------------------- writes
 
@@ -152,15 +151,8 @@ class MemoryStore(TupleStore):
 
     # ------------------------------------------------------------- indexes
 
-    def create_index(self, attribute: str, kind: str = "hash") -> None:
-        if kind == "hash":
-            index: HashIndex | SortedIndex = HashIndex(
-                self.schema.name, attribute
-            )
-        elif kind == "sorted":
-            index = SortedIndex(self.schema.name, attribute)
-        else:
-            raise SchemaError(f"unknown index kind {kind!r}")
+    def create_index(self, attribute: str) -> None:
+        index = HashIndex(self.schema.name, attribute)
         pos = self.schema.position(attribute)
         for tid, stored in self._tuples.items():
             index.insert(stored[pos], tid)
@@ -168,18 +160,6 @@ class MemoryStore(TupleStore):
 
     def has_index(self, attribute: str) -> bool:
         return attribute in self._indexes
-
-    def index_on(self, attribute: str) -> HashIndex | SortedIndex:
-        try:
-            return self._indexes[attribute]
-        except KeyError:
-            raise SchemaError(
-                f"no index on {self.schema.name}.{attribute}"
-            ) from None
-
-    @property
-    def indexed_attributes(self) -> tuple[str, ...]:
-        return tuple(self._indexes)
 
     def __repr__(self):
         return f"MemoryStore({self.schema.name}, {len(self)} tuples)"

@@ -1,52 +1,24 @@
-"""Backend registry: names → :class:`StorageBackend` factories.
+"""Backend resolution: a name, a path or an instance → a
+:class:`StorageBackend`.
 
 Lives in its own module (not the package ``__init__``) so that
 :mod:`repro.relational.database` can import :func:`resolve_backend`
 without forcing the whole storage package — the two packages are
 mutually referential and must bootstrap in either import order. The
-built-in factories import their backend classes lazily for the same
-reason.
+built-in backends are imported lazily for the same reason.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Union
+from typing import Union
 
 from .base import StorageBackend
 
-__all__ = ["BACKEND_NAMES", "register_backend", "resolve_backend"]
-
-
-def _memory_factory(path=None) -> StorageBackend:
-    from .memory import MemoryBackend
-
-    return MemoryBackend()
-
-
-def _sqlite_factory(path=None) -> StorageBackend:
-    from .sqlite import SQLiteBackend
-
-    return SQLiteBackend(path)
-
-
-#: name -> factory; the optional ``path`` keyword is forwarded when given
-_REGISTRY: dict[str, Callable[..., StorageBackend]] = {
-    "memory": _memory_factory,
-    "sqlite": _sqlite_factory,
-}
+__all__ = ["BACKEND_NAMES", "resolve_backend"]
 
 #: the built-in backend names, for CLI choices and test parametrization
 BACKEND_NAMES = ("memory", "sqlite")
-
-
-def register_backend(name: str, factory: Callable[..., StorageBackend]) -> None:
-    """Register a third-party backend under *name*.
-
-    *factory* is called as ``factory(path=...)`` where *path* is the
-    optional location argument (None for ephemeral stores).
-    """
-    _REGISTRY[name] = factory
 
 
 def resolve_backend(
@@ -56,7 +28,7 @@ def resolve_backend(
     """Turn a backend specification into a :class:`StorageBackend`.
 
     *spec* may be None (→ memory, or sqlite when *path* is given), a
-    registered name (``"memory"``, ``"sqlite"``), or an already-built
+    built-in name (``"memory"``, ``"sqlite"``), or an already-built
     :class:`StorageBackend` instance (returned as-is; *path* must then
     be None). A ``"sqlite:"``-prefixed spec carries the file path
     inline: ``"sqlite:/tmp/precis.db"``.
@@ -77,11 +49,13 @@ def resolve_backend(
         if path is not None and inline_path:
             raise ValueError("path given both inline and as argument")
         path = path or (inline_path or None)
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(
-            f"unknown storage backend {name!r} (known: {known})"
-        ) from None
-    return factory(path=path)
+    if name == "memory":
+        from .memory import MemoryBackend
+
+        return MemoryBackend()
+    if name == "sqlite":
+        from .sqlite import SQLiteBackend
+
+        return SQLiteBackend(path)
+    known = ", ".join(BACKEND_NAMES)
+    raise ValueError(f"unknown storage backend {name!r} (known: {known})")

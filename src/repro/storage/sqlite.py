@@ -28,9 +28,8 @@ SQLite's type-affinity comparisons are *more* permissive than Python
 ``==`` and would otherwise produce phantom matches.
 
 The relation's declared primary key becomes a ``UNIQUE`` index, real
-secondary indexes back :meth:`SQLiteStore.create_index` (both the
-``"hash"`` and ``"sorted"`` kinds map to SQLite b-trees), and
-``lookup_in`` executes as batched ``IN (...)`` queries chunked below
+secondary indexes (SQLite b-trees) back :meth:`SQLiteStore.create_index`,
+and ``lookup_in`` executes as batched ``IN (...)`` queries chunked below
 SQLite's bound-variable limit.
 """
 
@@ -163,24 +162,6 @@ def _probe_sql(value: Any, dtype: DataType) -> Any:
     return _NO_MATCH  # pragma: no cover - exhaustive over DataType
 
 
-class _SQLIndexInfo:
-    """Index handle returned by :meth:`SQLiteStore.index_on`."""
-
-    __slots__ = ("relation", "attribute", "kind", "sql_name")
-
-    def __init__(self, relation: str, attribute: str, kind: str, sql_name: str):
-        self.relation = relation
-        self.attribute = attribute
-        self.kind = kind
-        self.sql_name = sql_name
-
-    def __repr__(self):
-        return (
-            f"_SQLIndexInfo({self.relation}.{self.attribute}, "
-            f"kind={self.kind!r})"
-        )
-
-
 class SQLiteStore(TupleStore):
     """One relation stored as one SQLite table."""
 
@@ -200,7 +181,7 @@ class SQLiteStore(TupleStore):
         self._table = _quote(schema.name)
         self._columns = ", ".join(_quote(c.name) for c in schema.columns)
         self._dtypes = tuple(c.dtype for c in schema.columns)
-        self._indexes: dict[str, _SQLIndexInfo] = {}
+        self._indexed: set[str] = set()
         if fresh:
             self._execute(f"DROP TABLE IF EXISTS {self._table}")
         self._create_table()
@@ -419,32 +400,16 @@ class SQLiteStore(TupleStore):
 
     # ------------------------------------------------------------- indexes
 
-    def create_index(self, attribute: str, kind: str = "hash") -> None:
-        if kind not in ("hash", "sorted"):
-            raise SchemaError(f"unknown index kind {kind!r}")
+    def create_index(self, attribute: str) -> None:
         sql_name = f"idx_{self.schema.name}_{attribute}"
         self._execute(
             f"CREATE INDEX IF NOT EXISTS {_quote(sql_name)} "
             f"ON {self._table} ({_quote(attribute)})"
         )
-        self._indexes[attribute] = _SQLIndexInfo(
-            self.schema.name, attribute, kind, sql_name
-        )
+        self._indexed.add(attribute)
 
     def has_index(self, attribute: str) -> bool:
-        return attribute in self._indexes
-
-    def index_on(self, attribute: str) -> _SQLIndexInfo:
-        try:
-            return self._indexes[attribute]
-        except KeyError:
-            raise SchemaError(
-                f"no index on {self.schema.name}.{attribute}"
-            ) from None
-
-    @property
-    def indexed_attributes(self) -> tuple[str, ...]:
-        return tuple(self._indexes)
+        return attribute in self._indexed
 
     def __repr__(self):
         return f"SQLiteStore({self.schema.name}, {len(self)} tuples)"

@@ -46,8 +46,6 @@ class TestBasics:
     def test_rejects_nonpositive_bounds(self):
         with pytest.raises(ValueError):
             LRUCache(max_entries=0)
-        with pytest.raises(ValueError):
-            LRUCache(max_bytes=0)
 
 
 class TestVersioning:
@@ -72,13 +70,6 @@ class TestVersioning:
         cache.put("k", "new", version=2)
         assert cache.get("k", version=2) == "new"
 
-    def test_explicit_invalidate(self):
-        cache = LRUCache()
-        cache.put("k", 1)
-        assert cache.invalidate("k") is True
-        assert cache.invalidate("k") is False
-        assert cache.stats.invalidations == 1
-
     def test_clear_counts_all_entries(self):
         cache = LRUCache()
         for i in range(5):
@@ -99,43 +90,15 @@ class TestEviction:
         assert "b" not in cache
         assert cache.stats.evictions == 1
 
-    def test_byte_bound_evicts(self):
-        cache = LRUCache(max_entries=100, max_bytes=10, sizer=len)
-        cache.put("a", "xxxx")  # 4 bytes
-        cache.put("b", "xxxx")  # 8
-        cache.put("c", "xxxx")  # 12 -> evict a
-        assert "a" not in cache
-        assert cache.current_bytes == 8
-        assert cache.stats.evictions == 1
-
-    def test_oversized_value_not_cached(self):
-        cache = LRUCache(max_bytes=10, sizer=len)
-        cache.put("big", "x" * 11)
-        assert "big" not in cache
-        assert cache.current_bytes == 0
-        assert cache.stats.evictions == 0  # nothing innocent was evicted
-
-    def test_overwrite_adjusts_bytes(self):
-        cache = LRUCache(max_bytes=100, sizer=len)
-        cache.put("k", "x" * 30)
-        cache.put("k", "x" * 5)
-        assert cache.current_bytes == 5
-
-    def test_bytes_tracked_through_invalidation(self):
-        cache = LRUCache(max_bytes=100, sizer=len)
-        cache.put("k", "x" * 30, version=1)
-        cache.get("k", version=2)
-        assert cache.current_bytes == 0
-
 
 class TestSharedAcrossThreads:
     def test_concurrent_get_and_put_stay_consistent(self):
         """More threads than cores get-then-put over 32 keys into an
         8-entry cache, switching every microsecond so that they
         interleave inside ``get`` and ``put``. Unlocked, this raises (a
-        dict changed size during eviction, or a KeyError) or loses an
-        entry's bytes or a counted lookup."""
-        cache = LRUCache(max_entries=8, max_bytes=1_000, sizer=len)
+        dict changed size during eviction, or a KeyError) or loses a
+        counted lookup."""
+        cache = LRUCache(max_entries=8)
         n_threads = max(2, (os.cpu_count() or 1) + 1)
         rounds = 10_000
         errors = []
@@ -168,5 +131,4 @@ class TestSharedAcrossThreads:
         assert len(cache) <= cache.max_entries
         live = [key for key in range(32) if key in cache]
         assert len(live) == len(cache)
-        assert cache.current_bytes == sum(key + 1 for key in live)
         assert cache.stats.lookups == n_threads * rounds

@@ -110,13 +110,6 @@ class TestCounters:
         totals = mem_sink.spans[0].total_counters()
         assert totals == {"n": 7, "m": 1}
 
-    def test_gauge_sets_instead_of_adding(self, tracer, mem_sink):
-        with tracer.span("s"):
-            tracer.gauge("level", 3)
-            tracer.gauge("level", 9)
-            tracer.count("level", 1)
-        assert mem_sink.spans[0].counter("level") == 10
-
     def test_count_outside_any_span_is_dropped(self, tracer, mem_sink):
         tracer.count("orphan", 7)
         with tracer.span("s"):
@@ -181,7 +174,6 @@ class TestNoOpPath:
         tracer = Tracer([sink], enabled=False)
         with tracer.span("outer") as span:
             tracer.count("n", 3)
-            tracer.gauge("g", 1)
             with tracer.span("inner"):
                 tracer.count("n", 1)
         assert sink.spans == []

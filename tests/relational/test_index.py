@@ -1,6 +1,6 @@
 """Unit tests for the standalone index structures."""
 
-from repro.relational.index import HashIndex, SortedIndex
+from repro.relational.index import HashIndex
 
 
 class TestHashIndex:
@@ -46,48 +46,3 @@ class TestHashIndex:
         idx.insert(None, 1)
         assert idx.lookup(None) == {1}
 
-
-class TestSortedIndex:
-    def _populated(self):
-        idx = SortedIndex("R", "A")
-        for value, tid in [(5, 1), (1, 2), (3, 3), (3, 4), (9, 5)]:
-            idx.insert(value, tid)
-        return idx
-
-    def test_lookup(self):
-        idx = self._populated()
-        assert idx.lookup(3) == {3, 4}
-
-    def test_distinct_values_sorted(self):
-        idx = self._populated()
-        assert list(idx.distinct_values()) == [1, 3, 5, 9]
-
-    def test_range_both_bounds(self):
-        idx = self._populated()
-        assert idx.range(2, 5) == {1, 3, 4}
-
-    def test_range_open_ended(self):
-        idx = self._populated()
-        assert idx.range(low=5) == {1, 5}
-        assert idx.range(high=1) == {2}
-        assert idx.range() == {1, 2, 3, 4, 5}
-
-    def test_remove_keeps_order(self):
-        idx = self._populated()
-        idx.remove(3, 3)
-        assert idx.lookup(3) == {4}
-        idx.remove(3, 4)
-        assert list(idx.distinct_values()) == [1, 5, 9]
-
-    def test_none_not_in_range(self):
-        idx = SortedIndex("R", "A")
-        idx.insert(None, 1)
-        idx.insert(2, 2)
-        assert idx.range() == {2}
-        assert idx.lookup(None) == {1}
-        idx.remove(None, 1)
-        assert idx.lookup(None) == frozenset()
-
-    def test_lookup_many(self):
-        idx = self._populated()
-        assert idx.lookup_many([1, 9]) == {2, 5}

@@ -49,8 +49,6 @@ class TestIndexScanEquivalence:
         assert rel.lookup("N", probe) == scanned  # scan path
         rel.create_index("N")
         assert rel.lookup("N", probe) == scanned  # index path
-        rel.create_index("N", kind="sorted")
-        assert rel.lookup("N", probe) == scanned  # sorted index path
 
     @given(data=rows)
     @settings(max_examples=40, deadline=None)

@@ -158,15 +158,6 @@ class TestIndexesAndLookups:
         with pytest.raises(SchemaError):
             rel.lookup_pk(1)
 
-    def test_sorted_index_kind(self, movies):
-        movies.create_index("YEAR", kind="sorted")
-        assert movies.index_on("YEAR").kind == "sorted"
-        assert movies.lookup("YEAR", 2005) == {1}
-
-    def test_unknown_index_kind(self, movies):
-        with pytest.raises(SchemaError):
-            movies.create_index("YEAR", kind="btree")
-
     def test_distinct_values(self, movies):
         movies.insert({"MID": 3, "TITLE": "Dup year", "YEAR": 2005})
         assert movies.distinct_values("YEAR") == {2003, 2005}

@@ -56,7 +56,6 @@ _WRAPPED = (
     "distinct_values",
     "create_index",
     "has_index",
-    "index_on",
 )
 
 
@@ -152,21 +151,13 @@ class FlakyStore(TupleStore):
         self._touch("distinct_values")
         return self.inner.distinct_values(attribute)
 
-    def create_index(self, attribute, kind="hash"):
+    def create_index(self, attribute):
         self._touch("create_index")
-        return self.inner.create_index(attribute, kind)
+        return self.inner.create_index(attribute)
 
     def has_index(self, attribute):
         self._touch("has_index")
         return self.inner.has_index(attribute)
-
-    def index_on(self, attribute):
-        self._touch("index_on")
-        return self.inner.index_on(attribute)
-
-    @property
-    def indexed_attributes(self):
-        return self.inner.indexed_attributes
 
     def close(self):
         return self.inner.close()

@@ -173,6 +173,23 @@ class TestDeadlineObject:
         assert "never" in repr(NO_DEADLINE)
         assert "remaining" in repr(Deadline.after(10.0))
 
+    def test_nan_is_rejected(self):
+        """A NaN deadline would never expire yet report 0.0 remaining,
+        which the front door would sort ahead of every real deadline."""
+        with pytest.raises(ValueError, match="NaN"):
+            Deadline.after(float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            Deadline(float("nan"))
+
+    def test_negative_and_infinite_keep_their_meaning(self):
+        clock = iter([5.0, 5.0, 5.0, 5.0]).__next__
+        expired = Deadline.after(-1.0, clock=clock)
+        assert expired.expired()
+        assert expired.remaining() == 0.0
+        endless = Deadline.after(float("inf"))
+        assert endless.expires() and not endless.expired()
+        assert endless.remaining() == float("inf")
+
 
 class TestDeadlineProperty:
     """Hypothesis: any trip point yields a valid answer; an untripped

@@ -121,6 +121,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             FrontDoorConfig(max_pending=0)
 
+    def test_nan_default_timeout_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            FrontDoorConfig(default_timeout_s=float("nan"))
+        # negative (already expired) and infinite (never) stay valid
+        assert FrontDoorConfig(default_timeout_s=-1.0).default_timeout_s < 0
+        assert FrontDoorConfig(default_timeout_s=float("inf"))
+
     def test_default_dispatch_concurrency_is_worker_count(self, service):
         async def go():
             frontdoor = AsyncFrontDoor(service)

@@ -156,6 +156,22 @@ class TestExpiredAtSubmit:
 
 
 class TestDeadlineResolution:
+    def test_nan_timeout_is_refused_before_it_is_counted(self, service):
+        """A NaN budget would never expire yet sort first in EDF order;
+        the front door refuses it as a bad argument, counting nothing."""
+
+        async def go():
+            async with AsyncFrontDoor(service) as frontdoor:
+                with pytest.raises(ValueError, match="NaN"):
+                    await frontdoor.submit(QUERY, timeout_s=float("nan"))
+                return await frontdoor.submit(QUERY, timeout_s=30.0)
+
+        assert run(go()).found
+        requests = service.metrics.registry.counter(
+            "precis_service_requests_total", "", priority="interactive"
+        )
+        assert requests.value == 1
+
     def test_timeout_s_parameter(self, service):
         async def go():
             async with AsyncFrontDoor(service) as frontdoor:

@@ -15,7 +15,7 @@ from urllib.parse import quote
 
 import pytest
 
-from repro.core import PrecisEngine, WeightThreshold
+from repro.core import MaxTuplesPerRelation, PrecisEngine, WeightThreshold
 from repro.datasets import movies_graph, paper_instance
 from repro.service import (
     AsyncFrontDoor,
@@ -119,6 +119,39 @@ class TestAsk:
         status, body = run(go())
         assert status == 400
         assert "priority" in body["error"]
+
+    def test_out_of_range_parameters_are_400(self, engine, service):
+        """A value the constraint or the deadline rejects is the
+        caller's fault: a 400 naming the parameter, and the server
+        keeps answering."""
+        bad = [
+            "per_relation=-1",
+            "total=-5",
+            "degree_top=-1",
+            "degree_length=-1",
+            "degree_weight=2",
+            "degree_weight=nan",
+            "deadline_ms=nan",
+        ]
+
+        async def go():
+            async with serving(service) as http:
+                refused = [
+                    await http_get(http.host, http.port, f"/ask?q={Q}&{p}")
+                    for p in bad
+                ]
+                good = await http_get(
+                    http.host, http.port, f"/ask?q={Q}&per_relation=3"
+                )
+                return refused, good
+
+        refused, (status, body) = run(go())
+        for parameter, (bad_status, bad_body) in zip(bad, refused):
+            assert bad_status == 400, parameter
+            assert parameter.split("=")[0] in bad_body["error"], bad_body
+        assert status == 200
+        expected = engine.ask(QUERY, cardinality=MaxTuplesPerRelation(3))
+        assert body == expected.to_dict()
 
     def test_expired_deadline_is_408(self, service):
         async def go():

@@ -21,7 +21,6 @@ from repro.relational import (
 )
 from repro.relational.errors import (
     PrimaryKeyViolation,
-    SchemaError,
     UnknownTupleError,
 )
 from repro.storage import BACKEND_NAMES, resolve_backend
@@ -263,22 +262,11 @@ def test_distinct_values_excludes_null(store):
 def test_create_index_and_metadata(store):
     _fill(store)
     assert not store.has_index("NAME")
-    store.create_index("NAME", "hash")
-    store.create_index("SCORE", "sorted")
+    store.create_index("NAME")
+    store.create_index("SCORE")
     assert store.has_index("NAME")
-    assert store.index_on("NAME").kind == "hash"
-    assert store.index_on("SCORE").kind == "sorted"
-    assert set(store.indexed_attributes) == {"NAME", "SCORE"}
-
-
-def test_unknown_index_kind_rejected(store):
-    with pytest.raises(SchemaError):
-        store.create_index("NAME", "btree")
-
-
-def test_index_on_unindexed_attribute_raises(store):
-    with pytest.raises(SchemaError):
-        store.index_on("NAME")
+    assert store.has_index("SCORE")
+    assert not store.has_index("BORN")
 
 
 def test_indexed_lookup_agrees_with_unindexed(store):

@@ -9,10 +9,8 @@ from repro.storage import (
     MemoryBackend,
     SQLiteBackend,
     StorageBackend,
-    register_backend,
     resolve_backend,
 )
-from repro.storage.registry import _REGISTRY
 
 
 def test_default_is_memory():
@@ -66,17 +64,6 @@ def test_path_alone_implies_sqlite(tmp_path):
 def test_inline_and_argument_path_conflict(tmp_path):
     with pytest.raises(ValueError, match="both"):
         resolve_backend("sqlite:/tmp/a.db", path=tmp_path / "b.db")
-
-
-def test_register_third_party_backend():
-    class Fake(MemoryBackend):
-        name = "fake"
-
-    register_backend("fake", lambda path=None: Fake())
-    try:
-        assert resolve_backend("fake").name == "fake"
-    finally:
-        _REGISTRY.pop("fake", None)
 
 
 def test_database_reports_backend_name(tiny_schema):

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def _run(argv):
@@ -112,6 +112,50 @@ class TestQuery:
             ]
         )
         assert code == 0
+
+
+class TestUsageErrors:
+    """An out-of-range constraint or a NaN budget is a usage error:
+    exit 2 with a message naming the flag, no traceback."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("query", "--per-relation", "-1"),
+            ("query", "--total", "-5"),
+            ("query", "--degree-top", "-1"),
+            ("query", "--degree-length", "-1"),
+            ("query", "--degree-weight", "1.5"),
+            ("query", "--degree-weight", "nan"),
+            ("explain", "--per-relation", "-1"),
+            ("estimate", "--degree-weight", "2"),
+            ("query", "--deadline-ms", "nan"),
+        ],
+    )
+    def test_exits_2_naming_the_flag(
+        self, demo_dir, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as exited:
+            _run([command, str(demo_dir), "Allen", flag, value])
+        assert exited.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument {flag}:" in error
+        assert "Traceback" not in error
+
+    def test_serve_timeout_nan(self, demo_dir, capsys):
+        # parsed only: a serve that got past its arguments would block
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(
+                ["serve", str(demo_dir), "--timeout-ms", "nan"]
+            )
+        assert exited.value.code == 2
+        assert "argument --timeout-ms:" in capsys.readouterr().err
+
+    def test_negative_deadline_still_degrades(self, demo_dir):
+        code, out = _run(
+            ["query", str(demo_dir), "Allen", "--deadline-ms", "-1"]
+        )
+        assert "degraded" in out
 
 
 class TestStatsFlag:
