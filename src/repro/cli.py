@@ -51,8 +51,9 @@ _GRAPH_FILE = "_graph.json"
 
 
 def _milliseconds(text: str) -> float:
-    """argparse type of the millisecond budgets: any number but NaN
-    (negative = already expired, ``inf`` = never expires)."""
+    """argparse type of the millisecond flags: any number but NaN (a
+    negative budget is already expired and ``inf`` never expires; a
+    slow-query threshold at or below 0 keeps every ask)."""
     try:
         value = float(text)
     except ValueError:
@@ -60,6 +61,19 @@ def _milliseconds(text: str) -> float:
     if math.isnan(value):
         raise argparse.ArgumentTypeError(
             f"expected a number of milliseconds, got {text!r}"
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the sizes and counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
         )
     return value
 
@@ -132,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--cache-size",
-            type=int,
+            type=_positive_int,
             metavar="N",
             help="max entries per cache layer (implies --cache)",
         )
@@ -164,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--slow-query-ms",
-            type=float,
+            type=_milliseconds,
             metavar="N",
             help="keep asks slower than N ms in the slow-query log "
             "(part of the JSON metrics snapshot; implies metrics)",
@@ -236,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed loop: requests per client",
     )
     bench.add_argument(
-        "--workers", type=int, default=2, help="worker-pool threads"
+        "--workers", type=_positive_int, default=2, help="worker-pool threads"
     )
     bench.add_argument(
         "--deadline-ms",
@@ -277,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--max-pending",
-        type=int,
+        type=_positive_int,
         default=256,
         help="front-door pending-flight bound (default 256)",
     )
@@ -346,11 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (0 = ephemeral; default 8765)",
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="worker-pool threads"
+        "--workers", type=_positive_int, default=2, help="worker-pool threads"
     )
     serve.add_argument(
         "--max-pending",
-        type=int,
+        type=_positive_int,
         default=256,
         help="front-door pending-flight bound (default 256)",
     )
@@ -377,7 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the versioned plan + answer caches",
     )
     serve.add_argument(
-        "--cache-size", type=int, metavar="N", help="implies --cache"
+        "--cache-size",
+        type=_positive_int,
+        metavar="N",
+        help="implies --cache",
     )
     serve.add_argument(
         "--trace-out",

@@ -117,8 +117,6 @@ class PrecisAnswer:
 
         APIs and archival. Values render through the engine's text
         rendering (dates ISO, NULL → None)."""
-        from ..relational.datatypes import render
-
         return {
             "query": self.query.text,
             "found": self.found,
@@ -152,10 +150,7 @@ class PrecisAnswer:
                 for edge in self.result_schema.join_edges()
             ],
             "relations": {
-                relation: [
-                    {k: (None if v is None else render(v)) for k, v in row.items()}
-                    for row in self.rows_of(relation)
-                ]
+                relation: self._rendered_rows(relation)
                 for relation in self.result_schema.relations
             },
             "narrative": self.narrative,
@@ -181,6 +176,22 @@ class PrecisAnswer:
                 "utf-8"
             )
         return slot[0]
+
+    def _rendered_rows(self, relation: str) -> list[dict]:
+        """:meth:`rows_of` with every value rendered, read straight from
+        the stored tuples (an export, outside the cost model)."""
+        visible = self.result_schema.attributes_of(relation)
+        if not visible:
+            return []
+        rel = self.database.relation(relation)
+        positions = rel.schema.positions(visible)
+        return [
+            {
+                name: None if stored[p] is None else render(stored[p])
+                for name, p in zip(visible, positions)
+            }
+            for __, stored in rel.store.scan()
+        ]
 
     # ------------------------------------------------------------- display
 

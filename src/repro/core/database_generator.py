@@ -436,7 +436,9 @@ def _populate(
             if row.tid in present[relation]:
                 continue
             present[relation].add(row.tid)
-            tid_map[row.tid] = answer.insert(relation, row.as_dict())
+            # rows are fetched on the relation's retrieval attributes,
+            # which are the answer schema's columns, in its order
+            tid_map[row.tid] = answer.insert(relation, row.values)
             added += 1
         counts[relation] += added
         return added
@@ -534,8 +536,8 @@ def _populate(
                 if seen % (4 * _DEADLINE_CHUNK) == 0 and seen and deadline.expired():
                     report.stopped_by_deadline = True
                     break
-                if row[edge.source_attribute] is not None:
-                    driving.add(row[edge.source_attribute])
+                if row[0] is not None:
+                    driving.add(row[0])
         budget = cardinality.budget_for(edge.target, counts)
         if not driving or (budget is not None and budget <= 0):
             report.skipped_edges.append(edge)

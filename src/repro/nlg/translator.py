@@ -31,10 +31,10 @@ then recurse into the target tuples along the remaining edges.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
+from ..graph.schema_graph import JoinEdge
 from ..obs import NULL_TRACER, Tracer
-from ..relational.database import Database
 from ..relational.row import Row
 from .labels import TranslationSpec
 from .template_lang import Template
@@ -60,6 +60,7 @@ class Translator:
         *tracer* (``repro.obs``, no-op by default) counts
         ``paragraphs_emitted`` in the caller's current span.
         """
+        walk = _Walk(answer, self.spec)
         paragraphs: list[str] = []
         for match in answer.matches:
             for occurrence in match.occurrences:
@@ -71,9 +72,7 @@ class Translator:
                     answer_tid = tid_map.get(source_tid)
                     if answer_tid is None:
                         continue  # excluded by the cardinality constraint
-                    text = self._translate_seed(
-                        answer, relation, answer_tid
-                    )
+                    text = self._translate_seed(walk, relation, answer_tid)
                     if text:
                         paragraphs.append(text)
         tracer.count("paragraphs_emitted", len(paragraphs))
@@ -81,14 +80,14 @@ class Translator:
 
     # ------------------------------------------------------------- traversal
 
-    def _translate_seed(self, answer, relation: str, tid: int) -> str:
-        row = answer.database.relation(relation).fetch(tid)
+    def _translate_seed(self, walk: "_Walk", relation: str, tid: int) -> str:
+        row = walk.rows(relation)[tid]
         clauses: list[str] = []
-        entity = self._entity_clause(answer, relation, row, scope={})
+        entity = self._entity_clause(walk, relation, row)
         if entity:
             clauses.append(entity)
         self._join_clauses(
-            answer,
+            walk,
             relation,
             [row],
             inherited={},
@@ -97,54 +96,35 @@ class Translator:
         )
         return " ".join(clause.strip() for clause in clauses if clause.strip())
 
-    def _entity_clause(
-        self, answer, relation: str, row: Row, scope: dict[str, Any]
-    ) -> str:
+    def _entity_clause(self, walk: "_Walk", relation: str, row: Row) -> str:
         """Projection labels of *relation*, heading attribute first."""
-        attributes = list(answer.result_schema.attributes_of(relation))
-        heading = self.spec.heading_of(relation)
-        if heading in attributes:
-            attributes.remove(heading)
-            attributes.insert(0, heading)
-        local = dict(scope)
-        local.update(self._row_scope(row))
+        scope = self._row_scope(row)
         parts = []
-        for attribute in attributes:
-            template = self.spec.projection_label(relation, attribute)
-            if template is None:
-                continue
+        for attribute, template in walk.projection_labels(relation):
             if row.get(attribute) is None:
                 continue  # a précis may be incomplete; skip silently
-            parts.append(template.render(local, self.spec.macros))
+            parts.append(template.render(scope, self.spec.macros))
         return "".join(parts)
 
     def _join_clauses(
         self,
-        answer,
+        walk: "_Walk",
         relation: str,
         rows: list[Row],
         inherited: dict[str, Any],
         visited: frozenset[str],
         clauses: list[str],
     ) -> None:
-        for edge in answer.result_schema.join_edges_from(relation):
+        for edge in walk.edges_from.get(relation, ()):
             if edge.target in visited:
                 continue
             template = self.spec.join_label(edge.source, edge.target)
-            target_rel = answer.database.relation(edge.target)
             next_visited = visited | {edge.target}
             for row in rows:
                 driving = row.get(edge.source_attribute)
                 if driving is None:
                     continue
-                targets = sorted(
-                    target_rel.fetch_many(
-                        sorted(
-                            target_rel.lookup(edge.target_attribute, driving)
-                        )
-                    ),
-                    key=lambda r: r.tid,
-                )
+                targets = walk.matching(edge, driving)
                 if not targets:
                     continue
                 scope = dict(inherited)
@@ -160,7 +140,7 @@ class Translator:
                 # recurse: clauses about relations further out are
                 # composed per reached tuple, subject = their heading
                 self._join_clauses(
-                    answer,
+                    walk,
                     edge.target,
                     targets,
                     inherited=scope,
@@ -181,7 +161,65 @@ class Translator:
     def _rows_scope(rows: list[Row]) -> dict[str, Any]:
         if not rows:
             return {}
-        attributes = rows[0].attributes
         return {
-            attr.upper(): [row[attr] for row in rows] for attr in attributes
+            attr.upper(): [row.values[pos] for row in rows]
+            for pos, attr in enumerate(rows[0].attributes)
         }
+
+
+class _Walk:
+    """What one translation reads of its answer, each piece computed on
+    first use and dropped with the call (a translator may serve several
+    threads at once): the join edges leaving each relation, each
+    relation's rows by answer tid from one scan in tid order, the rows
+    grouped by the value of a join's target attribute, and each
+    relation's projection labels, heading attribute first."""
+
+    def __init__(self, answer, spec: TranslationSpec):
+        self.answer = answer
+        self.spec = spec
+        self.edges_from: dict[str, list[JoinEdge]] = {}
+        for edge in answer.result_schema.join_edges():
+            self.edges_from.setdefault(edge.source, []).append(edge)
+        self._rows: dict[str, dict[int, Row]] = {}
+        self._groups: dict[tuple[str, str], dict[Any, list[Row]]] = {}
+        self._labels: dict[str, list[tuple[str, Template]]] = {}
+
+    def rows(self, relation: str) -> dict[int, Row]:
+        rows = self._rows.get(relation)
+        if rows is None:
+            scan = self.answer.database.relation(relation).scan()
+            rows = self._rows[relation] = {row.tid: row for row in scan}
+        return rows
+
+    def matching(self, edge: JoinEdge, value: Any) -> list[Row]:
+        """Rows of the edge's target whose join attribute equals
+        *value*, in tid order."""
+        key = (edge.target, edge.target_attribute)
+        groups = self._groups.get(key)
+        if groups is None:
+            groups = self._groups[key] = {}
+            relation = self.answer.database.relation(edge.target)
+            pos = relation.schema.position(edge.target_attribute)
+            for row in self.rows(edge.target).values():
+                groups.setdefault(row.values[pos], []).append(row)
+        return groups.get(value, [])
+
+    def projection_labels(self, relation: str) -> list[tuple[str, Template]]:
+        """(attribute, label) of each labelled projection of *relation*,
+        heading attribute first."""
+        labels = self._labels.get(relation)
+        if labels is None:
+            attributes = list(
+                self.answer.result_schema.attributes_of(relation)
+            )
+            heading = self.spec.heading_of(relation)
+            if heading in attributes:
+                attributes.remove(heading)
+                attributes.insert(0, heading)
+            labels = self._labels[relation] = []
+            for attribute in attributes:
+                template = self.spec.projection_label(relation, attribute)
+                if template is not None:
+                    labels.append((attribute, template))
+        return labels

@@ -24,6 +24,7 @@ of this, so the untraced hot path stays byte-identical to PR 3.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from bisect import bisect_left
 from typing import Iterable, Mapping, Optional, TextIO, Union
@@ -478,6 +479,9 @@ class SlowQueryLog:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.threshold_ms = float(threshold_ms)
+        if math.isnan(self.threshold_ms):
+            # every comparison with NaN is False: it would keep every ask
+            raise ValueError("threshold_ms must be a number, not NaN")
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: list[SlowQuery] = []  # kept sorted slowest-first

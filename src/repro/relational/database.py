@@ -43,13 +43,21 @@ class Database:
         self.meter = CostMeter(cost_params)
         self.enforce_foreign_keys = enforce_foreign_keys
         self.backend = resolve_backend(backend)
-        self._data_epoch = 0
+        # The relations bump this cell on every write. A bound method of
+        # the database would make it and its relations a reference
+        # cycle, freed only by the cycle collector; every précis answer
+        # is a database, so each ask would leave one behind.
+        epoch = self._epoch = [0]
+
+        def bump() -> None:
+            epoch[0] += 1
+
         self._relations: dict[str, Relation] = {
             rs.name: Relation(
                 rs,
                 self.meter,
                 self.backend.create_store(rs),
-                on_mutate=self._bump_data_epoch,
+                on_mutate=bump,
             )
             for rs in schema
         }
@@ -65,10 +73,7 @@ class Database:
         in-place update or clear reaching any relation of this database
         bumps it, whether issued through the database or directly
         through a :class:`Relation` façade."""
-        return self._data_epoch
-
-    def _bump_data_epoch(self) -> None:
-        self._data_epoch += 1
+        return self._epoch[0]
 
     def close(self) -> None:
         """Release backend resources (e.g. the SQLite connection)."""

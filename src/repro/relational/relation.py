@@ -29,7 +29,8 @@ This makes the modeled cost of one indexed retrieval exactly
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from collections.abc import Mapping
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..storage.base import TupleStore
 from .cost import CostMeter
@@ -101,34 +102,38 @@ class Relation:
 
     def _normalize(self, values: Mapping[str, Any] | Sequence[Any]) -> tuple:
         """Coerce input into a full-width storage tuple in schema order."""
+        names = self.schema.attribute_names
         if isinstance(values, Mapping):
-            unknown = set(values) - set(self.schema.attribute_names)
+            unknown = set(values) - set(names)
             if unknown:
                 raise SchemaError(
                     f"unknown attributes for {self.name}: {sorted(unknown)}"
                 )
-            raw = [values.get(col.name) for col in self.schema.columns]
+            raw = [values.get(name) for name in names]
         else:
             raw = list(values)
-            if len(raw) != len(self.schema):
+            if len(raw) != len(names):
                 raise SchemaError(
-                    f"{self.name} expects {len(self.schema)} values, "
+                    f"{self.name} expects {len(names)} values, "
                     f"got {len(raw)}"
                 )
         out = []
-        for col, value in zip(self.schema.columns, raw):
+        for name, (dtype, required), value in zip(
+            names, self.schema.column_checks, raw
+        ):
             try:
-                value = coerce(value, col.dtype)
+                value = coerce(value, dtype)
             except (ValueError, TypeError):
                 raise TypeMismatchError(
-                    self.name, col.name, col.dtype, value
+                    self.name, name, dtype, value
                 ) from None
-            if value is None and (
-                not col.nullable or col.name in self.schema.primary_key
-            ):
-                raise NotNullViolation(self.name, col.name)
+            if value is None and required:
+                raise NotNullViolation(self.name, name)
             out.append(value)
         return tuple(out)
+
+    def _primary_key_of(self, stored: tuple) -> tuple:
+        return tuple([stored[p] for p in self.schema.primary_key_positions])
 
     def insert(self, values: Mapping[str, Any] | Sequence[Any]) -> int:
         """Insert one tuple; returns its tid.
@@ -138,8 +143,7 @@ class Relation:
         """
         stored = self._normalize(values)
         if self.schema.primary_key:
-            pk_pos = self.schema.positions(self.schema.primary_key)
-            pk_value = tuple(stored[p] for p in pk_pos)
+            pk_value = self._primary_key_of(stored)
             # unmetered pre-check: loading is not part of Formula (2)
             if self.store.lookup_pk(pk_value) is not None:
                 raise PrimaryKeyViolation(self.name, pk_value)
@@ -178,8 +182,7 @@ class Relation:
         }
         stored = self._normalize(merged)
         if self.schema.primary_key:
-            pk_pos = self.schema.positions(self.schema.primary_key)
-            pk_value = tuple(stored[p] for p in pk_pos)
+            pk_value = self._primary_key_of(stored)
             owner = self.store.lookup_pk(pk_value)
             if owner is not None and owner != tid:
                 raise PrimaryKeyViolation(self.name, pk_value)
@@ -209,13 +212,26 @@ class Relation:
 
     # ------------------------------------------------------------------ reads
 
-    def _row(
-        self, tid: int, stored: tuple, attributes: Optional[Sequence[str]]
-    ) -> Row:
+    def _projection(
+        self, attributes: Optional[Sequence[str]]
+    ) -> tuple[tuple[str, ...], Optional[tuple[int, ...]]]:
+        """Names and stored positions of a projection; positions None
+        means the full stored tuple, in schema order."""
         if attributes is None:
-            return Row(self.name, tid, self.schema.attribute_names, stored)
-        pos = self.schema.positions(attributes)
-        return Row(self.name, tid, attributes, tuple(stored[p] for p in pos))
+            return self.schema.attribute_names, None
+        names = tuple(attributes)
+        return names, self.schema.positions(names)
+
+    def _row(
+        self,
+        tid: int,
+        stored: tuple,
+        names: tuple[str, ...],
+        positions: Optional[tuple[int, ...]],
+    ) -> Row:
+        if positions is not None:
+            stored = tuple([stored[p] for p in positions])
+        return Row(self.name, tid, names, stored)
 
     def fetch(self, tid: int, attributes: Optional[Sequence[str]] = None) -> Row:
         """Read one tuple by id, optionally projected."""
@@ -223,7 +239,7 @@ class Relation:
         if stored is None:
             raise UnknownTupleError(self.name, tid)
         self.meter.charge_tuple_read()
-        return self._row(tid, stored, attributes)
+        return self._row(tid, stored, *self._projection(attributes))
 
     def fetch_many(
         self,
@@ -239,6 +255,7 @@ class Relation:
         through the store (one ``IN``-query per chunk on SQLite) rather
         than issued per tid.
         """
+        names, positions = self._projection(attributes)
         tid_list = list(tids)
         out: list[Row] = []
         for start in range(0, len(tid_list), _FETCH_CHUNK):
@@ -253,7 +270,7 @@ class Relation:
                 stored = found.get(tid)
                 if stored is None:
                     continue
-                out.append(self._row(tid, stored, attributes))
+                out.append(self._row(tid, stored, names, positions))
             self.meter.charge_tuple_read(len(out) - read)
         return out
 
@@ -261,13 +278,10 @@ class Relation:
         self, attributes: Optional[Sequence[str]] = None
     ) -> Iterator[Row]:
         """Full scan in tid order."""
-        names = (
-            self.schema.attribute_names if attributes is None else tuple(attributes)
-        )
-        pos = self.schema.positions(names)
+        names, positions = self._projection(attributes)
         for tid, stored in self.store.scan():
             self.meter.charge_scan_step()
-            yield Row(self.name, tid, names, tuple(stored[p] for p in pos))
+            yield self._row(tid, stored, names, positions)
 
     # ------------------------------------------------------------------ probes
 

@@ -10,7 +10,7 @@ can refer back to storage.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from .errors import SchemaError
 
@@ -38,26 +38,32 @@ class Row:
         self.tid = tid
         self.attributes = tuple(attributes)
         self.values = tuple(values)
-        self._index = {name: pos for pos, name in enumerate(self.attributes)}
+        # name -> position, built on the first access by name
+        self._index: Optional[dict[str, int]] = None
 
     # -- access --------------------------------------------------------------
+
+    def _position(self, name: str) -> Optional[int]:
+        if self._index is None:
+            self._index = {a: pos for pos, a in enumerate(self.attributes)}
+        return self._index.get(name)
 
     def __getitem__(self, key: str | int) -> Any:
         if isinstance(key, int):
             return self.values[key]
-        try:
-            return self.values[self._index[key]]
-        except KeyError:
+        pos = self._position(key)
+        if pos is None:
             raise SchemaError(
                 f"row of {self.relation} has no attribute {key!r}"
-            ) from None
+            )
+        return self.values[pos]
 
     def get(self, key: str, default: Any = None) -> Any:
-        pos = self._index.get(key)
+        pos = self._position(key)
         return default if pos is None else self.values[pos]
 
     def __contains__(self, key: str) -> bool:
-        return key in self._index
+        return self._position(key) is not None
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.values)

@@ -94,12 +94,17 @@ class RelationSchema:
             if attr not in self._by_name:
                 raise SchemaError(f"primary key column {attr} not in {name}")
         self.primary_key: tuple[str, ...] = pk
+        # computed once: every insert and fetch reads them
+        self.attribute_names: tuple[str, ...] = tuple(self._positions)
+        self.primary_key_positions: tuple[int, ...] = self.positions(pk)
+        #: per column, in order: (dtype, required) — required when the
+        #: column is NOT NULL or part of the primary key
+        self.column_checks: tuple[tuple[DataType, bool], ...] = tuple(
+            (col.dtype, not col.nullable or col.name in pk)
+            for col in self.columns
+        )
 
     # -- lookups ----------------------------------------------------------
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(col.name for col in self.columns)
 
     def column(self, name: str) -> Column:
         try:
@@ -117,7 +122,12 @@ class RelationSchema:
             raise SchemaError(f"no column {name} in {self.name}") from None
 
     def positions(self, names: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.position(n) for n in names)
+        try:
+            return tuple([self._positions[n] for n in names])
+        except KeyError as exc:
+            raise SchemaError(
+                f"no column {exc.args[0]} in {self.name}"
+            ) from None
 
     def __len__(self):
         return len(self.columns)

@@ -27,18 +27,16 @@ class MemoryStore(TupleStore):
         self.schema = schema
         self._tuples: dict[int, tuple] = {}
         self._next_tid = 1
-        self._pk_positions = (
-            schema.positions(schema.primary_key) if schema.primary_key else ()
-        )
         self._pk_index: dict[tuple, int] = {}
         self._indexes: dict[str, HashIndex] = {}
 
     # ------------------------------------------------------------- writes
 
     def _pk_of(self, stored: tuple) -> Optional[tuple]:
-        if not self._pk_positions:
+        positions = self.schema.primary_key_positions
+        if not positions:
             return None
-        return tuple(stored[p] for p in self._pk_positions)
+        return tuple([stored[p] for p in positions])
 
     def insert(self, stored: tuple) -> int:
         pk_value = self._pk_of(stored)

@@ -165,41 +165,36 @@ class InvertedIndex:
         ]
 
     def lookup_phrase(self, words: Sequence[str]) -> list[Occurrence]:
-        """Occurrences where *words* appear contiguously, in order."""
+        """Occurrences where *words* appear contiguously, in order.
+
+        Under each (relation, attribute) the words' tid sets are
+        intersected first, smallest first, and positions are checked
+        only on the tids all the words share."""
         words = [normalize(w) for w in words]
         if not words:
             return []
         if len(words) == 1:
             return self.lookup_word(words[0])
-        first = self._postings.get(words[0])
-        if not first:
+        postings = [self._postings.get(word) for word in words]
+        if not all(postings):
             return []
         out: list[Occurrence] = []
-        for key in sorted(first):
-            survivors: dict[int, set[int]] = {
-                tid: set(positions) for tid, positions in first[key].items()
-            }
-            for offset, word in enumerate(words[1:], start=1):
-                by_attr = self._postings.get(word)
-                if not by_attr or key not in by_attr:
-                    survivors = {}
-                    break
-                nxt = by_attr[key]
-                survivors = {
-                    tid: {
-                        p
-                        for p in starts
-                        if tid in nxt and p + offset in nxt[tid]
-                    }
-                    for tid, starts in survivors.items()
-                }
-                survivors = {t: s for t, s in survivors.items() if s}
-                if not survivors:
-                    break
-            if survivors:
-                out.append(
-                    Occurrence(key[0], key[1], frozenset(survivors))
-                )
+        for key in sorted(postings[0]):
+            if not all(key in by_attr for by_attr in postings[1:]):
+                continue
+            by_tid = [by_attr[key] for by_attr in postings]
+            smallest, *others = sorted(by_tid, key=len)
+            # a key-view intersection walks its smaller side
+            common = smallest.keys()
+            for other in others:
+                common = common & other.keys()
+            hits = frozenset(
+                tid
+                for tid in common
+                if _contiguous([positions[tid] for positions in by_tid])
+            )
+            if hits:
+                out.append(Occurrence(key[0], key[1], hits))
         return out
 
     def lookup_token(self, token: str | Sequence[str]) -> list[Occurrence]:
@@ -241,6 +236,16 @@ class InvertedIndex:
             f"{self.postings_count()} postings, "
             f"{len(self._indexed_attributes)} attributes)"
         )
+
+
+def _contiguous(positions: list[list[int]]) -> bool:
+    """Whether word *i* of a phrase sits at ``start + i`` for some start,
+    given each word's positions in one value."""
+    later = list(enumerate(positions[1:], start=1))
+    return any(
+        all(start + offset in word for offset, word in later)
+        for start in positions[0]
+    )
 
 
 def build_index(

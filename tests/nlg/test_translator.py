@@ -1,9 +1,14 @@
 """Unit tests for the translator, including the paper's golden narrative."""
 
+import os
+import sys
+import threading
+
 import pytest
 
 from repro import MaxTuplesPerRelation, PrecisEngine, WeightThreshold
 from repro.datasets import (
+    generate_movies_database,
     movies_graph,
     movies_translation_spec,
     paper_instance,
@@ -150,3 +155,52 @@ class TestTranslatorEdgeCases:
         paragraph = answer.narrative
         assert paragraph.startswith("No Bio")
         assert "was born on" not in paragraph
+
+    def test_one_translator_shared_by_threads(self):
+        """A served engine shares one translator between its worker
+        threads: each translation keeps its working state to itself,
+        so concurrent translations, switching every microsecond, read
+        exactly as serial ones and leave nothing on the translator."""
+        spec = movies_translation_spec()
+        engine = PrecisEngine(
+            generate_movies_database(n_movies=60, seed=3),
+            graph=movies_graph(),
+        )
+        answers = [
+            engine.ask(query, translate=False)
+            for query in ("Garcia", "Harbor", "Comedy", "Ivanov", "Drama")
+        ]
+        translator = Translator(spec)
+        expected = [translator.translate(answer) for answer in answers]
+        n_threads = max(2, (os.cpu_count() or 1) + 1)
+        results: dict[int, list[str]] = {}
+        errors = []
+
+        def worker(offset):
+            try:
+                order = answers[offset:] + answers[:offset]
+                results[offset] = [
+                    translator.translate(answer) for answer in order * 3
+                ]
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i % len(answers),))
+                for i in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for offset, narratives in results.items():
+            order = expected[offset:] + expected[:offset]
+            assert narratives == order * 3
+        assert vars(translator) == {"spec": spec}

@@ -294,6 +294,12 @@ class TestSlowQueryLog:
         with pytest.raises(ValueError):
             SlowQueryLog(capacity=0)
 
+    def test_rejects_nan_threshold(self):
+        # a NaN threshold compares False with every duration, so it
+        # would keep every ask
+        with pytest.raises(ValueError, match="NaN"):
+            SlowQueryLog(float("nan"))
+
 
 @pytest.fixture(scope="module")
 def warm_engine():

@@ -1,5 +1,8 @@
 """Unit tests for Database: FK enforcement, integrity, bulk load."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.relational import (
@@ -81,6 +84,26 @@ class TestAccessors:
 
     def test_iteration(self, tiny_db):
         assert [rel.name for rel in tiny_db] == ["PARENT", "CHILD"]
+
+
+class TestLifetime:
+    def test_freed_without_the_cycle_collector(self, tiny_schema):
+        """Every précis answer is a database: dropping the last reference
+        frees it at once, and a write through a relation still moves
+        the database's epoch."""
+        db = Database(tiny_schema)
+        before = db.data_epoch
+        db.relation("PARENT").insert({"PID": 1, "NAME": "x"})
+        assert db.data_epoch == before + 1
+        ref = weakref.ref(db)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del db
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestJoinIndexes:

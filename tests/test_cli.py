@@ -130,6 +130,10 @@ class TestUsageErrors:
             ("explain", "--per-relation", "-1"),
             ("estimate", "--degree-weight", "2"),
             ("query", "--deadline-ms", "nan"),
+            ("query", "--cache-size", "0"),
+            ("explain", "--cache-size", "-3"),
+            ("estimate", "--cache-size", "0"),
+            ("query", "--slow-query-ms", "nan"),
         ],
     )
     def test_exits_2_naming_the_flag(
@@ -150,6 +154,34 @@ class TestUsageErrors:
             )
         assert exited.value.code == 2
         assert "argument --timeout-ms:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["serve", "DIR", "--workers", "0"], "--workers"),
+            (["serve", "DIR", "--max-pending", "0"], "--max-pending"),
+            (["serve", "DIR", "--cache-size", "0"], "--cache-size"),
+            (["serve-bench", "--workers", "-1"], "--workers"),
+            (["serve-bench", "--max-pending", "0"], "--max-pending"),
+        ],
+    )
+    def test_serving_counts_below_one(self, demo_dir, capsys, argv, flag):
+        # parsed only, like the NaN timeout above
+        argv = [str(demo_dir) if arg == "DIR" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument {flag}:" in error
+        assert "Traceback" not in error
+
+    def test_non_integer_count(self, demo_dir, capsys):
+        with pytest.raises(SystemExit) as exited:
+            _run(["query", str(demo_dir), "Allen", "--cache-size", "many"])
+        assert exited.value.code == 2
+        assert "expected a positive integer, got 'many'" in (
+            capsys.readouterr().err
+        )
 
     def test_negative_deadline_still_degrades(self, demo_dir):
         code, out = _run(

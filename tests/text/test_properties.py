@@ -12,6 +12,40 @@ from repro.relational import Column, Database, DatabaseSchema, DataType, Relatio
 words = st.text(alphabet=string.ascii_letters, min_size=1, max_size=8)
 sentences = st.lists(words, min_size=0, max_size=8).map(" ".join)
 
+#: a small vocabulary, so words repeat inside values and phrases
+PHRASE_WORDS = ["la", "land", "woody", "allen", "point"]
+PHRASE_KEYS = [("R", "A"), ("R", "B"), ("S", "A")]
+
+
+@st.composite
+def phrase_corpora(draw):
+    """Values under a few (relation, attribute) pairs, each pair drawing
+    from its own subset of the vocabulary (so a phrase word may be
+    missing under some pairs), a subset of the values to remove again,
+    and a phrase of 1-4 words."""
+    values = {}
+    for key in PHRASE_KEYS:
+        allowed = draw(
+            st.lists(st.sampled_from(PHRASE_WORDS), min_size=1, unique=True)
+        )
+        texts = draw(
+            st.lists(
+                st.lists(st.sampled_from(allowed), min_size=1, max_size=6),
+                max_size=6,
+            )
+        )
+        for tid, text in enumerate(texts, start=1):
+            values[key, tid] = text
+    removed = (
+        draw(st.sets(st.sampled_from(sorted(values))))
+        if values
+        else frozenset()
+    )
+    phrase = draw(
+        st.lists(st.sampled_from(PHRASE_WORDS), min_size=1, max_size=4)
+    )
+    return values, removed, phrase
+
 
 class TestTokenizerProperties:
     @given(sentences)
@@ -94,3 +128,27 @@ class TestIndexRoundTrip:
         if tokens:
             occs = index.lookup_phrase(tokens)
             assert occs and 1 in occs[0].tids
+
+    @given(phrase_corpora())
+    @settings(max_examples=200, deadline=None)
+    def test_phrase_lookup_matches_brute_force(self, corpus):
+        """lookup_phrase returns, per (relation, attribute) in sorted
+        order, exactly the tuples whose value holds the phrase words
+        contiguously and in order."""
+        values, removed, phrase = corpus
+        index = InvertedIndex()
+        for (key, tid), text in values.items():
+            index.add_value(*key, tid, " ".join(text))
+        for key, tid in removed:
+            index.remove_value(*key, tid, " ".join(values[key, tid]))
+        expected: dict[tuple[str, str], set[int]] = {}
+        n = len(phrase)
+        for (key, tid), text in values.items():
+            if (key, tid) in removed:
+                continue
+            starts = range(len(text) - n + 1)
+            if any(text[i : i + n] == phrase for i in starts):
+                expected.setdefault(key, set()).add(tid)
+        got = index.lookup_phrase(phrase)
+        assert [(o.relation, o.attribute) for o in got] == sorted(expected)
+        assert {(o.relation, o.attribute): o.tids for o in got} == expected
