@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import (
+    STRATEGIES,
     ConstraintOptionError,
     PrecisEngine,
     answer_ddl,
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--total", type=int, help="at most N tuples overall")
         cmd.add_argument(
             "--strategy",
-            choices=["auto", "naive", "round_robin"],
+            choices=STRATEGIES,
             default="auto",
         )
         cmd.add_argument(

@@ -22,6 +22,7 @@ from .deadline import NO_DEADLINE, Deadline
 from .database_generator import (
     JOIN_ORDER_FIFO,
     JOIN_ORDER_WEIGHT,
+    STRATEGIES,
     STRATEGY_AUTO,
     STRATEGY_NAIVE,
     STRATEGY_ROUND_ROBIN,
@@ -65,6 +66,7 @@ __all__ = [
     "STRATEGY_AUTO",
     "STRATEGY_NAIVE",
     "STRATEGY_ROUND_ROBIN",
+    "STRATEGIES",
     "JOIN_ORDER_WEIGHT",
     "JOIN_ORDER_FIFO",
     "DegreeConstraint",

@@ -28,12 +28,11 @@ NaïveQ is directly observable via ``integrity_violations()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, Optional
 
 from ..graph.schema_graph import JoinEdge
 from ..obs import NULL_TRACER, Tracer
 from ..relational.database import Database
-from ..relational.query import RoundRobinScans
 from ..relational.row import Row
 from ..relational.schema import DatabaseSchema, ForeignKey
 from .constraints import CardinalityConstraint, Unlimited
@@ -48,6 +47,7 @@ __all__ = [
     "STRATEGY_NAIVE",
     "STRATEGY_ROUND_ROBIN",
     "STRATEGY_AUTO",
+    "STRATEGIES",
     "JOIN_ORDER_WEIGHT",
     "JOIN_ORDER_FIFO",
 ]
@@ -55,7 +55,8 @@ __all__ = [
 STRATEGY_NAIVE = "naive"
 STRATEGY_ROUND_ROBIN = "round_robin"
 STRATEGY_AUTO = "auto"
-_STRATEGIES = (STRATEGY_NAIVE, STRATEGY_ROUND_ROBIN, STRATEGY_AUTO)
+#: every strategy name the generator accepts
+STRATEGIES = (STRATEGY_NAIVE, STRATEGY_ROUND_ROBIN, STRATEGY_AUTO)
 
 #: the paper's join ordering: heaviest executable edge first, so
 #: "relations in D' that are most related to the query are populated
@@ -111,9 +112,11 @@ class GeneratorReport:
 
 
 def _result_database_schema(
-    source: Database, result_schema: ResultSchema
+    source: Database,
+    result_schema: ResultSchema,
+    retrieval: Mapping[str, tuple[str, ...]],
 ) -> DatabaseSchema:
-    """Schema of the answer: each relation projected on its retrieval
+    """Schema of the answer: each relation projected on its *retrieval*
 
     attributes, plus the *referential* constraints the sub-database
     inherits. A ``G'`` join edge becomes a foreign key of the answer only
@@ -121,10 +124,10 @@ def _result_database_schema(
     in the original schema — the reverse direction of a foreign key is a
     join worth following but not a constraint (a DIRECTOR row without
     movies is legal; a CAST row without its MOVIE is not)."""
-    relations = []
-    for name in result_schema.relations:
-        attrs = result_schema.retrieval_attributes(name)
-        relations.append(source.relation(name).schema.project(attrs))
+    relations = [
+        source.relation(name).schema.project(attrs)
+        for name, attrs in retrieval.items()
+    ]
     source_fks = {
         (fk.source, fk.column, fk.target, fk.target_column)
         for fk in source.schema.foreign_keys
@@ -158,23 +161,35 @@ def _fetch_bounded(
     attrs,
     budget: Optional[int],
     deadline: Deadline,
+    weigher: Optional[TupleWeigher] = None,
 ) -> tuple[list[Row], bool]:
-    """``fetch_many`` in chunks, stopping between chunks once the
-    deadline expires. Returns (rows fetched so far, cut-by-deadline)."""
+    """Read at most *budget* of *tids*: a tid-order prefix, or with a
+    *weigher* the heaviest ones. ``fetch_many`` runs in chunks,
+    stopping between chunks once the deadline expires. Returns (rows
+    read, cut-by-deadline)."""
     tid_list = list(tids)
+    heaviest = weigher is not None and budget is not None and len(tid_list) > budget
+    limit = None if heaviest else budget
     out: list[Row] = []
+    cut = False
     for start in range(0, len(tid_list), _DEADLINE_CHUNK):
-        if budget is not None and len(out) >= budget:
+        if limit is not None and len(out) >= limit:
             break
         if start and deadline.expired():
-            return out, True
-        remaining = None if budget is None else budget - len(out)
+            cut = True
+            break
+        remaining = None if limit is None else limit - len(out)
         out.extend(
             relation.fetch_many(
                 tid_list[start : start + _DEADLINE_CHUNK], attrs, remaining
             )
         )
-    return out, False
+    if heaviest:
+        # value-weighted selection (§7 extension): score all candidates,
+        # keep the heaviest — costs the full read, which the meter records
+        out.sort(key=weigher.sort_key(relation.name))
+        del out[budget:]
+    return out, cut
 
 
 def _fetch_naive(
@@ -182,12 +197,14 @@ def _fetch_naive(
     attribute,
     values,
     attrs,
-    exclude: set[int],
+    exclude: Container[int],
     budget: Optional[int],
     weigher: Optional[TupleWeigher] = None,
     deadline: Deadline = NO_DEADLINE,
 ) -> tuple[list[Row], set[int]]:
-    """Returns (new rows, matching tids that were already present)."""
+    """NaïveQ: IN-list probes for the driving values, then a
+    budget-bounded read of the matches not in *exclude*. Returns (new
+    rows, matching tids that were already present)."""
     values = list(values)
     tids: set[int] = set()
     for start in range(0, len(values), _DEADLINE_CHUNK):
@@ -196,16 +213,10 @@ def _fetch_naive(
         tids |= relation.lookup_in(
             attribute, values[start : start + _DEADLINE_CHUNK]
         )
-    matched_existing = tids & exclude
+    matched_existing = {tid for tid in tids if tid in exclude}
     fresh = [tid for tid in sorted(tids) if tid not in exclude]
-    if weigher is None or budget is None or len(fresh) <= budget:
-        rows, __ = _fetch_bounded(relation, fresh, attrs, budget, deadline)
-        return rows, matched_existing
-    # value-weighted selection (§7 extension): score all candidates,
-    # keep the heaviest — costs the full fetch, which the meter records
-    rows, __ = _fetch_bounded(relation, fresh, attrs, None, deadline)
-    rows.sort(key=weigher.sort_key(relation.name))
-    return rows[:budget], matched_existing
+    rows, __ = _fetch_bounded(relation, fresh, attrs, budget, deadline, weigher)
+    return rows, matched_existing
 
 
 def _fetch_round_robin(
@@ -213,74 +224,60 @@ def _fetch_round_robin(
     attribute,
     values,
     attrs,
-    exclude: set[int],
+    exclude: Container[int],
     budget: Optional[int],
     weigher: Optional[TupleWeigher] = None,
     deadline: Deadline = NO_DEADLINE,
 ) -> tuple[list[Row], set[int]]:
-    """Returns (new rows, matching tids that were already present).
+    """RoundRobin: one scan of joining tuples per distinct driving
+    value, merged one pick per open scan per round until *budget*
+    picks are not in *exclude*; exhausted scans close. A scan holds
+    its tids in ascending order or, with a *weigher*, heaviest first.
 
-    Unlike the NaïveQ probe, matched-existing reporting is best-effort:
-    only tuples the cursors actually visited before the budget ran out
-    are observed (the unvisited tail is unknown by construction)."""
-    matched_existing: set[int] = set()
-    if weigher is not None:
-        # weighted variant: one scan per driving value, each scan
-        # ordered heaviest-first, then merged round-robin
-        key = weigher.sort_key(relation.name)
-        queues: list[list[Row]] = []
-        for value in dict.fromkeys(values):
-            if queues and deadline.expired():
-                break
-            relation.meter.charge_scan_step()  # cursor open, as in RR
-            matches = relation.fetch_many(
-                sorted(relation.lookup(attribute, value)), attrs
-            )
-            matches.sort(key=key, reverse=True)  # pop() yields best first
-            if matches:
-                queues.append(matches)
-        out: list[Row] = []
-        cursor = 0
-        while queues:
-            if budget is not None and len(out) >= budget:
-                break
-            if len(out) % _DEADLINE_CHUNK == 0 and out and deadline.expired():
-                break
-            if cursor >= len(queues):
-                cursor = 0
-            row = queues[cursor].pop()
-            if queues[cursor]:
-                cursor += 1
-            else:
-                del queues[cursor]
-            if row.tid in exclude:
-                matched_existing.add(row.tid)
-            else:
-                out.append(row)
-        return out, matched_existing
-    scans = RoundRobinScans(
-        relation,
-        attribute,
-        values,
-        attrs,
-        should_stop=deadline.expired,
-    )
-    out = []
-    steps = 0
-    while not scans.exhausted():
-        if budget is not None and len(out) >= budget:
+    The charges behind Figure 9's RoundRobin penalty: a plain scan
+    costs one index lookup, then one scan step (the cursor advance)
+    and one tuple read per visited tuple, held ones included — read in
+    one chunked batch after the merge. A weighted scan costs one scan
+    step as it opens and a read of every match. Returns (new rows,
+    visited tids that were already present)."""
+    weighed: dict[int, Row] = {}
+    scans: list[list[int]] = []
+    for i, value in enumerate(dict.fromkeys(values)):
+        if i % 256 == 0 and i and deadline.expired():
             break
-        steps += 1
-        if steps % 64 == 0 and deadline.expired():
+        tids = sorted(relation.lookup(attribute, value))
+        if weigher is not None:
+            relation.meter.charge_scan_step()  # the scan's cursor opens
+            matches = relation.fetch_many(tids, attrs)
+            matches.sort(key=weigher.sort_key(relation.name))
+            weighed.update((row.tid, row) for row in matches)
+            tids = [row.tid for row in matches]
+        if tids:
+            scans.append(tids[::-1])  # pop() yields the scan's next tid
+    picks: list[int] = []
+    new = 0
+    cursor = 0
+    while scans and (budget is None or new < budget):
+        if picks and len(picks) % 64 == 0 and deadline.expired():
             break
-        row = scans.next_tuple()
-        if row is None:
-            continue
-        if row.tid in exclude:
-            matched_existing.add(row.tid)
+        if cursor >= len(scans):
+            cursor = 0
+        scan = scans[cursor]
+        tid = scan.pop()
+        if scan:
+            cursor += 1
         else:
-            out.append(row)
-    return out, matched_existing
+            del scans[cursor]  # exhausted: the scan closes
+        picks.append(tid)
+        if tid not in exclude:
+            new += 1
+    if weigher is None:
+        rows, __ = _fetch_bounded(relation, picks, attrs, None, deadline)
+        relation.meter.charge_scan_step(len(rows))  # a cursor advance each
+    else:
+        rows = [weighed[tid] for tid in picks]
+    matched_existing = {row.tid for row in rows if row.tid in exclude}
+    return [row for row in rows if row.tid not in exclude], matched_existing
 
 
 def generate_result_database(
@@ -350,8 +347,8 @@ def generate_result_database(
         references, which is the paper's argument for RoundRobin) and an
         execution report.
     """
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick from {_STRATEGIES}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
     if join_order not in _JOIN_ORDERS:
         raise ValueError(
             f"unknown join order {join_order!r}; pick from {_JOIN_ORDERS}"
@@ -390,14 +387,25 @@ def _populate(
     cardinality = cardinality if cardinality is not None else Unlimited()
 
     report = GeneratorReport()
-    schema = _result_database_schema(source, result_schema)
+    # per relation, the attributes every fetch reads: the answer
+    # schema's columns, in its order
+    retrieval = {
+        name: result_schema.retrieval_attributes(name)
+        for name in result_schema.relations
+    }
+    schema = _result_database_schema(source, result_schema, retrieval)
     # The answer has its own meter: the paper's cost model (Formula 1)
     # counts retrievals from the *original* database only, which land on
     # source.meter; in-memory processing of the answer is free.
     answer = Database(schema, enforce_foreign_keys=False)
 
     counts: dict[str, int] = {name: 0 for name in result_schema.relations}
-    present: dict[str, set[int]] = {name: set() for name in result_schema.relations}
+    # held[relation] = {source tid: source row}, in deposit order: the
+    # walk dedups against these rows and reads its driving values from
+    # them, never from the answer it is writing
+    held: dict[str, dict[int, Row]] = {
+        name: {} for name in result_schema.relations
+    }
 
     # --- path scoping (§5.2's P_d dependence) -----------------------------
     # allowed_preds[edge key] = the arrival tags (previous edge key, or
@@ -433,9 +441,9 @@ def _populate(
                 report.stopped_by_deadline = True
                 break
             tags.setdefault(row.tid, set()).add(via)
-            if row.tid in present[relation]:
+            if row.tid in held[relation]:
                 continue
-            present[relation].add(row.tid)
+            held[relation][row.tid] = row
             # rows are fetched on the relation's retrieval attributes,
             # which are the answer schema's columns, in its order
             tid_map[row.tid] = answer.insert(relation, row.values)
@@ -453,24 +461,18 @@ def _populate(
         if not tids:
             continue
         budget = cardinality.budget_for(relation, counts)
-        attrs = result_schema.retrieval_attributes(relation)
+        attrs = retrieval[relation]
         tid_list = sorted(tids)
         report.seed_matches[relation] = len(tid_list)
         report.seed_budgets[relation] = budget
-        if (
-            tuple_weigher is not None
-            and budget is not None
-            and len(tid_list) > budget
-        ):
-            rows, cut = _fetch_bounded(
-                source.relation(relation), tid_list, attrs, None, deadline
-            )
-            rows.sort(key=tuple_weigher.sort_key(relation))
-            rows = rows[:budget]
-        else:
-            rows, cut = _fetch_bounded(
-                source.relation(relation), tid_list, attrs, budget, deadline
-            )
+        rows, cut = _fetch_bounded(
+            source.relation(relation),
+            tid_list,
+            attrs,
+            budget,
+            deadline,
+            tuple_weigher,
+        )
         if cut:
             report.stopped_by_deadline = True
         report.seed_counts[relation] = deposit(
@@ -518,32 +520,23 @@ def _populate(
         in_degree[edge.target] -= 1
         populated.add(edge.target)
 
-        source_rel = answer.relation(edge.source)
+        driving_rows = held[edge.source].values()
         if path_scoped:
             predecessors = allowed_preds.get(edge.key, set())
-            tid_map = report.tid_maps.get(edge.source, {})
-            driving = set()
-            for src_tid, tags in arrivals[edge.source].items():
-                if tags & predecessors:
-                    value = source_rel.fetch(
-                        tid_map[src_tid], [edge.source_attribute]
-                    )[0]
-                    if value is not None:
-                        driving.add(value)
-        else:
-            driving = set()
-            for seen, row in enumerate(source_rel.scan([edge.source_attribute])):
-                if seen % (4 * _DEADLINE_CHUNK) == 0 and seen and deadline.expired():
-                    report.stopped_by_deadline = True
-                    break
-                if row[0] is not None:
-                    driving.add(row[0])
+            driving_rows = [
+                held[edge.source][tid]
+                for tid, tags in arrivals[edge.source].items()
+                if tags & predecessors
+            ]
+        position = retrieval[edge.source].index(edge.source_attribute)
+        driving = {row.values[position] for row in driving_rows}
+        driving.discard(None)
         budget = cardinality.budget_for(edge.target, counts)
         if not driving or (budget is not None and budget <= 0):
             report.skipped_edges.append(edge)
             continue
 
-        attrs = result_schema.retrieval_attributes(edge.target)
+        attrs = retrieval[edge.target]
         target_rel = source.relation(edge.target)
         use_round_robin = strategy == STRATEGY_ROUND_ROBIN or (
             strategy == STRATEGY_AUTO and not _is_to_one(source, edge)
@@ -554,7 +547,7 @@ def _populate(
             edge.target_attribute,
             sorted(driving),
             attrs,
-            present[edge.target],
+            held[edge.target],
             budget,
             tuple_weigher,
             deadline,

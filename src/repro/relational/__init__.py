@@ -4,9 +4,8 @@ The paper ran on Oracle 9i; this package replaces it with a small,
 fully-tested engine exposing exactly what the précis algorithms need:
 typed schemas with primary/foreign keys, tuple-id addressed storage,
 hash indexes on join attributes, IN-list and tid-list selections
-with limits (NaïveQ), round-robin scan cursors, per-operation cost
-accounting matching the paper's ``IndexTime``/``TupleTime`` model, and
-CSV round-tripping.
+with limits (NaïveQ), per-operation cost accounting matching the
+paper's ``IndexTime``/``TupleTime`` model, and CSV round-tripping.
 """
 
 from .cost import CostMeter, CostParameters, CostSnapshot
@@ -26,7 +25,6 @@ from .errors import (
     UnknownTupleError,
 )
 from .index import HashIndex
-from .query import RoundRobinScans
 from .relation import Relation
 from .stats import FanoutStats, RelationStats, database_summary, fanout_stats, relation_stats
 from .row import Row
@@ -45,7 +43,6 @@ __all__ = [
     "Relation",
     "Row",
     "HashIndex",
-    "RoundRobinScans",
     "RelationalError",
     "SchemaError",
     "TypeMismatchError",

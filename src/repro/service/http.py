@@ -45,7 +45,7 @@ import json
 from typing import Any, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from ..core import ConstraintOptionError, Deadline, read_constraints
+from ..core import STRATEGIES, ConstraintOptionError, Deadline, read_constraints
 from .errors import (
     QueueFull,
     ServiceClosed,
@@ -113,6 +113,8 @@ def _ask_kwargs(params: dict) -> dict[str, Any]:
     kwargs: dict[str, Any] = {"degree": degree, "cardinality": cardinality}
     strategy = _param(params, "strategy", str)
     if strategy is not None:
+        if strategy not in STRATEGIES:
+            raise _BadRequest(f"bad 'strategy': {strategy!r}")
         kwargs["strategy"] = strategy
     translate = _param(params, "translate", int)
     if translate is not None:

@@ -58,15 +58,19 @@ class SynchronizedWriter:
         return tid
 
     def delete(self, relation: str, tid: int) -> None:
-        """Remove a tuple from both the database and the index."""
+        """Remove a tuple from both the database and the index.
+
+        The database deletes first, keeping referential integrity: a
+        delete it refuses (the tuple still has children) leaves both the
+        database and the index untouched."""
         row = self.db.relation(relation).fetch(tid)
+        self.db.delete(relation, tid)
         for attribute in self._indexed_attributes(relation):
             value = row.get(attribute)
             if value is not None:
                 self.index.remove_value(
                     relation, attribute, tid, render(value)
                 )
-        self.db.relation(relation).delete(tid)
 
     def update(
         self,

@@ -12,7 +12,6 @@ from repro.relational import (
     DataType,
     ForeignKey,
     RelationSchema,
-    RoundRobinScans,
 )
 from repro.relational.csvio import load_database, save_database
 from repro.relational.relation import Relation
@@ -66,53 +65,6 @@ class TestIndexScanEquivalence:
         alive = set(rel.tids())
         for number in range(-50, 51):
             assert rel.lookup("N", number) <= alive
-
-
-class TestRoundRobinProperties:
-    @given(
-        spread=st.lists(st.integers(1, 5), min_size=1, max_size=8),
-        budget=st.integers(0, 60),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_no_starvation_and_budget(self, spread, budget):
-        """RoundRobin never exceeds the budget, never starves a driving
-
-        value while budget remains, and spreads counts within ±1 until a
-        scan is exhausted."""
-        rel = Relation(
-            RelationSchema(
-                "C",
-                [
-                    Column("CID", DataType.INT, nullable=False),
-                    Column("PID", DataType.INT),
-                ],
-                primary_key="CID",
-            )
-        )
-        cid = 0
-        for pid, n_children in enumerate(spread, start=1):
-            for __ in range(n_children):
-                cid += 1
-                rel.insert({"CID": cid, "PID": pid})
-        rel.create_index("PID")
-        driving = list(range(1, len(spread) + 1))
-        taken = RoundRobinScans(rel, "PID", driving).take(budget)
-        assert len(taken) == min(budget, sum(spread))
-        per_value = {pid: 0 for pid in driving}
-        for row in taken:
-            per_value[row["PID"]] += 1
-        if budget >= len(driving):
-            # one full round fits: nobody starves
-            assert all(count >= 1 for count in per_value.values())
-        # fairness: counts differ by at most 1 unless a scan ran dry
-        for pid, count in per_value.items():
-            others = [
-                c
-                for other, c in per_value.items()
-                if other != pid and c < spread[other - 1]
-            ]
-            if count < spread[pid - 1] and others:
-                assert count >= max(others) - 1
 
 
 class TestCsvRoundtripProperty:

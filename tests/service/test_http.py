@@ -121,9 +121,10 @@ class TestAsk:
         assert "priority" in body["error"]
 
     def test_out_of_range_parameters_are_400(self, engine, service):
-        """A value the constraint or the deadline rejects is the
-        caller's fault: a 400 naming the parameter, and the server
-        keeps answering."""
+        """A value the constraint, the deadline or the generator
+        rejects is the caller's fault: a 400 naming the parameter,
+        refused before any worker runs the ask, and the server keeps
+        answering."""
         bad = [
             "per_relation=-1",
             "total=-5",
@@ -132,6 +133,7 @@ class TestAsk:
             "degree_weight=2",
             "degree_weight=nan",
             "deadline_ms=nan",
+            "strategy=bogus",
         ]
 
         async def go():
@@ -140,15 +142,19 @@ class TestAsk:
                     await http_get(http.host, http.port, f"/ask?q={Q}&{p}")
                     for p in bad
                 ]
+                executions = http.frontdoor.metrics.registry.counter(
+                    "precis_service_executions_total"
+                ).value
                 good = await http_get(
                     http.host, http.port, f"/ask?q={Q}&per_relation=3"
                 )
-                return refused, good
+                return refused, executions, good
 
-        refused, (status, body) = run(go())
+        refused, executions, (status, body) = run(go())
         for parameter, (bad_status, bad_body) in zip(bad, refused):
             assert bad_status == 400, parameter
             assert parameter.split("=")[0] in bad_body["error"], bad_body
+        assert executions == 0
         assert status == 200
         expected = engine.ask(QUERY, cardinality=MaxTuplesPerRelation(3))
         assert body == expected.to_dict()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import PrecisEngine, WeightThreshold
+from repro.relational import ForeignKeyViolation
 from repro.text import SynchronizedWriter, build_index
 
 
@@ -47,6 +48,46 @@ class TestDelete:
         writer.delete("MOVIE", tid)
         assert index.lookup_word("zelig") == []
         assert tid not in db.relation("MOVIE")
+
+
+class TestDeleteIntegrity:
+    """Deletes keep referential integrity on an FK-enforcing database."""
+
+    @pytest.fixture()
+    def movies(self):
+        from repro.datasets import generate_movies_database
+
+        db = generate_movies_database(n_movies=50, seed=1)
+        index = build_index(db)
+        return db, index, SynchronizedWriter(db, index)
+
+    @staticmethod
+    def director_tids(index, name):
+        return {
+            tid
+            for occ in index.lookup_token(name)
+            if occ.relation == "DIRECTOR"
+            for tid in occ.tids
+        }
+
+    def test_refused_delete_leaves_database_and_index(self, movies):
+        db, index, writer = movies
+        director = next(db.relation("DIRECTOR").scan())
+        assert db.relation("MOVIE").lookup("DID", director["DID"])
+        with pytest.raises(ForeignKeyViolation):
+            writer.delete("DIRECTOR", director.tid)
+        assert director.tid in db.relation("DIRECTOR")
+        assert self.director_tids(index, director["DNAME"]) == {director.tid}
+        assert db.integrity_violations() == []
+
+    def test_unreferenced_delete_leaves_neither(self, movies):
+        db, index, writer = movies
+        tid = writer.insert("DIRECTOR", {"DID": 9999, "DNAME": "Ida Lupino"})
+        assert self.director_tids(index, "Ida Lupino") == {tid}
+        writer.delete("DIRECTOR", tid)
+        assert tid not in db.relation("DIRECTOR")
+        assert self.director_tids(index, "Ida Lupino") == set()
+        assert db.integrity_violations() == []
 
 
 class TestUpdate:
