@@ -126,12 +126,25 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--per-relation", type=int, help="at most N tuples per relation"
         )
-        cmd.add_argument("--total", type=int, help="at most N tuples overall")
-        cmd.add_argument(
-            "--strategy",
-            choices=STRATEGIES,
-            default="auto",
-        )
+        if name != "estimate":
+            # options of a run; estimate predicts one without running it
+            cmd.add_argument(
+                "--total", type=int, help="at most N tuples overall"
+            )
+            cmd.add_argument(
+                "--strategy",
+                choices=STRATEGIES,
+                default="auto",
+            )
+            cmd.add_argument(
+                "--deadline-ms",
+                type=_milliseconds,
+                metavar="N",
+                help="cooperative time budget for the ask (repro.core."
+                "deadline): on expiry the pipeline stops at the next "
+                "iteration boundary and returns a valid partial answer "
+                "flagged degraded (visible under --explain)",
+            )
         cmd.add_argument(
             "--stats",
             action="store_true",
@@ -183,15 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="keep asks slower than N ms in the slow-query log "
             "(part of the JSON metrics snapshot; implies metrics)",
-        )
-        cmd.add_argument(
-            "--deadline-ms",
-            type=_milliseconds,
-            metavar="N",
-            help="cooperative time budget for the ask (repro.core."
-            "deadline): on expiry the pipeline stops at the next "
-            "iteration boundary and returns a valid partial answer "
-            "flagged degraded (visible under --explain)",
         )
         if name == "estimate":
             cmd.add_argument(
@@ -700,8 +704,10 @@ def _cmd_estimate(args, out) -> int:
             seed_counts[occ.relation] = seed_counts.get(occ.relation, 0) + len(
                 occ.tids
             )
-    estimated = estimate_cardinalities(engine.db, schema, seed_counts)
-    print("estimated answer size (unconstrained):", file=out)
+    cap = args.per_relation
+    estimated = estimate_cardinalities(engine.db, schema, seed_counts, cap)
+    bound = "unconstrained" if cap is None else f"at most {cap} per relation"
+    print(f"estimated answer size ({bound}):", file=out)
     for relation, expected in estimated.items():
         print(f"  {relation}: ~{expected:.1f} tuple(s)", file=out)
     print(f"  total: ~{sum(estimated.values()):.1f}", file=out)
@@ -1009,7 +1015,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                 args.degree_top,
                 args.degree_length,
                 args.per_relation,
-                args.total,
+                getattr(args, "total", None),
             )
         except ConstraintOptionError as exc:
             flag = "--" + exc.option.replace("_", "-")

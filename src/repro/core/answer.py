@@ -147,7 +147,7 @@ class PrecisAnswer:
                     "on": [edge.source_attribute, edge.target_attribute],
                     "weight": edge.weight,
                 }
-                for edge in self.result_schema.join_edges()
+                for edge in self.result_schema.join_edges
             ],
             "relations": {
                 relation: self._rendered_rows(relation)

@@ -9,7 +9,8 @@ Populates the result schema ``D'`` produced by the schema generator:
    values already collected in the source — *never* an actual join query;
 3. postpone joins departing from a relation whose in-degree has not yet
    reached zero, so all arrivals deposit (and deduplicate) their tuples
-   before the relation drives further joins;
+   before the relation drives further joins (the order of 2 and 3 is
+   :attr:`~repro.core.result_schema.ResultSchema.walk`);
 4. bound every fetch by the cardinality constraint, choosing between the
    paper's two subset strategies:
 
@@ -34,10 +35,9 @@ from ..graph.schema_graph import JoinEdge
 from ..obs import NULL_TRACER, Tracer
 from ..relational.database import Database
 from ..relational.row import Row
-from ..relational.schema import DatabaseSchema, ForeignKey
 from .constraints import CardinalityConstraint, Unlimited
 from .deadline import NO_DEADLINE, Deadline
-from .result_schema import ResultSchema
+from .result_schema import ResultSchema, join_walk
 from .value_weights import TupleWeigher
 
 __all__ = [
@@ -109,36 +109,6 @@ class GeneratorReport:
         return sum(self.seed_counts.values()) + sum(
             ex.tuples_new for ex in self.executions
         )
-
-
-def _result_database_schema(
-    source: Database,
-    result_schema: ResultSchema,
-    retrieval: Mapping[str, tuple[str, ...]],
-) -> DatabaseSchema:
-    """Schema of the answer: each relation projected on its *retrieval*
-
-    attributes, plus the *referential* constraints the sub-database
-    inherits. A ``G'`` join edge becomes a foreign key of the answer only
-    when the same (source, column) → (target, column) constraint exists
-    in the original schema — the reverse direction of a foreign key is a
-    join worth following but not a constraint (a DIRECTOR row without
-    movies is legal; a CAST row without its MOVIE is not)."""
-    relations = [
-        source.relation(name).schema.project(attrs)
-        for name, attrs in retrieval.items()
-    ]
-    source_fks = {
-        (fk.source, fk.column, fk.target, fk.target_column)
-        for fk in source.schema.foreign_keys
-    }
-    fks = [
-        ForeignKey(e.source, e.source_attribute, e.target, e.target_attribute)
-        for e in result_schema.join_edges()
-        if (e.source, e.source_attribute, e.target, e.target_attribute)
-        in source_fks
-    ]
-    return DatabaseSchema(relations, fks)
 
 
 def _is_to_one(source_db: Database, edge: JoinEdge) -> bool:
@@ -301,9 +271,11 @@ def generate_result_database(
     result_schema:
         The ``G'`` produced by the schema generator.
     seed_tids:
-        Per token relation, the tuple ids containing the query tokens
-        (the inverted index output). Relations absent from the result
-        schema are ignored.
+        Per origin relation of ``G'``, the tuple ids containing the
+        query tokens (the inverted index output). Relations absent from
+        the result schema are ignored. The walk starts at ``G'``'s
+        origins: tids given for another relation of ``G'`` are
+        deposited, but joins leave it only once the walk reaches it.
     cardinality:
         The constraint ``c``; defaults to unlimited.
     strategy:
@@ -315,8 +287,8 @@ def generate_result_database(
         kept instead of an arbitrary prefix.
     join_order:
         ``"weight"`` (the paper's heaviest-first rule) or ``"fifo"``
-        (result-schema admission order) — the latter exists for the
-        join-order ablation benchmark.
+        (the same walk in result-schema admission order) — the latter
+        exists for the join-order ablation benchmark.
     path_scoped:
         The refinement the paper alludes to in §5.2 ("which of the
         tuples collected in a relation are used for subsequently
@@ -332,7 +304,8 @@ def generate_result_database(
         No-op by default.
     deadline:
         Cooperative time budget (:mod:`repro.core.deadline`): checked
-        before each seed fetch and at every join-loop iteration. Expiry
+        before each seed fetch, before each join edge and once after
+        the last, and inside long fetches and deposits. Expiry
         stops generation exactly like an exhausted cardinality
         constraint — the tuples deposited so far form a valid partial
         answer and the report records ``stopped_by_deadline``; edges
@@ -387,17 +360,12 @@ def _populate(
     cardinality = cardinality if cardinality is not None else Unlimited()
 
     report = GeneratorReport()
-    # per relation, the attributes every fetch reads: the answer
-    # schema's columns, in its order
-    retrieval = {
-        name: result_schema.retrieval_attributes(name)
-        for name in result_schema.relations
-    }
-    schema = _result_database_schema(source, result_schema, retrieval)
     # The answer has its own meter: the paper's cost model (Formula 1)
     # counts retrievals from the *original* database only, which land on
     # source.meter; in-memory processing of the answer is free.
-    answer = Database(schema, enforce_foreign_keys=False)
+    answer = Database(
+        result_schema.answer_schema(source.schema), enforce_foreign_keys=False
+    )
 
     counts: dict[str, int] = {name: 0 for name in result_schema.relations}
     # held[relation] = {source tid: source row}, in deposit order: the
@@ -461,14 +429,13 @@ def _populate(
         if not tids:
             continue
         budget = cardinality.budget_for(relation, counts)
-        attrs = retrieval[relation]
         tid_list = sorted(tids)
         report.seed_matches[relation] = len(tid_list)
         report.seed_budgets[relation] = budget
         rows, cut = _fetch_bounded(
             source.relation(relation),
             tid_list,
-            attrs,
+            result_schema.retrieval_attributes(relation),
             budget,
             deadline,
             tuple_weigher,
@@ -479,32 +446,21 @@ def _populate(
             relation, rows, via=("root", relation)
         )
 
-    # Step 2: execute the join edges of G'.
-    edges = list(result_schema.join_edges())
-    in_degree = result_schema.in_degrees()
+    # Step 2: execute the join edges of G' in walk order, checking the
+    # deadline and the budget before each edge and once more after the
+    # last (the None), so that a cut inside the last join still marks
+    # the report.
+    walk = (
+        result_schema.walk
+        if join_order == JOIN_ORDER_WEIGHT
+        else join_walk(  # admission order among the ready edges
+            result_schema.join_edges,
+            result_schema.origin_relations,
+            pick=lambda pool: pool[0],
+        )
+    )
     executed: set[tuple] = set()
-    # Every origin present in G' counts as populated (possibly empty) so
-    # the walk can always make progress past unseeded origins.
-    populated: set[str] = set(report.seed_counts) | {
-        r for r in result_schema.origin_relations if r in counts
-    }
-
-    def pick_next() -> Optional[JoinEdge]:
-        candidates = [
-            e for e in edges if e.key not in executed and e.source in populated
-        ]
-        if not candidates:
-            return None
-        ready = [e for e in candidates if in_degree[e.source] == 0]
-        # `ready` is the paper's postponement rule; if a cycle in G'
-        # leaves nothing ready, fall back to the heaviest candidate so
-        # the walk always terminates.
-        pool = ready or candidates
-        if join_order == JOIN_ORDER_FIFO:
-            return pool[0]  # `edges` keeps admission order
-        return max(pool, key=lambda e: (e.weight, e.key))
-
-    while True:
+    for edge in (*walk, None):
         if report.stopped_by_deadline or deadline.expired():
             # expiry ends the walk like an exhausted budget; edges never
             # executed are reported as skipped below
@@ -513,12 +469,9 @@ def _populate(
         if cardinality.exhausted(counts):
             report.stopped_by_cardinality = True
             break
-        edge = pick_next()
         if edge is None:
             break
         executed.add(edge.key)
-        in_degree[edge.target] -= 1
-        populated.add(edge.target)
 
         driving_rows = held[edge.source].values()
         if path_scoped:
@@ -528,7 +481,9 @@ def _populate(
                 for tid, tags in arrivals[edge.source].items()
                 if tags & predecessors
             ]
-        position = retrieval[edge.source].index(edge.source_attribute)
+        position = result_schema.retrieval_attributes(edge.source).index(
+            edge.source_attribute
+        )
         driving = {row.values[position] for row in driving_rows}
         driving.discard(None)
         budget = cardinality.budget_for(edge.target, counts)
@@ -536,7 +491,6 @@ def _populate(
             report.skipped_edges.append(edge)
             continue
 
-        attrs = retrieval[edge.target]
         target_rel = source.relation(edge.target)
         use_round_robin = strategy == STRATEGY_ROUND_ROBIN or (
             strategy == STRATEGY_AUTO and not _is_to_one(source, edge)
@@ -546,7 +500,7 @@ def _populate(
             target_rel,
             edge.target_attribute,
             sorted(driving),
-            attrs,
+            result_schema.retrieval_attributes(edge.target),
             held[edge.target],
             budget,
             tuple_weigher,
@@ -568,6 +522,7 @@ def _populate(
             )
         )
 
-    remaining = [e for e in edges if e.key not in executed]
-    report.skipped_edges.extend(remaining)
+    report.skipped_edges.extend(
+        e for e in result_schema.join_edges if e.key not in executed
+    )
     return answer, report

@@ -13,8 +13,10 @@ tuple is fetched. Uses:
   (:func:`suggest_cardinality`);
 * order exploration steps by expected volume.
 
-The estimate walks ``G'`` exactly like the Result Database Generator
-(weight order, in-degree postponement) but propagates *expected counts*:
+The estimate follows the same walk as the Result Database Generator —
+the join order stored on the result schema
+(:attr:`~repro.core.result_schema.ResultSchema.walk`: heaviest ready
+edge first, in-degree postponement) — but propagates *expected counts*:
 ``E[target] += E[source] · mean_fanout(edge)``, capped by the target's
 true cardinality and deduplicated arrivals approximated by the
 inclusion bound ``min(sum of arrivals, |target|)``.
@@ -26,7 +28,6 @@ import math
 from typing import Mapping, Optional
 
 from ..relational.database import Database
-from ..relational.stats import fanout_stats
 from .constraints import MaxTuplesPerRelation
 from .result_schema import ResultSchema
 
@@ -76,24 +77,7 @@ def estimate_cardinalities(
                     expected[relation], float(per_relation_cap)
                 )
 
-    in_degree = result_schema.in_degrees()
-    executed: set[tuple] = set()
-    populated = {r for r, n in expected.items() if n > 0} | set(
-        result_schema.origin_relations
-    )
-    edges = list(result_schema.join_edges())
-    while True:
-        candidates = [
-            e for e in edges if e.key not in executed and e.source in populated
-        ]
-        if not candidates:
-            break
-        ready = [e for e in candidates if in_degree[e.source] == 0]
-        pool = ready or candidates
-        edge = max(pool, key=lambda e: (e.weight, e.key))
-        executed.add(edge.key)
-        in_degree[edge.target] -= 1
-        populated.add(edge.target)
+    for edge in result_schema.walk:
         fanout = _mean_fanout(
             db, edge.source, edge.source_attribute,
             edge.target, edge.target_attribute,

@@ -200,41 +200,22 @@ def build_explanation(
                 tokens_by_relation[occurrence.relation].append(match.token)
 
     relations: list[RelationProvenance] = []
-    seen: set[str] = set()
-    for path in schema.projection_paths:
-        for relation in path.relations():
-            if relation not in seen:
-                seen.add(relation)
-                if relation in schema.origin_relations:
-                    relations.append(
-                        RelationProvenance(
-                            relation=relation,
-                            kind="seed",
-                            tokens=tuple(
-                                tokens_by_relation.get(relation, ())
-                            ),
-                        )
-                    )
-                else:
-                    via = next(
-                        (
-                            edge
-                            for edge in path.joins
-                            if edge.target == relation
-                        ),
-                        None,
-                    )
-                    relations.append(
-                        RelationProvenance(
-                            relation=relation,
-                            kind="joined",
-                            via_path=repr(path),
-                            path_weight=path.weight,
-                            via_edge=(
-                                _edge_text(via) if via is not None else None
-                            ),
-                        )
-                    )
+    for relation in schema.relations:
+        if relation in schema.origin_relations:
+            tokens = tuple(tokens_by_relation.get(relation, ()))
+            relations.append(RelationProvenance(relation, "seed", tokens))
+            continue
+        path = schema.admitting_path(relation)
+        via = next(edge for edge in path.joins if edge.target == relation)
+        relations.append(
+            RelationProvenance(
+                relation=relation,
+                kind="joined",
+                via_path=repr(path),
+                path_weight=path.weight,
+                via_edge=_edge_text(via),
+            )
+        )
 
     batches: list[BatchProvenance] = []
     for relation, count in report.seed_counts.items():

@@ -19,7 +19,7 @@ The output is a :class:`~repro.core.result_schema.ResultSchema`.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..graph.paths import Path
 from ..graph.schema_graph import SchemaGraph
@@ -30,6 +30,8 @@ from .deadline import NO_DEADLINE, Deadline
 from .result_schema import ResultSchema
 
 __all__ = ["generate_result_schema", "SchemaGeneratorStats"]
+
+_DEADLINE_STOP = SchemaStop(kind="deadline", constraint="deadline expired")
 
 
 class SchemaGeneratorStats:
@@ -134,15 +136,14 @@ def _best_first_traversal(
     deadline: Deadline,
 ) -> ResultSchema:
     """The Figure 3 loop proper (validation and tracing live above)."""
-    result = ResultSchema(origin_relations=origins)
+    admitted: list[Path] = []
     state = SchemaState()
 
     # Cooperative deadline: checked on entry and per pop. Expiry cuts
     # the queue like a terminal degree failure, leaving a valid partial
     # schema that reports the deadline as its stop reason.
     if deadline.expired():
-        result.stop = SchemaStop(kind="deadline", constraint="deadline expired")
-        return result
+        return ResultSchema(origins, (), _DEADLINE_STOP)
 
     # EXPLAIN provenance: the first degree rejection seen anywhere (at a
     # pop or while extending). Even when it is not terminal — i.e. the
@@ -190,7 +191,7 @@ def _best_first_traversal(
             continue
 
         if path.is_projection_path:
-            result.admit(path)
+            admitted.append(path)
             state.admit(path)
             stats.paths_admitted += 1
             continue
@@ -218,13 +219,9 @@ def _best_first_traversal(
 
     if deadline_tripped:
         # the deadline, not the degree constraint, ended the traversal
-        result.stop = SchemaStop(
-            kind="deadline", constraint="deadline expired"
-        )
+        stop = _DEADLINE_STOP
+    elif first_rejection is not None:
+        stop = first_rejection
     else:
-        result.stop = (
-            first_rejection
-            if first_rejection is not None
-            else SchemaStop(kind="exhausted")
-        )
-    return result
+        stop = SchemaStop(kind="exhausted")
+    return ResultSchema(origins, tuple(admitted), stop)

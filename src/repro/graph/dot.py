@@ -65,7 +65,7 @@ def result_schema_to_dot(
             f"  {_quote(relation)} [shape=record, style={_quote(style)}, "
             f"label={_quote(label)}];"
         )
-    for edge in schema.join_edges():
+    for edge in schema.join_edges:
         label = (
             f"{edge.source_attribute}→{edge.target_attribute} "
             f"({edge.weight:g})"

@@ -115,7 +115,7 @@ class Translator:
         visited: frozenset[str],
         clauses: list[str],
     ) -> None:
-        for edge in walk.edges_from.get(relation, ()):
+        for edge in walk.answer.result_schema.edges_from(relation):
             if edge.target in visited:
                 continue
             template = self.spec.join_label(edge.source, edge.target)
@@ -170,17 +170,14 @@ class Translator:
 class _Walk:
     """What one translation reads of its answer, each piece computed on
     first use and dropped with the call (a translator may serve several
-    threads at once): the join edges leaving each relation, each
-    relation's rows by answer tid from one scan in tid order, the rows
-    grouped by the value of a join's target attribute, and each
-    relation's projection labels, heading attribute first."""
+    threads at once): each relation's rows by answer tid from one scan
+    in tid order, the rows grouped by the value of a join's target
+    attribute, and each relation's projection labels, heading attribute
+    first."""
 
     def __init__(self, answer, spec: TranslationSpec):
         self.answer = answer
         self.spec = spec
-        self.edges_from: dict[str, list[JoinEdge]] = {}
-        for edge in answer.result_schema.join_edges():
-            self.edges_from.setdefault(edge.source, []).append(edge)
         self._rows: dict[str, dict[int, Row]] = {}
         self._groups: dict[tuple[str, str], dict[Any, list[Row]]] = {}
         self._labels: dict[str, list[tuple[str, Template]]] = {}

@@ -97,9 +97,8 @@ class TestChain:
         graph = chain_graph(4)
         schema = generate_result_schema(graph, ["R1"], WeightThreshold(0.9))
         assert set(schema.relations) == {"R1", "R2", "R3", "R4"}
-        degrees = schema.in_degrees()
-        assert degrees["R1"] == 0
-        assert degrees["R4"] == 1
+        assert schema.in_degree("R1") == 0
+        assert schema.in_degree("R4") == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

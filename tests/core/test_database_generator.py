@@ -1,5 +1,8 @@
 """Unit tests for the Result Database Generator (Figure 5)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import (
@@ -138,6 +141,27 @@ class TestJoinWalk:
         assert answer.total_tuples() == 2  # just the two seeds
         assert report.stopped_by_cardinality
 
+    @pytest.mark.parametrize("total", [16, 17])
+    def test_budget_used_up_by_the_last_join_stops_walk(
+        self, db, schema, total
+    ):
+        """The walk checks the budget once more after its last edge: a
+        budget the last join uses up is reported like one used up
+        before it (the unconstrained answer holds 17 tuples)."""
+        answer, report = generate_result_database(
+            db, schema, _woody_seeds(db), MaxTotalTuples(total)
+        )
+        assert report.joins_executed == 4
+        assert not report.skipped_edges
+        assert answer.total_tuples() == total
+        assert report.stopped_by_cardinality
+
+    def test_executions_follow_the_stored_walk(self, db, schema):
+        __, report = generate_result_database(
+            db, schema, _woody_seeds(db), Unlimited()
+        )
+        assert tuple(e.edge for e in report.executions) == schema.walk
+
     def test_tuples_subset_of_source(self, db, schema):
         answer, __ = generate_result_database(
             db, schema, _woody_seeds(db), Unlimited()
@@ -245,3 +269,51 @@ class TestAnswerShape:
         answer, report = generate_result_database(db, schema, {})
         assert answer.total_tuples() == 0
         assert report.joins_executed == 0
+
+    def test_answer_schema_built_once_per_source_schema(self, db, schema):
+        first, __ = generate_result_database(db, schema, _woody_seeds(db))
+        second, __ = generate_result_database(db, schema, _woody_seeds(db))
+        assert second.schema is first.schema
+        assert second is not first
+        assert schema.answer_schema(db.schema) is first.schema
+        # another source database gets an answer schema of its own
+        other = paper_instance()
+        rebuilt = schema.answer_schema(other.schema)
+        assert rebuilt is not first.schema
+        assert [
+            (rs.name, rs.attribute_names) for rs in rebuilt.relations
+        ] == [(rs.name, rs.attribute_names) for rs in first.schema.relations]
+        assert rebuilt.foreign_keys == first.schema.foreign_keys
+
+    def test_shared_schema_under_threads_keeps_each_source(self, schema):
+        """One result schema shared by threads generating over two
+        source databases at once: every answer's columns are projected
+        from its own source's schema (a torn (source, schema) pair in
+        the kept answer schema would hand one source the other's)."""
+        sources = [paper_instance(), paper_instance()]
+        seeds = [_woody_seeds(db) for db in sources]
+        mismatches = []
+
+        def generate(i: int) -> None:
+            db = sources[i % 2]
+            for __ in range(60):
+                answer, __ = generate_result_database(db, schema, seeds[i % 2])
+                for rs in answer.schema.relations:
+                    own = db.schema.relation(rs.name)
+                    if any(c is not own.column(c.name) for c in rs.columns):
+                        mismatches.append((i, rs.name))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=generate, args=(i,)) for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches

@@ -87,7 +87,7 @@ def _closure(db, result_schema, seeds):
     changed = True
     while changed:
         changed = False
-        for edge in result_schema.join_edges():
+        for edge in result_schema.join_edges:
             source = db.relation(edge.source)
             target = db.relation(edge.target)
             values = {

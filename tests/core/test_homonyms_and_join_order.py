@@ -145,16 +145,16 @@ def _fork_fixture():
 
     edge_b = JoinEdge("A", "B", "ID", "REF", 0.6)
     edge_c = JoinEdge("A", "C", "ID", "REF", 0.9)
-    result_schema = ResultSchema(origin_relations=("A",))
     # admission order: the B path first (e.g. it was shorter), the
     # heavier C path second — so FIFO != weight order
-    result_schema.admit(
-        Path.seed(edge_b).extend(ProjectionEdge("B", "ID", 1.0))
+    result_schema = ResultSchema(
+        ("A",),
+        (
+            Path.seed(edge_b).extend(ProjectionEdge("B", "ID", 1.0)),
+            Path.seed(edge_c).extend(ProjectionEdge("C", "ID", 1.0)),
+            Path.seed(ProjectionEdge("A", "VAL", 1.0)),
+        ),
     )
-    result_schema.admit(
-        Path.seed(edge_c).extend(ProjectionEdge("C", "ID", 1.0))
-    )
-    result_schema.admit(Path.seed(ProjectionEdge("A", "VAL", 1.0)))
     return db, result_schema
 
 

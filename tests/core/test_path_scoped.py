@@ -69,18 +69,16 @@ def setup():
     b_hub = JoinEdge("B", "HUB", "HREF", "HID", 0.9)
     hub_out = JoinEdge("HUB", "OUT", "HID", "HID", 0.8)
 
-    result_schema = ResultSchema(origin_relations=("A", "B"))
     # A's path continues through HUB into OUT; B's path stops at HUB
-    result_schema.admit(
-        Path.seed(a_hub)
-        .extend(hub_out)
-        .extend(ProjectionEdge("OUT", "LABEL", 1.0))
-    )
-    result_schema.admit(
-        Path.seed(a_hub).extend(ProjectionEdge("HUB", "NAME", 1.0))
-    )
-    result_schema.admit(
-        Path.seed(b_hub).extend(ProjectionEdge("HUB", "NAME", 1.0))
+    result_schema = ResultSchema(
+        ("A", "B"),
+        (
+            Path.seed(a_hub)
+            .extend(hub_out)
+            .extend(ProjectionEdge("OUT", "LABEL", 1.0)),
+            Path.seed(a_hub).extend(ProjectionEdge("HUB", "NAME", 1.0)),
+            Path.seed(b_hub).extend(ProjectionEdge("HUB", "NAME", 1.0)),
+        ),
     )
     seeds = {"A": {1}, "B": {1}}  # tids of the single A and B rows
     return db, result_schema, seeds

@@ -66,6 +66,18 @@ class TestPlanCache:
         b, __, ___ = engine.plan('"Woody Allen"', WeightThreshold(0.9))
         assert a is not b
 
+    def test_asks_sharing_a_plan_share_its_schemas(self, engine):
+        """One immutable ResultSchema serves every ask with the same
+        plan, and so does the answer schema built from it; each ask
+        still gets a database of its own."""
+        first = engine.ask('"Woody Allen"', degree=WeightThreshold(0.9))
+        second = engine.ask('"Woody Allen"', degree=WeightThreshold(0.9))
+        assert second is not first
+        assert second.result_schema is first.result_schema
+        assert second.database.schema is first.database.schema
+        assert second.database is not first.database
+        assert second.to_dict() == first.to_dict()
+
     def test_ask_still_correct_with_cache(self, engine):
         answer = engine.ask('"Woody Allen"', degree=WeightThreshold(0.9))
         again = engine.ask('"Woody Allen"', degree=WeightThreshold(0.9))

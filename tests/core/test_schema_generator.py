@@ -41,18 +41,17 @@ class TestPaperRunningExample:
         schema = generate_result_schema(
             graph, ["DIRECTOR", "ACTOR"], WeightThreshold(0.9)
         )
-        degrees = schema.in_degrees()
-        assert degrees["MOVIE"] == 2
-        assert degrees["CAST"] == 1
-        assert degrees["GENRE"] == 1
-        assert degrees["DIRECTOR"] == 0
-        assert degrees["ACTOR"] == 0
+        assert schema.in_degree("MOVIE") == 2
+        assert schema.in_degree("CAST") == 1
+        assert schema.in_degree("GENRE") == 1
+        assert schema.in_degree("DIRECTOR") == 0
+        assert schema.in_degree("ACTOR") == 0
 
     def test_join_edges_match_figure_4(self, graph):
         schema = generate_result_schema(
             graph, ["DIRECTOR", "ACTOR"], WeightThreshold(0.9)
         )
-        edges = {(e.source, e.target) for e in schema.join_edges()}
+        edges = {(e.source, e.target) for e in schema.join_edges}
         assert edges == {
             ("DIRECTOR", "MOVIE"),
             ("ACTOR", "CAST"),

@@ -181,7 +181,7 @@ class TestQueryTimeWeights:
         # query-time override kills the DIRECTOR->MOVIE edge
         edges = {
             (e.source, e.target)
-            for e in answer.result_schema.join_edges()
+            for e in answer.result_schema.join_edges
         }
         assert ("DIRECTOR", "MOVIE") not in edges
         assert ("MOVIE", "GENRE") in edges

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Deadline, NO_DEADLINE, PrecisAnswer, WeightThreshold
+from repro.bench import chain_database, chain_graph
+from repro.core import (
+    Deadline,
+    NO_DEADLINE,
+    PrecisAnswer,
+    PrecisEngine,
+    WeightThreshold,
+)
 
 from .faults import AfterNChecks
 
@@ -153,6 +160,42 @@ class TestStageSpecifics:
         assert payload["degraded"] is True
         clean = ask(paper_engine)
         assert clean.to_dict()["degraded"] is False
+
+
+class TestCutInsideTheLastJoin:
+    """A RoundRobin join checks the deadline every 64 picks and returns
+    the picks made so far without flagging the cut; the walk's check
+    after its last edge is what marks such an answer degraded. Here the
+    only join fans one seed out to 100 tuples, so some trip point lands
+    inside it."""
+
+    QUERY = "alpha1"
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return chain_database(2, roots=1, fanout=100), chain_graph(2)
+
+    def test_answer_is_whole_or_degraded_and_never_cached(self, chain):
+        db, graph = chain
+        reference = PrecisEngine(db, graph=graph).ask(self.QUERY)
+        checks = AfterNChecks(10**9)
+        PrecisEngine(db, graph=graph).ask(self.QUERY, deadline=checks)
+        cut_inside_the_join = False
+        for n in range(checks.calls + 1):
+            engine = PrecisEngine(db, graph=graph, cache=True)
+            answer = engine.ask(self.QUERY, deadline=AfterNChecks(n))
+            assert_well_formed(answer)
+            if answer.degraded:
+                signature = engine.ask_signature(self.QUERY)
+                assert not engine.holds_answer(signature), n
+                cut_inside_the_join |= (
+                    0 < answer.cardinalities().get("R2", 0) < 100
+                )
+            else:
+                assert answer.to_json() == reference.to_json(), n
+            # a later deadline-free ask is never served a partial
+            assert engine.ask(self.QUERY).to_json() == reference.to_json()
+        assert cut_inside_the_join
 
 
 class TestDeadlineObject:

@@ -297,6 +297,33 @@ class TestEstimate:
         code, out = _run(["estimate", str(demo_dir), "zzznope"])
         assert code == 1
 
+    def test_per_relation_caps_the_estimate(self, demo_dir):
+        argv = ["estimate", str(demo_dir), "Allen", "--degree-weight", "0.9"]
+        __, unconstrained = _run(argv)
+        code, out = _run(argv + ["--per-relation", "1"])
+        assert code == 0
+        assert "estimated answer size (unconstrained):" in unconstrained
+        assert "estimated answer size (at most 1 per relation):" in out
+        sizes = [
+            float(line.split("~")[1].split()[0])
+            for line in out.splitlines()
+            if "tuple(s)" in line
+        ]
+        assert sizes and max(sizes) <= 1.0
+        assert out != unconstrained
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--total", "5"), ("--strategy", "naive"), ("--deadline-ms", "50")],
+    )
+    def test_run_options_are_not_offered(self, demo_dir, capsys, flag, value):
+        """estimate runs no ask: options that only shape a run are
+        refused rather than parsed and dropped."""
+        with pytest.raises(SystemExit) as exited:
+            _run(["estimate", str(demo_dir), "Allen", flag, value])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestExplainProvenance:
     def test_query_explain_flag(self, demo_dir):
