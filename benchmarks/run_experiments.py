@@ -49,8 +49,8 @@ from repro.core import (
     generate_result_database,
     generate_result_schema,
 )
-from repro.core.schema_generator import SchemaGeneratorStats
 from repro.graph import random_weight_assignments
+from repro.obs import InMemorySink, Tracer
 
 
 def _table(title, columns, rows, **extra):
@@ -82,12 +82,14 @@ def figure_7():
                 )
 
         seconds = time_call(sweep, repeat=1)
-        stats = SchemaGeneratorStats()
+        sink = InMemorySink()
         generate_result_schema(
             graph.with_weights(weight_sets[0]), [origins[0]],
-            TopRProjections(d), stats=stats,
+            TopRProjections(d), tracer=Tracer([sink]),
         )
-        rows.append([d, seconds / len(runs) * 1e3, stats.paths_popped])
+        rows.append(
+            [d, seconds / len(runs) * 1e3, sink.last.counter("paths_popped")]
+        )
     return _table(
         "Figure 7 — Result Schema Generator vs degree d "
         "(avg of 200 runs/point)",
@@ -337,7 +339,6 @@ def metrics_overhead(backend=None):
     """
     from repro.core import PrecisEngine
     from repro.datasets import generate_movies_database, movies_graph
-    from repro.obs import Tracer
 
     db = generate_movies_database(n_movies=200, seed=9, backend=backend)
     graph = movies_graph()

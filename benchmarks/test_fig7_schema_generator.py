@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench import fit_linear
 from repro.core import TopRProjections, generate_result_schema
-from repro.core.schema_generator import SchemaGeneratorStats
+from repro.obs import InMemorySink, Tracer
 
 DEGREES = [5, 10, 20, 40, 80, 120]
 
@@ -58,17 +58,16 @@ def test_fig7_shape(benchmark, fig7_graph, fig7_weight_sets, fig7_start_relation
     def sweep():
         series = []
         for d in DEGREES:
-            popped = 0
+            sink = InMemorySink()
+            tracer = Tracer([sink])
             for weights in fig7_weight_sets[:5]:
                 personalized = fig7_graph.with_weights(weights)
                 for origin in fig7_start_relations[:4]:
-                    stats = SchemaGeneratorStats()
                     generate_result_schema(
                         personalized, [origin], TopRProjections(d),
-                        stats=stats,
+                        tracer=tracer,
                     )
-                    popped += stats.paths_popped
-            series.append((d, popped / 20.0))
+            series.append((d, sink.counter_total("paths_popped") / 20.0))
         return series
 
     series = benchmark.pedantic(sweep, rounds=1, iterations=1)

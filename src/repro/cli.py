@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--per-relation", type=int, help="at most N tuples per relation"
         )
         if name != "estimate":
-            # options of a run; estimate predicts one without running it
+            # options that shape or measure a run; estimate predicts one
+            # without running it
             cmd.add_argument(
                 "--total", type=int, help="at most N tuples overall"
             )
@@ -144,6 +145,26 @@ def build_parser() -> argparse.ArgumentParser:
                 "deadline): on expiry the pipeline stops at the next "
                 "iteration boundary and returns a valid partial answer "
                 "flagged degraded (visible under --explain)",
+            )
+            cmd.add_argument(
+                "--metrics-out",
+                metavar="FILE",
+                help="enable service metrics (repro.obs.metrics) and write "
+                "a snapshot to FILE after the command ('-' for stdout)",
+            )
+            cmd.add_argument(
+                "--metrics-format",
+                choices=["json", "prometheus"],
+                default="json",
+                help="exporter for --metrics-out: JSON snapshot or "
+                "Prometheus text exposition",
+            )
+            cmd.add_argument(
+                "--slow-query-ms",
+                type=_milliseconds,
+                metavar="N",
+                help="keep asks slower than N ms in the slow-query log "
+                "(part of the JSON metrics snapshot; implies metrics)",
             )
         cmd.add_argument(
             "--stats",
@@ -176,26 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="SQLite database file (implies --backend sqlite); "
             "tables are rebuilt from the CSV directory on each run "
             "and left on disk for inspection",
-        )
-        cmd.add_argument(
-            "--metrics-out",
-            metavar="FILE",
-            help="enable service metrics (repro.obs.metrics) and write "
-            "a snapshot to FILE after the command ('-' for stdout)",
-        )
-        cmd.add_argument(
-            "--metrics-format",
-            choices=["json", "prometheus"],
-            default="json",
-            help="exporter for --metrics-out: JSON snapshot or "
-            "Prometheus text exposition",
-        )
-        cmd.add_argument(
-            "--slow-query-ms",
-            type=_milliseconds,
-            metavar="N",
-            help="keep asks slower than N ms in the slow-query log "
-            "(part of the JSON metrics snapshot; implies metrics)",
         )
         if name == "estimate":
             cmd.add_argument(
@@ -527,15 +528,12 @@ def _tracer_for(args) -> tuple[Optional[Tracer], Optional[InMemorySink]]:
 
 
 def _metrics_requested(args) -> bool:
-    return (
-        getattr(args, "metrics_out", None) is not None
-        or getattr(args, "slow_query_ms", None) is not None
-    )
+    return args.metrics_out is not None or args.slow_query_ms is not None
 
 
 def _write_metrics(args, engine, out) -> None:
     """The ``--metrics-out`` epilogue (no-op when metrics are off)."""
-    target = getattr(args, "metrics_out", None)
+    target = args.metrics_out
     if target is None or engine.metrics is None:
         return
     write_metrics(
@@ -691,8 +689,6 @@ def _cmd_estimate(args, out) -> int:
         tracer,
         backend=_backend_for(args),
         cache=_cache_for(args),
-        metrics=_metrics_requested(args),
-        slow_query_ms=args.slow_query_ms,
     )
     schema, matches, __ = engine.plan(args.query, args.degree)
     if schema.is_empty():
@@ -730,7 +726,6 @@ def _cmd_estimate(args, out) -> int:
             for layer, counters in engine.cache_stats().items():
                 body = " ".join(f"{k}={v}" for k, v in counters.items())
                 print(f"cache[{layer}]: {body}", file=out)
-    _write_metrics(args, engine, out)
     return 0
 
 

@@ -6,7 +6,6 @@ from .constraints import (
     CompositeCardinality,
     CompositeDegree,
     ConstraintOptionError,
-    DeadlineCardinality,
     DegreeConstraint,
     MaxPathLength,
     MaxTotalTuples,
@@ -27,7 +26,7 @@ from .database_generator import (
     STRATEGY_NAIVE,
     STRATEGY_ROUND_ROBIN,
     GeneratorReport,
-    JoinExecution,
+    TupleBatch,
     generate_result_database,
 )
 from .diff import AnswerDiff, diff_answers
@@ -51,7 +50,7 @@ from .value_weights import (
     TupleWeigher,
 )
 from .result_schema import ResultSchema
-from .schema_generator import SchemaGeneratorStats, generate_result_schema
+from .schema_generator import generate_result_schema
 
 __all__ = [
     "PrecisEngine",
@@ -59,10 +58,9 @@ __all__ = [
     "PrecisAnswer",
     "ResultSchema",
     "generate_result_schema",
-    "SchemaGeneratorStats",
     "generate_result_database",
     "GeneratorReport",
-    "JoinExecution",
+    "TupleBatch",
     "STRATEGY_AUTO",
     "STRATEGY_NAIVE",
     "STRATEGY_ROUND_ROBIN",
@@ -79,7 +77,6 @@ __all__ = [
     "MaxTotalTuples",
     "MaxTuplesPerRelation",
     "CompositeCardinality",
-    "DeadlineCardinality",
     "Unlimited",
     "cardinality_for_response_time",
     "ConstraintOptionError",

@@ -38,7 +38,6 @@ from typing import Mapping, Optional, Sequence
 
 from ..graph.paths import Path
 from ..relational.cost import CostParameters
-from .deadline import Deadline
 
 __all__ = [
     "SchemaState",
@@ -51,7 +50,6 @@ __all__ = [
     "MaxTotalTuples",
     "MaxTuplesPerRelation",
     "CompositeCardinality",
-    "DeadlineCardinality",
     "Unlimited",
     "cardinality_for_response_time",
     "ConstraintOptionError",
@@ -322,36 +320,6 @@ class CompositeCardinality(CardinalityConstraint):
 
     def describe(self) -> str:
         return " AND ".join(part.describe() for part in self.parts)
-
-
-@dataclass(frozen=True)
-class DeadlineCardinality(CardinalityConstraint):
-    """Adapter: an expired deadline reads as an exhausted tuple budget.
-
-    The serving layer's premise is that a deadline stops generation
-    *exactly like* a Table 2 constraint. The engine threads
-    :class:`~repro.core.deadline.Deadline` explicitly (so EXPLAIN can
-    distinguish ``stopped_by_deadline`` from ``stopped_by_cardinality``),
-    but callers composing constraints by hand can get the same cut-off
-    behavior by conjoining this adapter::
-
-        CompositeCardinality(MaxTotalTuples(50),
-                             DeadlineCardinality(Deadline.after(0.1)))
-
-    While the deadline holds, the budget is unbounded; once expired, no
-    relation may receive another tuple.
-    """
-
-    deadline: Deadline
-
-    def budget_for(self, relation, cardinalities):
-        return 0 if self.deadline.expired() else None
-
-    def exhausted(self, cardinalities):
-        return self.deadline.expired()
-
-    def describe(self) -> str:
-        return "within deadline"
 
 
 def cardinality_for_response_time(

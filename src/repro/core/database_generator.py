@@ -43,7 +43,7 @@ from .value_weights import TupleWeigher
 __all__ = [
     "generate_result_database",
     "GeneratorReport",
-    "JoinExecution",
+    "TupleBatch",
     "STRATEGY_NAIVE",
     "STRATEGY_ROUND_ROBIN",
     "STRATEGY_AUTO",
@@ -67,48 +67,100 @@ JOIN_ORDER_FIFO = "fifo"
 _JOIN_ORDERS = (JOIN_ORDER_WEIGHT, JOIN_ORDER_FIFO)
 
 
-@dataclass
-class JoinExecution:
-    """Record of one executed join edge."""
+def edge_text(edge: JoinEdge) -> str:
+    """A join edge as the plan and EXPLAIN print it,
+    ``"MOVIE.ID → CAST.MID"``."""
+    return (
+        f"{edge.source}.{edge.source_attribute} → "
+        f"{edge.target}.{edge.target_attribute}"
+    )
 
-    edge: JoinEdge
-    strategy: str
+
+@dataclass(frozen=True)
+class TupleBatch:
+    """One batch of tuples the generator deposited: a seed fetch or an
+    executed join edge. EXPLAIN lists these records as they are."""
+
+    #: the relation that received the batch
+    relation: str
+    #: the executed join edge; None for a seed
+    edge: Optional[JoinEdge]
+    #: retrieval strategy used (``naive`` / ``round_robin``); None for a
+    #: seed, which fetches by tid list
+    strategy: Optional[str]
+    #: distinct driving-attribute values (joins) or matching seed tids
     driving_values: int
+    #: tuples the fetch returned (seeds: the tuples deposited)
     tuples_fetched: int
+    #: tuples new to the answer (after dedup)
     tuples_new: int
-    #: cardinality budget in force when the edge executed (None =
-    #: unbounded) — EXPLAIN uses this to show which batches were capped
+    #: cardinality budget in force for the batch (None = unbounded)
     budget: Optional[int] = None
+
+    @property
+    def kind(self) -> str:
+        return "seed" if self.edge is None else "join"
+
+    @property
+    def via_edge(self) -> Optional[str]:
+        return None if self.edge is None else edge_text(self.edge)
+
+    @property
+    def edge_weight(self) -> Optional[float]:
+        return None if self.edge is None else self.edge.weight
+
+    def to_dict(self) -> dict:
+        return {
+            "relation": self.relation,
+            "kind": self.kind,
+            "via_edge": self.via_edge,
+            "strategy": self.strategy,
+            "driving_values": self.driving_values,
+            "tuples_fetched": self.tuples_fetched,
+            "tuples_new": self.tuples_new,
+            "budget": self.budget,
+            "edge_weight": self.edge_weight,
+        }
 
 
 @dataclass
 class GeneratorReport:
-    """What the generator did, in order — used by tests and benches."""
+    """What the generator did, in order — read by EXPLAIN, tests and
+    benches."""
 
-    seed_counts: dict[str, int] = field(default_factory=dict)
-    executions: list[JoinExecution] = field(default_factory=list)
+    #: one record per seed fetch and per executed join edge, in deposit
+    #: order (the seeds come first)
+    batches: list[TupleBatch] = field(default_factory=list)
     skipped_edges: list[JoinEdge] = field(default_factory=list)
     stopped_by_cardinality: bool = False
     #: an expired deadline ended generation early (seeding or the join
     #: walk); the answer built so far is valid but partial
     stopped_by_deadline: bool = False
-    #: per seeded relation: inverted-index matches offered (pre-budget)
-    seed_matches: dict[str, int] = field(default_factory=dict)
-    #: per seeded relation: cardinality budget in force (None = unbounded)
-    seed_budgets: dict[str, Optional[int]] = field(default_factory=dict)
     #: per relation: source tuple id -> answer tuple id, for every tuple
     #: that made it into the answer (used by the translator to find the
     #: seed tuples again)
     tid_maps: dict[str, dict[int, int]] = field(default_factory=dict)
 
     @property
+    def seed_counts(self) -> dict[str, int]:
+        """Per seeded relation, the tuples deposited."""
+        return {
+            batch.relation: batch.tuples_new
+            for batch in self.batches
+            if batch.edge is None
+        }
+
+    @property
+    def executions(self) -> list[TupleBatch]:
+        """The executed join edges' batches, in execution order."""
+        return [batch for batch in self.batches if batch.edge is not None]
+
+    @property
     def joins_executed(self) -> int:
         return len(self.executions)
 
     def tuples_retrieved(self) -> int:
-        return sum(self.seed_counts.values()) + sum(
-            ex.tuples_new for ex in self.executions
-        )
+        return sum(batch.tuples_new for batch in self.batches)
 
 
 def _is_to_one(source_db: Database, edge: JoinEdge) -> bool:
@@ -430,8 +482,6 @@ def _populate(
             continue
         budget = cardinality.budget_for(relation, counts)
         tid_list = sorted(tids)
-        report.seed_matches[relation] = len(tid_list)
-        report.seed_budgets[relation] = budget
         rows, cut = _fetch_bounded(
             source.relation(relation),
             tid_list,
@@ -442,8 +492,17 @@ def _populate(
         )
         if cut:
             report.stopped_by_deadline = True
-        report.seed_counts[relation] = deposit(
-            relation, rows, via=("root", relation)
+        added = deposit(relation, rows, via=("root", relation))
+        report.batches.append(
+            TupleBatch(
+                relation=relation,
+                edge=None,
+                strategy=None,
+                driving_values=len(tid_list),
+                tuples_fetched=added,
+                tuples_new=added,
+                budget=budget,
+            )
         )
 
     # Step 2: execute the join edges of G' in walk order, checking the
@@ -509,8 +568,9 @@ def _populate(
         added = deposit(
             edge.target, rows, via=edge.key, matched_existing=matched_existing
         )
-        report.executions.append(
-            JoinExecution(
+        report.batches.append(
+            TupleBatch(
+                relation=edge.target,
                 edge=edge,
                 strategy=(
                     STRATEGY_ROUND_ROBIN if use_round_robin else STRATEGY_NAIVE

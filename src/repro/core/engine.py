@@ -17,7 +17,7 @@ a :class:`~repro.core.answer.PrecisAnswer`.
 from __future__ import annotations
 
 import copy
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from ..cache import (
     MISSING,
@@ -94,9 +94,10 @@ class PrecisEngine:
         synonyms:
             Optional query-token canonicalization map.
         translator:
-            An object with ``translate(answer) -> str`` (see
-            :class:`repro.nlg.translator.Translator`); when present,
-            answers carry a natural-language narrative.
+            An object with ``translate(answer, tracer=) -> str`` (see
+            :class:`repro.nlg.translator.Translator`), called with the
+            ask's tracer; when present, answers carry a natural-language
+            narrative.
         default_degree / default_cardinality:
             Constraints used when a query supplies none. The engine
             default is the paper's running-example degree (projection
@@ -579,9 +580,7 @@ class PrecisEngine:
                 # the stage itself degrades cooperatively (shed index
                 # lookups / cut traversal / cut generation / skip
                 # translation) — never an exception.
-                degraded_stage: Optional[str] = None
-                if deadline.expired():
-                    degraded_stage = "match"
+                degraded_stage = "match" if deadline.expired() else None
                 schema, matches, plan_outcome = self._plan(
                     query, degree, graph, tracer, deadline
                 )
@@ -591,59 +590,18 @@ class PrecisEngine:
                     and schema.stop.kind == "deadline"
                 ):
                     degraded_stage = "schema"
-
-                seed_tids: dict[str, set[int]] = {}
-                for match in matches:
-                    for occurrence in match.occurrences:
-                        seed_tids.setdefault(
-                            occurrence.relation, set()
-                        ).update(occurrence.tids)
-
-                with self.db.meter.measure() as measured:
-                    database, report = generate_result_database(
-                        self.db,
-                        schema,
-                        seed_tids,
-                        cardinality,
-                        strategy,
-                        tuple_weigher=tuple_weigher,
-                        path_scoped=path_scoped,
-                        tracer=tracer,
-                        deadline=deadline,
-                    )
-                if degraded_stage is None and report.stopped_by_deadline:
-                    degraded_stage = "tuples"
-
-                answer = PrecisAnswer(
-                    query=query,
-                    result_schema=schema,
-                    database=database,
-                    report=report,
-                    matches=matches,
-                    cost=measured.delta,
-                )
-                if translate and self.translator is not None and answer.found:
-                    if degraded_stage is not None:
-                        pass  # already over budget: shed the narrative
-                    elif deadline.expired():
-                        degraded_stage = "translate"
-                    else:
-                        with tracer.span("translate"):
-                            answer.narrative = self._run_translator(
-                                answer, tracer
-                            )
-                answer.degraded = degraded_stage is not None
-                answer.degraded_stage = degraded_stage
-                answer.explanation = build_explanation(
-                    answer,
-                    degree,
-                    cardinality,
+                answer = self._answer(
+                    query, schema, matches, degree, cardinality, strategy,
+                    translate, tracer,
+                    tuple_weigher=tuple_weigher,
+                    path_scoped=path_scoped,
+                    deadline=deadline,
+                    degraded_stage=degraded_stage,
                     plan_cache=plan_outcome,
                     answer_cache=answer_outcome,
-                    deadline_stage=degraded_stage,
                     trace_id=trace_id,
                 )
-                if cache_key is not None and degraded_stage is None:
+                if cache_key is not None and not answer.degraded:
                     # partial answers must never poison the cache
                     answer_lru.put(cache_key, answer, token)
         if traced:
@@ -677,13 +635,85 @@ class PrecisEngine:
         if self.cache is not None:
             self.metrics.observe_cache_stats(self.cache_stats())
 
-    def _run_translator(self, answer: PrecisAnswer, tracer: Tracer):
-        """Call the configured translator, threading the tracer through
-        when it advertises support (``accepts_tracer``) — the engine
-        contract stays "any object with translate(answer) -> str"."""
-        if getattr(self.translator, "accepts_tracer", False):
-            return self.translator.translate(answer, tracer=tracer)
-        return self.translator.translate(answer)
+    def _answer(
+        self,
+        query: PrecisQuery,
+        schema: ResultSchema,
+        matches: list[TokenMatch],
+        degree: DegreeConstraint,
+        cardinality: CardinalityConstraint,
+        strategy: str,
+        translate: bool,
+        tracer: Tracer,
+        *,
+        tuple_weigher,
+        path_scoped: bool,
+        deadline: Deadline,
+        degraded_stage: Optional[str],
+        plan_cache: str,
+        answer_cache: str,
+        trace_id: Optional[str],
+    ) -> PrecisAnswer:
+        """Steps 3–4 over a planned result schema, the one way every
+        answer is built: seed the result database with the matched
+        tuples and populate it (Figure 5), translate it, and record its
+        EXPLAIN provenance.
+
+        *degraded_stage* is the earlier stage a deadline already cut
+        (None if none did); the first stage found expired here
+        (``"tuples"`` / ``"translate"``) is recorded otherwise, and an
+        answer over budget sheds its narrative. *plan_cache* /
+        *answer_cache* are the cache outcomes EXPLAIN reports."""
+        seed_tids: dict[str, set[int]] = {}
+        for match in matches:
+            for occurrence in match.occurrences:
+                seed_tids.setdefault(occurrence.relation, set()).update(
+                    occurrence.tids
+                )
+        with self.db.meter.measure() as measured:
+            database, report = generate_result_database(
+                self.db,
+                schema,
+                seed_tids,
+                cardinality,
+                strategy,
+                tuple_weigher=tuple_weigher,
+                path_scoped=path_scoped,
+                tracer=tracer,
+                deadline=deadline,
+            )
+        if degraded_stage is None and report.stopped_by_deadline:
+            degraded_stage = "tuples"
+        answer = PrecisAnswer(
+            query=query,
+            result_schema=schema,
+            database=database,
+            report=report,
+            matches=matches,
+            cost=measured.delta,
+        )
+        if translate and self.translator is not None and answer.found:
+            if degraded_stage is not None:
+                pass  # already over budget: shed the narrative
+            elif deadline.expired():
+                degraded_stage = "translate"
+            else:
+                with tracer.span("translate"):
+                    answer.narrative = self.translator.translate(
+                        answer, tracer=tracer
+                    )
+        answer.degraded = degraded_stage is not None
+        answer.degraded_stage = degraded_stage
+        answer.explanation = build_explanation(
+            answer,
+            degree,
+            cardinality,
+            plan_cache=plan_cache,
+            answer_cache=answer_cache,
+            deadline_stage=degraded_stage,
+            trace_id=trace_id,
+        )
+        return answer
 
     def ask_per_occurrence(
         self,
@@ -710,8 +740,9 @@ class PrecisEngine:
         :meth:`plan`/:meth:`ask`, applied on top of any profile before
         the per-occurrence schemas are generated.
 
-        For a query whose tokens each match one place, this returns a
-        single answer equivalent to :meth:`ask`. With ``rank=True`` the
+        Each answer is built by the answer step :meth:`ask` uses, so a
+        query whose one token matches in one place gets the one answer
+        :meth:`ask` gives (same body and EXPLAIN). With ``rank=True`` the
         answers come sorted by decreasing
         :meth:`~repro.core.answer.PrecisAnswer.relevance`. With tracing
         enabled, each answer's ``stats`` is its ``occurrence`` subtree
@@ -735,37 +766,19 @@ class PrecisEngine:
                         schema = generate_result_schema(
                             graph, [occurrence.relation], degree, tracer=tracer
                         )
-                        seeds = {occurrence.relation: set(occurrence.tids)}
-                        with self.db.meter.measure() as measured:
-                            database, report = generate_result_database(
-                                self.db,
-                                schema,
-                                seeds,
-                                cardinality,
-                                strategy,
-                                tracer=tracer,
-                            )
-                        answer = PrecisAnswer(
-                            query=query,
-                            result_schema=schema,
-                            database=database,
-                            report=report,
-                            matches=[TokenMatch(match.token, (occurrence,))],
-                            cost=measured.delta,
-                        )
-                        answer.explanation = build_explanation(
-                            answer,
-                            degree,
-                            cardinality,
+                        answer = self._answer(
+                            query,
+                            schema,
+                            [TokenMatch(match.token, (occurrence,))],
+                            degree, cardinality, strategy, translate, tracer,
+                            tuple_weigher=None,
+                            path_scoped=False,
+                            deadline=NO_DEADLINE,
+                            degraded_stage=None,
                             plan_cache="off",
                             answer_cache="off",
                             trace_id=trace_id,
                         )
-                        if translate and self.translator is not None:
-                            with tracer.span("translate"):
-                                answer.narrative = self._run_translator(
-                                    answer, tracer
-                                )
                     if traced:
                         answer.stats = occ_span
                     answers.append(answer)

@@ -21,15 +21,11 @@ from ..core.answer import PrecisAnswer
 from ..core.database_generator import (
     STRATEGY_ROUND_ROBIN,
     GeneratorReport,
+    edge_text,
 )
 from ..core.result_schema import ResultSchema
 from ..obs import Span, format_span_table
-from ..obs.explain import (
-    BatchProvenance,
-    CacheProvenance,
-    Explanation,
-    RelationProvenance,
-)
+from ..obs.explain import CacheProvenance, Explanation, RelationProvenance
 from ..relational.ddl import create_schema_sql
 from .constraints import CardinalityConstraint, DegreeConstraint
 
@@ -57,21 +53,20 @@ def emitted_queries(answer: PrecisAnswer) -> list[str]:
     RoundRobin edges render as one parameterized query *per driving
     tuple*, which is exactly why Figure 9 finds them slower."""
     schema = answer.result_schema
-    report = answer.report
     queries: list[str] = []
-    for relation, count in report.seed_counts.items():
-        queries.append(
-            f"SELECT {_projection_list(schema, relation)} "
-            f"FROM {relation} WHERE ROWID IN (/* {count} matching "
-            f"tuple ids from the inverted index */)"
-        )
-    for execution in report.executions:
-        edge = execution.edge
-        projection = _projection_list(schema, edge.target)
-        if execution.strategy == STRATEGY_ROUND_ROBIN:
+    for batch in answer.report.batches:
+        edge = batch.edge
+        projection = _projection_list(schema, batch.relation)
+        if edge is None:
+            queries.append(
+                f"SELECT {projection} FROM {batch.relation} WHERE ROWID IN "
+                f"(/* {batch.tuples_new} matching tuple ids from the "
+                f"inverted index */)"
+            )
+        elif batch.strategy == STRATEGY_ROUND_ROBIN:
             queries.append(
                 f"-- round-robin: one scan per driving tuple "
-                f"({execution.driving_values} scans)\n"
+                f"({batch.driving_values} scans)\n"
                 f"SELECT {projection} FROM {edge.target} "
                 f"WHERE {edge.target_attribute} = ?"
             )
@@ -79,7 +74,7 @@ def emitted_queries(answer: PrecisAnswer) -> list[str]:
             queries.append(
                 f"SELECT {projection} FROM {edge.target} "
                 f"WHERE {edge.target_attribute} IN "
-                f"(/* {execution.driving_values} values of "
+                f"(/* {batch.driving_values} values of "
                 f"{edge.source}.{edge.source_attribute} */)"
             )
     return queries
@@ -107,17 +102,18 @@ def render_plan(answer: PrecisAnswer) -> str:
             f"  {relation}[{visible}] in-degree={schema.in_degree(relation)}"
         )
     lines.append("execution:")
-    for relation, count in report.seed_counts.items():
-        lines.append(f"  seed {relation}: {count} tuple(s)")
-    for execution in report.executions:
-        edge = execution.edge
-        lines.append(
-            f"  join {edge.source}.{edge.source_attribute} → "
-            f"{edge.target}.{edge.target_attribute} "
-            f"(w={edge.weight:g}, {execution.strategy}): "
-            f"{execution.driving_values} driving value(s), "
-            f"{execution.tuples_new} new tuple(s)"
-        )
+    for batch in report.batches:
+        if batch.edge is None:
+            lines.append(
+                f"  seed {batch.relation}: {batch.tuples_new} tuple(s)"
+            )
+        else:
+            lines.append(
+                f"  join {batch.via_edge} "
+                f"(w={batch.edge_weight:g}, {batch.strategy}): "
+                f"{batch.driving_values} driving value(s), "
+                f"{batch.tuples_new} new tuple(s)"
+            )
     for edge in report.skipped_edges:
         lines.append(
             f"  skip {edge.source} → {edge.target} "
@@ -151,13 +147,6 @@ def render_stats(source: PrecisAnswer | Span) -> str:
             "tracer=...))"
         )
     return format_span_table(root)
-
-
-def _edge_text(edge) -> str:
-    return (
-        f"{edge.source}.{edge.source_attribute} → "
-        f"{edge.target}.{edge.target_attribute}"
-    )
 
 
 def build_explanation(
@@ -213,36 +202,7 @@ def build_explanation(
                 kind="joined",
                 via_path=repr(path),
                 path_weight=path.weight,
-                via_edge=_edge_text(via),
-            )
-        )
-
-    batches: list[BatchProvenance] = []
-    for relation, count in report.seed_counts.items():
-        batches.append(
-            BatchProvenance(
-                relation=relation,
-                kind="seed",
-                via_edge=None,
-                strategy=None,
-                driving_values=report.seed_matches.get(relation, count),
-                tuples_fetched=count,
-                tuples_new=count,
-                budget=report.seed_budgets.get(relation),
-            )
-        )
-    for execution in report.executions:
-        batches.append(
-            BatchProvenance(
-                relation=execution.edge.target,
-                kind="join",
-                via_edge=_edge_text(execution.edge),
-                strategy=execution.strategy,
-                driving_values=execution.driving_values,
-                tuples_fetched=execution.tuples_fetched,
-                tuples_new=execution.tuples_new,
-                budget=execution.budget,
-                edge_weight=execution.edge.weight,
+                via_edge=edge_text(via),
             )
         )
 
@@ -252,8 +212,8 @@ def build_explanation(
         cardinality=cardinality.describe(),
         relations=relations,
         schema_stop=schema.stop,
-        batches=batches,
-        skipped_edges=[_edge_text(e) for e in report.skipped_edges],
+        batches=report.batches,
+        skipped_edges=[edge_text(e) for e in report.skipped_edges],
         stopped_by_cardinality=report.stopped_by_cardinality,
         cache=CacheProvenance(plan=plan_cache, answer=answer_cache),
         deadline_stage=deadline_stage,

@@ -29,26 +29,9 @@ from .constraints import CompositeDegree, DegreeConstraint, SchemaState
 from .deadline import NO_DEADLINE, Deadline
 from .result_schema import ResultSchema
 
-__all__ = ["generate_result_schema", "SchemaGeneratorStats"]
+__all__ = ["generate_result_schema"]
 
 _DEADLINE_STOP = SchemaStop(kind="deadline", constraint="deadline expired")
-
-
-class SchemaGeneratorStats:
-    """Counters describing one generator run (exposed for the benches)."""
-
-    def __init__(self):
-        self.paths_popped = 0
-        self.paths_pushed = 0
-        self.paths_admitted = 0
-        self.paths_pruned = 0
-
-    def __repr__(self):
-        return (
-            f"SchemaGeneratorStats(popped={self.paths_popped}, "
-            f"pushed={self.paths_pushed}, admitted={self.paths_admitted}, "
-            f"pruned={self.paths_pruned})"
-        )
 
 
 def _is_terminal_failure(
@@ -78,7 +61,6 @@ def generate_result_schema(
     graph: SchemaGraph,
     token_relations: Sequence[str],
     degree: DegreeConstraint,
-    stats: Optional[SchemaGeneratorStats] = None,
     tracer: Tracer = NULL_TRACER,
     deadline: Deadline = NO_DEADLINE,
 ) -> ResultSchema:
@@ -93,12 +75,11 @@ def generate_result_schema(
         index output). Order is irrelevant; duplicates are ignored.
     degree:
         The degree constraint ``d``.
-    stats:
-        Optional counter object to fill in.
     tracer:
         Observability hook (``repro.obs``): the run is wrapped in a
-        ``"schema_generator"`` span carrying the same counters as
-        *stats* plus ``relations_expanded``. No-op by default.
+        ``"schema_generator"`` span counting ``relations_expanded``,
+        ``paths_pruned``, ``paths_pushed``, ``paths_popped`` and
+        ``paths_admitted``. No-op by default.
     deadline:
         Cooperative time budget (:mod:`repro.core.deadline`): checked
         once on entry and at every queue pop. Expiry ends the traversal
@@ -112,19 +93,16 @@ def generate_result_schema(
     ResultSchema
         The sub-schema ``G'`` with its admitted projection paths.
     """
-    stats = stats if stats is not None else SchemaGeneratorStats()
     origins = tuple(dict.fromkeys(token_relations))
     for origin in origins:
         if not graph.has_relation(origin):
             raise ValueError(f"token relation {origin} not in schema graph")
 
     with tracer.span("schema_generator"):
-        result = _best_first_traversal(graph, origins, degree, stats, deadline)
+        result, counts = _best_first_traversal(graph, origins, degree, deadline)
         tracer.count("relations_expanded", len(result.relations))
-        tracer.count("paths_pruned", stats.paths_pruned)
-        tracer.count("paths_pushed", stats.paths_pushed)
-        tracer.count("paths_popped", stats.paths_popped)
-        tracer.count("paths_admitted", stats.paths_admitted)
+        for name, value in counts.items():
+            tracer.count(name, value)
     return result
 
 
@@ -132,18 +110,21 @@ def _best_first_traversal(
     graph: SchemaGraph,
     origins: tuple[str, ...],
     degree: DegreeConstraint,
-    stats: SchemaGeneratorStats,
     deadline: Deadline,
-) -> ResultSchema:
-    """The Figure 3 loop proper (validation and tracing live above)."""
+) -> tuple[ResultSchema, dict[str, int]]:
+    """The Figure 3 loop proper (validation and tracing live above),
+    and the run's path counters."""
     admitted: list[Path] = []
     state = SchemaState()
+    counts = dict.fromkeys(
+        ("paths_pruned", "paths_pushed", "paths_popped", "paths_admitted"), 0
+    )
 
     # Cooperative deadline: checked on entry and per pop. Expiry cuts
     # the queue like a terminal degree failure, leaving a valid partial
     # schema that reports the deadline as its stop reason.
     if deadline.expired():
-        return ResultSchema(origins, (), _DEADLINE_STOP)
+        return ResultSchema(origins, (), _DEADLINE_STOP), counts
 
     # EXPLAIN provenance: the first degree rejection seen anywhere (at a
     # pop or while extending). Even when it is not terminal — i.e. the
@@ -169,7 +150,7 @@ def _best_first_traversal(
         nonlocal counter
         heapq.heappush(heap, ((*path.sort_key, counter), path))
         counter += 1
-        stats.paths_pushed += 1
+        counts["paths_pushed"] += 1
 
     for origin in origins:
         for edge in graph.edges_attached_to(origin):
@@ -182,7 +163,7 @@ def _best_first_traversal(
             deadline_tripped = True
             break
         __, path = heapq.heappop(heap)
-        stats.paths_popped += 1
+        counts["paths_popped"] += 1
 
         if not degree.admits(state, path):
             record_rejection(path)
@@ -193,7 +174,7 @@ def _best_first_traversal(
         if path.is_projection_path:
             admitted.append(path)
             state.admit(path)
-            stats.paths_admitted += 1
+            counts["paths_admitted"] += 1
             continue
 
         # Join path: expand by every adjacent edge, heaviest first, so
@@ -212,7 +193,7 @@ def _best_first_traversal(
             if not degree.admits(state, extended):
                 record_rejection(extended)
                 if _is_terminal_failure(degree, state, extended):
-                    stats.paths_pruned += 1
+                    counts["paths_pruned"] += 1
                     break
                 continue
             push(extended)
@@ -224,4 +205,4 @@ def _best_first_traversal(
         stop = first_rejection
     else:
         stop = SchemaStop(kind="exhausted")
-    return ResultSchema(origins, tuple(admitted), stop)
+    return ResultSchema(origins, tuple(admitted), stop), counts

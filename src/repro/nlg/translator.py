@@ -45,10 +45,6 @@ __all__ = ["Translator"]
 class Translator:
     """Turns :class:`~repro.core.answer.PrecisAnswer` objects into prose."""
 
-    #: tells the engine it may pass ``tracer=`` (see
-    #: :meth:`repro.core.engine.PrecisEngine._run_translator`)
-    accepts_tracer = True
-
     def __init__(self, spec: TranslationSpec):
         self.spec = spec
 

@@ -47,7 +47,6 @@ from .context import (
     validate_chrome_trace,
 )
 from .explain import (
-    BatchProvenance,
     CacheProvenance,
     Explanation,
     RelationProvenance,
@@ -90,7 +89,6 @@ __all__ = [
     "Explanation",
     "RelationProvenance",
     "SchemaStop",
-    "BatchProvenance",
     "CacheProvenance",
     "TraceContext",
     "RequestTrace",

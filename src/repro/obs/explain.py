@@ -9,11 +9,12 @@ expansion, which strategy and driving-value set pulled each tuple
 batch, and which cardinality constraint cut generation short.
 
 This module holds the *data model* only — plain, JSON-serializable
-dataclasses with no dependency on the core pipeline. The builder that
+dataclasses that import nothing from the core pipeline. The builder that
 fills them from a finished answer lives in
-:func:`repro.core.explain.build_explanation`; the engine attaches the
-result as :attr:`repro.core.answer.PrecisAnswer.explanation` and the
-CLI renders it under ``--explain``.
+:func:`repro.core.explain.build_explanation`, which hands over the
+database generator's own batch records rather than copies; the engine
+attaches the result as :attr:`repro.core.answer.PrecisAnswer.explanation`
+and the CLI renders it under ``--explain``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Optional
 __all__ = [
     "RelationProvenance",
     "SchemaStop",
-    "BatchProvenance",
     "CacheProvenance",
     "Explanation",
 ]
@@ -89,44 +89,6 @@ class SchemaStop:
 
 
 @dataclass(frozen=True)
-class BatchProvenance:
-    """One tuple batch pulled into the answer by the database generator."""
-
-    #: the relation that received the batch
-    relation: str
-    #: ``"seed"`` or ``"join"``
-    kind: str
-    #: the executed edge, e.g. ``"MOVIE.ID → CAST.MID"`` (joins only)
-    via_edge: Optional[str]
-    #: retrieval strategy actually used (``naive`` / ``round_robin``;
-    #: seeds always fetch by tid list)
-    strategy: Optional[str]
-    #: distinct driving-attribute values (joins) or seed tids
-    driving_values: int
-    #: tuples the fetch returned
-    tuples_fetched: int
-    #: tuples actually new to the answer (after dedup)
-    tuples_new: int
-    #: cardinality budget in force for this batch (None = unbounded)
-    budget: Optional[int] = None
-    #: weight of the executed edge (joins only)
-    edge_weight: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "kind": self.kind,
-            "via_edge": self.via_edge,
-            "strategy": self.strategy,
-            "driving_values": self.driving_values,
-            "tuples_fetched": self.tuples_fetched,
-            "tuples_new": self.tuples_new,
-            "budget": self.budget,
-            "edge_weight": self.edge_weight,
-        }
-
-
-@dataclass(frozen=True)
 class CacheProvenance:
     """Which cache layers served (or could have served) this answer."""
 
@@ -149,7 +111,12 @@ class Explanation:
     cardinality: str
     relations: list[RelationProvenance] = field(default_factory=list)
     schema_stop: Optional[SchemaStop] = None
-    batches: list[BatchProvenance] = field(default_factory=list)
+    #: the tuple batches in deposit order: the database generator's own
+    #: records (:class:`repro.core.database_generator.TupleBatch`), read
+    #: here through ``kind``, ``relation``, ``via_edge``, ``strategy``,
+    #: ``driving_values``, ``tuples_fetched``, ``tuples_new``, ``budget``
+    #: and ``to_dict()``
+    batches: list = field(default_factory=list)
     #: edges of ``G'`` that never executed (no driving values or budget)
     skipped_edges: list[str] = field(default_factory=list)
     stopped_by_cardinality: bool = False

@@ -138,7 +138,8 @@ def _encode_constraint(constraint) -> Optional[dict]:
 
     Covers every constraint whose init fields are scalars or nested
     constraint tuples (all the designer-facing ones); anything carrying
-    live state (e.g. a ``DeadlineCardinality``) is rejected — deadlines
+    live state (e.g. a field holding a request's
+    :class:`~repro.core.deadline.Deadline`) is rejected — deadlines
     belong to requests, not stored profiles.
     """
     import dataclasses

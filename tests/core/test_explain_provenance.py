@@ -130,7 +130,7 @@ class TestBoundingConstraints:
         assert "bounded by: nothing" in explanation.render()
 
 
-class TestBatchProvenance:
+class TestTupleBatches:
     def test_seed_and_join_batches(self, engine):
         answer = engine.ask("Allen", translate=False)
         batches = answer.explanation.batches

@@ -9,9 +9,9 @@ from repro.core import (
     WeightThreshold,
     generate_result_schema,
 )
-from repro.core.schema_generator import SchemaGeneratorStats
 from repro.datasets import movies_graph
 from repro.graph import SchemaGraph
+from repro.obs import InMemorySink, Tracer
 
 
 @pytest.fixture()
@@ -162,13 +162,15 @@ class TestTraversalMechanics:
             assert len(relations) == len(set(relations))
 
     def test_stats_populated(self, graph):
-        stats = SchemaGeneratorStats()
+        sink = InMemorySink()
         generate_result_schema(
-            graph, ["DIRECTOR"], WeightThreshold(0.9), stats=stats
+            graph, ["DIRECTOR"], WeightThreshold(0.9), tracer=Tracer([sink])
         )
-        assert stats.paths_admitted > 0
-        assert stats.paths_popped >= stats.paths_admitted
-        assert stats.paths_pushed > 0
+        span = sink.last
+        assert span.name == "schema_generator"
+        assert span.counter("paths_admitted") > 0
+        assert span.counter("paths_popped") >= span.counter("paths_admitted")
+        assert span.counter("paths_pushed") > 0
 
     def test_result_relations_subset_of_graph(self, graph):
         schema = generate_result_schema(

@@ -1,12 +1,13 @@
 """Unit tests for profiles and the registry (§3.1 personalization)."""
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
 from repro.core import (
+    CardinalityConstraint,
     CompositeDegree,
-    DeadlineCardinality,
     Deadline,
     MaxPathLength,
     MaxTuplesPerRelation,
@@ -166,10 +167,25 @@ class TestSerde:
             )
 
     def test_stateful_constraint_not_serializable(self):
+        @dataclass(frozen=True)
+        class WithinDeadline(CardinalityConstraint):
+            """A constraint holding live state: a request's deadline."""
+
+            deadline: Deadline
+
+            def budget_for(self, relation, cardinalities):
+                return 0 if self.deadline.expired() else None
+
+            def exhausted(self, cardinalities):
+                return self.deadline.expired()
+
+            def describe(self):
+                return "within deadline"
+
         profile = Profile(
-            "live", cardinality=DeadlineCardinality(Deadline.after(1.0))
+            "live", cardinality=WithinDeadline(Deadline.after(1.0))
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not serializable"):
             profile.to_dict()
 
 

@@ -314,11 +314,18 @@ class TestEstimate:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--total", "5"), ("--strategy", "naive"), ("--deadline-ms", "50")],
+        [
+            ("--total", "5"),
+            ("--strategy", "naive"),
+            ("--deadline-ms", "50"),
+            ("--slow-query-ms", "0"),
+            ("--metrics-out", "-"),
+            ("--metrics-format", "json"),
+        ],
     )
     def test_run_options_are_not_offered(self, demo_dir, capsys, flag, value):
-        """estimate runs no ask: options that only shape a run are
-        refused rather than parsed and dropped."""
+        """estimate runs no ask: options that only shape or measure a
+        run are refused rather than parsed and dropped."""
         with pytest.raises(SystemExit) as exited:
             _run(["estimate", str(demo_dir), "Allen", flag, value])
         assert exited.value.code == 2
