@@ -252,12 +252,6 @@ def ablation_join_order(backend=None):
         "THEATRE": set(list(db.relation("THEATRE").tids())[:2]),
     }
 
-    def relevance(report):
-        score = float(sum(report.seed_counts.values()))
-        for execution in report.executions:
-            score += execution.tuples_new * execution.edge.weight
-        return score
-
     totals = {"weight": 0.0, "fifo": 0.0}
     for seed in range(12):
         graph = movies_graph().with_weights(
@@ -273,7 +267,7 @@ def ablation_join_order(backend=None):
             __, report = generate_result_database(
                 db, schema, seeds, MaxTotalTuples(40), join_order=order
             )
-            totals[name] += relevance(report)
+            totals[name] += report.relevance()
     return _table(
         "Ablation — join order under a 40-tuple total budget "
         "(12 random weight sets)",

@@ -56,20 +56,13 @@ def setup():
     return db, schemas, seeds
 
 
-def _relevance(report) -> float:
-    score = float(sum(report.seed_counts.values()))
-    for execution in report.executions:
-        score += execution.tuples_new * execution.edge.weight
-    return score
-
-
 def _total_relevance(db, schemas, seeds, join_order) -> float:
     total = 0.0
     for schema in schemas:
         __, report = generate_result_database(
             db, schema, seeds, MaxTotalTuples(40), join_order=join_order
         )
-        total += _relevance(report)
+        total += report.relevance()
     return total
 
 

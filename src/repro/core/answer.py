@@ -92,14 +92,10 @@ class PrecisAnswer:
 
         (e.g. the per-homonym answers of
         :meth:`~repro.core.engine.PrecisEngine.ask_per_occurrence`):
-        seed tuples count 1 each; every joined-in tuple counts the
-        weight of the edge that brought it. Higher = more content in
-        more strongly connected relations.
+        the generator report's
+        :meth:`~repro.core.database_generator.GeneratorReport.relevance`.
         """
-        score = float(sum(self.report.seed_counts.values()))
-        for execution in self.report.executions:
-            score += execution.tuples_new * execution.edge.weight
-        return score
+        return self.report.relevance()
 
     def dangling_tuples(self) -> int:
         """Number of referential gaps in the answer — tuples whose join

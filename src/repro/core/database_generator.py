@@ -162,6 +162,16 @@ class GeneratorReport:
     def tuples_retrieved(self) -> int:
         return sum(batch.tuples_new for batch in self.batches)
 
+    def relevance(self) -> float:
+        """An aggregate relevance score of the generated answer: seed
+        tuples count 1 each; every joined-in tuple counts the weight of
+        the edge that brought it. Higher = more content in more
+        strongly connected relations."""
+        score = float(sum(self.seed_counts.values()))
+        for execution in self.executions:
+            score += execution.tuples_new * execution.edge.weight
+        return score
+
 
 def _is_to_one(source_db: Database, edge: JoinEdge) -> bool:
     """A join is to-1 when the destination's join attribute is its

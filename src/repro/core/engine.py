@@ -347,8 +347,7 @@ class PrecisEngine:
         deadline: Deadline,
     ) -> tuple[ResultSchema, list[TokenMatch], str]:
         """Steps 1–2 over resolved parameters (see :meth:`_resolve`),
-        plus the plan-cache outcome (``"hit"`` / ``"miss"`` / ``"off"``
-        / ``"uncacheable"``) for provenance."""
+        plus the plan-cache outcome (see :meth:`_schema`)."""
         with tracer.span("match"):
             matches = self.match(query, deadline=deadline)
             tracer.count(
@@ -359,7 +358,23 @@ class PrecisEngine:
             for occurrence in match.occurrences:
                 if occurrence.relation not in token_relations:
                     token_relations.append(occurrence.relation)
+        schema, outcome = self._schema(
+            token_relations, degree, graph, tracer, deadline
+        )
+        return schema, matches, outcome
 
+    def _schema(
+        self,
+        token_relations: list[str],
+        degree: DegreeConstraint,
+        graph: SchemaGraph,
+        tracer: Tracer,
+        deadline: Deadline,
+    ) -> tuple[ResultSchema, str]:
+        """Step 2: the result schema rooted at *token_relations*, read
+        from the plan cache when it holds one, plus the plan-cache
+        outcome (``"hit"`` / ``"miss"`` / ``"off"`` /
+        ``"uncacheable"``) for provenance."""
         with tracer.span("schema"):
             plans = self.cache.plans if self.cache is not None else None
             outcome = "off" if plans is None else "uncacheable"
@@ -399,7 +414,7 @@ class PrecisEngine:
                 tracer.count("cache_hit", 1 if hit else 0)
                 tracer.count("cache_miss", 0 if hit else 1)
                 if hit:
-                    return cached, matches, outcome
+                    return cached, outcome
             schema = generate_result_schema(
                 graph, token_relations, degree, tracer=tracer,
                 deadline=deadline,
@@ -411,7 +426,7 @@ class PrecisEngine:
             )
             if cacheable and not degraded:
                 plans.put(key, schema, token)
-        return schema, matches, outcome
+        return schema, outcome
 
     @staticmethod
     def _signature(
@@ -742,7 +757,10 @@ class PrecisEngine:
 
         Each answer is built by the answer step :meth:`ask` uses, so a
         query whose one token matches in one place gets the one answer
-        :meth:`ask` gives (same body and EXPLAIN). With ``rank=True`` the
+        :meth:`ask` gives (same body and EXPLAIN). Each occurrence's
+        schema is read through the plan cache as an ask's is; the
+        answers never enter the answer cache, since no ask signature
+        names one occurrence. With ``rank=True`` the
         answers come sorted by decreasing
         :meth:`~repro.core.answer.PrecisAnswer.relevance`. With tracing
         enabled, each answer's ``stats`` is its ``occurrence`` subtree
@@ -754,6 +772,11 @@ class PrecisEngine:
         tracer, traced = self._ask_tracer(tracer)
         answers: list[PrecisAnswer] = []
         trace_id = current_trace_id()
+        answer_outcome = (
+            "off"
+            if self.cache is None or self.cache.answers is None
+            else "uncacheable"
+        )
         with tracer.span("ask_per_occurrence") as root:
             with tracer.span("match"):
                 matches = self.match(query)
@@ -763,8 +786,9 @@ class PrecisEngine:
             for match in matches:
                 for occurrence in match.occurrences:
                     with tracer.span("occurrence") as occ_span:
-                        schema = generate_result_schema(
-                            graph, [occurrence.relation], degree, tracer=tracer
+                        schema, plan_outcome = self._schema(
+                            [occurrence.relation], degree, graph, tracer,
+                            NO_DEADLINE,
                         )
                         answer = self._answer(
                             query,
@@ -775,8 +799,8 @@ class PrecisEngine:
                             path_scoped=False,
                             deadline=NO_DEADLINE,
                             degraded_stage=None,
-                            plan_cache="off",
-                            answer_cache="off",
+                            plan_cache=plan_outcome,
+                            answer_cache=answer_outcome,
                             trace_id=trace_id,
                         )
                     if traced:

@@ -197,18 +197,6 @@ def synthetic_span(
 
 # ------------------------------------------------------------- request traces
 
-#: outcomes whose traces are always kept regardless of the sample rate
-_TRIGGER_OUTCOMES = frozenset(
-    {
-        "degraded",
-        "failed",
-        "shed_full",
-        "shed_stale",
-        "shed_closed",
-        "shed_tenant_quota",
-    }
-)
-
 
 class RequestTrace:
     """One request's complete story: context, outcome, span tree."""
@@ -257,10 +245,11 @@ class RequestTrace:
         return self.context.trace_id
 
     def triggered(self, slow_s: Optional[float] = None) -> bool:
-        """True when an always-keep trigger fired: a non-answered
-        outcome, a retried request, or (when *slow_s* is set) a slow
-        one."""
-        if self.outcome in _TRIGGER_OUTCOMES:
+        """True when an always-keep trigger fired: any outcome other
+        than ``answered`` (the serving layer's vocabulary,
+        :data:`repro.service.errors.OUTCOMES`), a retried request, or
+        (when *slow_s* is set) a slow one."""
+        if self.outcome != "answered":
             return True
         if self.retries > 0:
             return True

@@ -13,9 +13,15 @@ a servable component in two pieces:
   decision, counted on one metrics façade shared with the
   :mod:`repro.obs` registry;
 * the worker pool underneath (:class:`PrecisService`): threads over
-  engine replicas, retry-with-backoff over the storage layer's
+  one engine, retry-with-backoff over the storage layer's
   transient/permanent fault classification, and the per-request span
   tree.
+
+How a request ended is one vocabulary (:mod:`repro.service.errors`):
+each shed error is a :class:`Shed` naming its reason, and
+:func:`~repro.service.errors.outcome` maps an answer or an error onto
+:data:`~repro.service.errors.OUTCOMES` for the traces and the load
+generator's tally.
 
 The stdlib HTTP endpoint (:mod:`repro.service.http`, ``repro serve``)
 serves the front door over the wire, and one load generator
@@ -31,6 +37,7 @@ from .errors import (
     RetryExhausted,
     ServiceClosed,
     ServiceError,
+    Shed,
     StaleRequest,
     TenantQuotaExceeded,
 )
@@ -68,6 +75,7 @@ __all__ = [
     "RetryPolicy",
     "call_with_retry",
     "ServiceError",
+    "Shed",
     "ServiceClosed",
     "QueueFull",
     "StaleRequest",

@@ -1,14 +1,19 @@
-"""The serving layer's exception vocabulary.
+"""The serving layer's exception and outcome vocabulary.
 
 Admission-control refusals (:class:`QueueFull`, :class:`StaleRequest`,
 :class:`TenantQuotaExceeded`, :class:`ServiceClosed`) are
 *load-shedding signals* decided by the front door
 (:mod:`repro.service.frontdoor`): the request never ran, the caller may
-retry elsewhere or give up. :class:`RetryExhausted`
-is different — the request ran, hit transient storage failures
-(:class:`~repro.storage.TransientStorageError`), and the retry budget
-ran out; the last underlying error rides along as ``__cause__`` and
-:attr:`RetryExhausted.last_error`.
+retry elsewhere or give up. Each is a :class:`Shed` whose class-level
+:attr:`~Shed.reason` names it in traces and in the caller's tally.
+:class:`RetryExhausted` is different — the request ran, hit transient
+storage failures (:class:`~repro.storage.TransientStorageError`), and
+the retry budget ran out; the last underlying error rides along as
+``__cause__`` and :attr:`RetryExhausted.last_error`.
+
+How a served request ended is one of :data:`OUTCOMES`, and
+:func:`outcome` is the one place that says which: the pool's and the
+front door's traces and the load generator's tally all call it.
 """
 
 from __future__ import annotations
@@ -17,11 +22,14 @@ from typing import Optional
 
 __all__ = [
     "ServiceError",
+    "Shed",
     "ServiceClosed",
     "QueueFull",
     "StaleRequest",
     "TenantQuotaExceeded",
     "RetryExhausted",
+    "OUTCOMES",
+    "outcome",
 ]
 
 
@@ -29,26 +37,39 @@ class ServiceError(Exception):
     """Base class for every serving-layer failure."""
 
 
-class ServiceClosed(ServiceError):
+class Shed(ServiceError):
+    """A request the front door refused: nothing ran for it."""
+
+    #: the shed's name in traces and tallies (``shed_<reason>``)
+    reason: str = ""
+
+
+class ServiceClosed(Shed):
     """The service was shut down before (or while) the request was
     submitted; nothing ran."""
 
+    reason = "closed"
 
-class QueueFull(ServiceError):
+
+class QueueFull(Shed):
     """Shed on admission: the front door's pending queue was full
     (overload), or a queued batch flight was preempted by an
     interactive arrival."""
+
+    reason = "full"
 
     def __init__(self, depth: int):
         super().__init__(f"admission queue full ({depth} waiting)")
         self.depth = depth
 
 
-class StaleRequest(ServiceError):
+class StaleRequest(Shed):
     """Shed before running: the request's deadline had expired at
     submit or while it sat in the queue (or, for a coalesced follower,
     while it waited on the leader), so running it could only produce an
     empty degraded answer — cheaper to refuse outright."""
+
+    reason = "stale"
 
     def __init__(self, waited_s: float):
         super().__init__(
@@ -57,11 +78,13 @@ class StaleRequest(ServiceError):
         self.waited_s = waited_s
 
 
-class TenantQuotaExceeded(ServiceError):
+class TenantQuotaExceeded(Shed):
     """Shed at dispatch: this tenant's flights already hold its fair
     share of execution slots (``FrontDoorConfig.tenant_slots``); other
     tenants' capacity is untouched. A per-tenant signal — the queue
     itself may be nearly empty."""
+
+    reason = "tenant_quota"
 
     def __init__(self, tenant: str, slots: int):
         super().__init__(
@@ -80,3 +103,24 @@ class RetryExhausted(ServiceError):
         )
         self.attempts = attempts
         self.last_error = last_error
+
+
+#: every way a served request can end, in the order tallies list them
+OUTCOMES = (
+    "answered",
+    "degraded",
+    "shed_stale",
+    "shed_full",
+    "shed_tenant_quota",
+    "shed_closed",
+    "failed",
+)
+
+
+def outcome(answer, error: Optional[BaseException] = None) -> str:
+    """How one request ended: ``shed_<reason>`` when *error* is a
+    :class:`Shed`, ``failed`` for any other error, otherwise
+    ``degraded`` or ``answered`` by *answer*'s flag."""
+    if error is not None:
+        return f"shed_{error.reason}" if isinstance(error, Shed) else "failed"
+    return "degraded" if answer.degraded else "answered"

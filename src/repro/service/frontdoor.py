@@ -42,8 +42,8 @@ request-per-user web front end needs:
   (:class:`~repro.service.errors.TenantQuotaExceeded`) and the one
   shed fans out to every waiter. The slot is released when the flight
   resolves.
-* **Admission hits** — when the first engine's answer cache holds a
-  live answer under the request's signature
+* **Admission hits** — when the pool's engine (``service.engine``)
+  holds a live answer in its answer cache under the request's signature
   (:meth:`~repro.core.engine.PrecisEngine.holds_answer`), the request
   is answered on the loop by
   :meth:`~repro.core.engine.PrecisEngine.ask`, which serves the cached
@@ -56,21 +56,24 @@ request-per-user web front end needs:
 
 Dispatch runs one flight per pool worker, so the pool's hand-off queue
 stays empty and ordering decisions live entirely in the priority queue
-here. Every shed is decided, counted and traced here; the metrics land
-in the pool's :class:`~repro.obs.metrics.ServiceMetrics` — one façade,
-one scrape for the whole stack.
+here. Every shed is decided, counted and traced here, and each shed
+error names its :attr:`~repro.service.errors.Shed.reason`; the metrics
+land in the pool's :class:`~repro.obs.metrics.ServiceMetrics` — one
+façade, one scrape for the whole stack.
 
 Tracing: when the pool carries a :class:`~repro.obs.context.
 TraceBuffer`, the front door mints each waiter's
 :class:`~repro.obs.context.TraceContext` at submit. The leader's
 context rides into the pool (``submit(context=)``), whose worker
 traces the execution — front-door queueing plus the full engine
-subtree; every follower and every shed waiter gets its own ``request``
-span here, followers with a ``coalesced`` child and
+subtree. Every other waiter is traced here, by one method, with the
+outcome :func:`~repro.service.errors.outcome` names: an admission hit
+hands over its live ``request`` root over the engine's ``ask`` →
+``cache`` subtree (worker ``frontdoor``, no queue wait); a follower
+and a shed waiter get a synthetic ``request`` span, followers with a
+``coalesced`` child and
 :attr:`~repro.obs.context.RequestTrace.coalesced_into` naming the
-leader's trace id. An admission hit is traced here too: its
-``request`` root holds the engine's ``ask`` → ``cache`` subtree, with
-worker ``frontdoor`` and no queue wait.
+leader's trace id.
 
 Everything here runs on one event loop: submissions, admission,
 coalescing bookkeeping, quotas and dispatch are loop-confined (no
@@ -100,8 +103,10 @@ from ..obs.tracer import Tracer
 from .errors import (
     QueueFull,
     ServiceClosed,
+    Shed,
     StaleRequest,
     TenantQuotaExceeded,
+    outcome,
 )
 from .service import PrecisService
 
@@ -117,14 +122,6 @@ PRIORITY_BATCH = "batch"
 
 #: dispatch order: lower rank first; within a rank, earliest deadline
 _RANK = {PRIORITY_INTERACTIVE: 0, PRIORITY_BATCH: 1}
-
-#: shed exception -> the reason its shed is counted and traced under
-_SHED_REASON = {
-    QueueFull: "full",
-    StaleRequest: "stale",
-    TenantQuotaExceeded: "tenant_quota",
-    ServiceClosed: "closed",
-}
 
 
 class _FollowerStale(Exception):
@@ -254,7 +251,7 @@ class AsyncFrontDoor:
         take part in the coalescing signature (an argument the
         signature cannot canonicalize — e.g. a *tuple_weigher* —
         disables coalescing for that request only). A request whose
-        answer the first engine's answer cache holds is answered at
+        answer the engine's answer cache holds is answered at
         admission, on the loop, without a flight.
         """
         if priority not in _RANK:
@@ -276,8 +273,8 @@ class AsyncFrontDoor:
         metrics.submitted(priority, tenant)
         try:
             if self._closed:
-                self._shed(context, "closed", priority, tenant)
-                raise ServiceClosed("front door is closed")
+                error = ServiceClosed("front door is closed")
+                raise self._shed(context, error, priority, tenant)
             if context is not None and deadline.expires():
                 context.deadline_s = deadline.remaining()
             # Shed-on-stale at submit: an already-expired request
@@ -285,10 +282,9 @@ class AsyncFrontDoor:
             # only produce an empty degraded shell, and coalescing it
             # would hand it an answer past its deadline anyway.
             if deadline.expires() and deadline.expired():
-                self._shed(context, "stale", priority, tenant)
-                raise StaleRequest(0.0)
+                raise self._shed(context, StaleRequest(0.0), priority, tenant)
 
-            engine = self.service.engines[0]
+            engine = self.service.engine
             caches_answers = (
                 engine.cache is not None and engine.cache.answers is not None
             )
@@ -298,29 +294,40 @@ class AsyncFrontDoor:
                 else None
             )
             if engine.holds_answer(key):
-                return self._answer_hit(
-                    engine, query, deadline, ask_kwargs, priority, tenant,
-                    context, start,
+                answer = self._answer_hit(
+                    engine, query, deadline, ask_kwargs, priority, context
                 )
-            if not self.config.coalesce:
-                key = None
-            flight = self._flights.get(key) if key is not None else None
-            if flight is not None and flight.state != "done":
-                # -------- follower: identical ask already in flight
-                metrics.coalesced(priority)
-                flight.waiters += 1
-                self._maybe_upgrade(flight, priority)
-                follower = True
             else:
-                # ------------ leader: admit a fresh flight
-                flight = self._admit(
-                    query, ask_kwargs, key, deadline, tenant, priority,
-                    context, start,
+                if not self.config.coalesce:
+                    key = None
+                flight = self._flights.get(key) if key is not None else None
+                if flight is not None and flight.state != "done":
+                    # ---- follower: identical ask already in flight
+                    metrics.coalesced(priority)
+                    flight.waiters += 1
+                    self._maybe_upgrade(flight, priority)
+                    follower = True
+                else:
+                    # -------- leader: admit a fresh flight
+                    flight = self._admit(
+                        query, ask_kwargs, key, deadline, tenant, priority,
+                        context, start,
+                    )
+                    follower = False
+                answer = await self._join(
+                    flight, deadline, priority, tenant, context, start,
+                    follower,
                 )
-                follower = False
-            return await self._join(
-                flight, deadline, priority, tenant, context, start, follower
+            metrics.answered(
+                time.monotonic() - start,
+                priority,
+                degraded_stage=(
+                    answer.degraded_stage if answer.degraded else None
+                ),
+                tenant=tenant,
+                trace_id=context.trace_id if context is not None else None,
             )
+            return answer
         finally:
             metrics.resolved()
 
@@ -354,13 +361,12 @@ class AsyncFrontDoor:
             return None
 
     def _answer_hit(
-        self, engine, query, deadline, ask_kwargs, priority, tenant,
-        context, start,
+        self, engine, query, deadline, ask_kwargs, priority, context
     ):
         """Answer an admission hit on the loop. It goes through
         :meth:`~repro.core.engine.PrecisEngine.ask`, so the engine's
-        cache counters and metrics see it, and is counted, timed and
-        traced like any other answer."""
+        cache counters and metrics see it; it is counted and traced
+        here and timed by :meth:`submit` like any other answer."""
         self.metrics.admission_hit(priority)
         root = None
         token = activate(context) if context is not None else None
@@ -377,50 +383,13 @@ class AsyncFrontDoor:
             # only an ask the cache lost since the check runs the
             # pipeline, and so can fail
             self.metrics.failed(type(exc).__name__)
-            self._offer_hit_trace(context, root, "failed", error=exc)
+            self._record_trace(context, error=exc, root=root)
             raise
         finally:
             if token is not None:
                 deactivate(token)
-        degraded_stage = answer.degraded_stage if answer.degraded else None
-        self._offer_hit_trace(
-            context, root, "degraded" if answer.degraded else "answered",
-            degraded_stage=degraded_stage,
-        )
-        self.metrics.answered(
-            time.monotonic() - start,
-            priority,
-            degraded_stage=degraded_stage,
-            tenant=tenant,
-            trace_id=context.trace_id if context is not None else None,
-        )
+        self._record_trace(context, answer, root=root)
         return answer
-
-    def _offer_hit_trace(
-        self,
-        context: Optional[TraceContext],
-        root,
-        outcome: str,
-        degraded_stage: Optional[str] = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        """An admission hit's trace: its ``request`` root, moved back
-        to the submit instant, over the engine's ``ask`` subtree."""
-        if context is None:
-            return
-        root.wall_start = context.submitted_wall
-        root._mono_start = context.submitted_mono
-        self.service.traces.offer(
-            RequestTrace(
-                context=context,
-                root=root,
-                outcome=outcome,
-                duration_s=root.duration_s,
-                degraded_stage=degraded_stage,
-                error=type(error).__name__ if error is not None else None,
-                worker="frontdoor",
-            )
-        )
 
     # ---------------------------------------------------------- admission
 
@@ -430,8 +399,8 @@ class AsyncFrontDoor:
     ) -> _Flight:
         if self._pending_count >= self.config.max_pending:
             if not self._preempt_for(priority):
-                self._shed(context, "full", priority, tenant)
-                raise QueueFull(self.config.max_pending)
+                error = QueueFull(self.config.max_pending)
+                raise self._shed(context, error, priority, tenant)
         flight = _Flight(
             key, query, dict(ask_kwargs), deadline, tenant, priority,
             context, asyncio.get_running_loop().create_future(),
@@ -529,37 +498,21 @@ class AsyncFrontDoor:
         except _FollowerStale as exc:
             # waiter-level shed: this follower's own deadline, nobody
             # else's — the leader execution continues for the rest
-            self._shed(
-                context, "stale_follower", priority, tenant,
-                outcome="shed_stale", coalesced_into=coalesced_into,
-            )
-            raise StaleRequest(exc.waited_s) from None
+            raise self._shed(
+                context, StaleRequest(exc.waited_s), priority, tenant,
+                reason="stale_follower", coalesced_into=coalesced_into,
+            ) from None
         except BaseException as exc:
             # a flight-level shed (counted once, when decided) or an
             # execution failure (counted by the pool); every waiter the
             # pool did not trace still reports its own trace
             if follower or not flight.dispatched:
-                reason = _SHED_REASON.get(type(exc))
                 self._record_trace(
-                    context,
-                    f"shed_{reason}" if reason is not None else "failed",
-                    coalesced_into=coalesced_into,
-                    error=exc,
+                    context, error=exc, coalesced_into=coalesced_into
                 )
             raise
-        self.metrics.answered(
-            time.monotonic() - start,
-            priority,
-            degraded_stage=answer.degraded_stage if answer.degraded else None,
-            tenant=tenant,
-            trace_id=context.trace_id if context is not None else None,
-        )
         if follower:
-            self._record_trace(
-                context,
-                "degraded" if answer.degraded else "answered",
-                coalesced_into=coalesced_into,
-            )
+            self._record_trace(context, answer, coalesced_into=coalesced_into)
         return answer
 
     async def _wait(
@@ -653,12 +606,10 @@ class AsyncFrontDoor:
             return
         self._resolve_flight(flight, result=answer)
 
-    def _shed_flight(self, flight: _Flight, error: BaseException) -> None:
+    def _shed_flight(self, flight: _Flight, error: Shed) -> None:
         """One flight-level shed: counted once, fanned out to every
         waiter (each waiter traces its own outcome in :meth:`_join`)."""
-        self.metrics.shed(
-            _SHED_REASON[type(error)], flight.priority, flight.tenant
-        )
+        self.metrics.shed(error.reason, flight.priority, flight.tenant)
         self._resolve_flight(flight, error=error)
 
     def _resolve_flight(self, flight: _Flight, result=None, error=None):
@@ -684,45 +635,51 @@ class AsyncFrontDoor:
     def _shed(
         self,
         context: Optional[TraceContext],
-        reason: str,
+        error: Shed,
         priority: str,
         tenant: Optional[str],
-        outcome: Optional[str] = None,
+        reason: Optional[str] = None,
         coalesced_into: Optional[str] = None,
-    ) -> None:
-        """One waiter-level shed: counted and traced."""
-        self.metrics.shed(reason, priority, tenant)
-        self._record_trace(
-            context,
-            outcome or f"shed_{reason}",
-            coalesced_into=coalesced_into,
-        )
+    ) -> Shed:
+        """One waiter-level shed: counted under *reason* (by default the
+        error's own) and traced; returns *error* for the caller to
+        raise."""
+        self.metrics.shed(reason or error.reason, priority, tenant)
+        self._record_trace(context, error=error, coalesced_into=coalesced_into)
+        return error
 
     def _record_trace(
         self,
         context: Optional[TraceContext],
-        outcome: str,
-        coalesced_into: Optional[str] = None,
+        answer=None,
         error: Optional[BaseException] = None,
+        root=None,
+        coalesced_into: Optional[str] = None,
     ) -> None:
-        """One waiter's trace when no worker traced it: a synthetic
-        ``request`` root with a ``coalesced`` child (a follower, who
-        waited on another execution) or a ``shed`` child. Shed and
-        failed outcomes always trigger buffer admission, so under
-        overload the buffer fills with exactly the requests that were
-        turned away."""
+        """One waiter's trace when no worker traced it, under the
+        outcome :func:`~repro.service.errors.outcome` names.
+
+        An admission hit hands over its live ``request`` root, moved
+        back to the submit instant, over the engine's ``ask`` subtree.
+        Every other waiter gets a synthetic ``request`` root with a
+        ``coalesced`` child (a follower, who waited on another
+        execution) or a ``shed`` child. Shed and failed outcomes always
+        trigger buffer admission, so under overload the buffer fills
+        with exactly the requests that were turned away."""
         buffer = self.service.traces
         if buffer is None or context is None:
             return
-        duration = max(time.perf_counter() - context.submitted_mono, 0.0)
-        root = synthetic_span("request", context.submitted_wall, duration)
-        if coalesced_into is not None:
+        if root is not None:
+            root.wall_start = context.submitted_wall
+            root._mono_start = context.submitted_mono
+            duration = root.duration_s
+        else:
+            duration = max(time.perf_counter() - context.submitted_mono, 0.0)
+            root = synthetic_span("request", context.submitted_wall, duration)
             root.children.append(
                 synthetic_span("coalesced", context.submitted_wall, duration)
-            )
-        else:
-            root.children.append(
-                synthetic_span(
+                if coalesced_into is not None
+                else synthetic_span(
                     "shed",
                     context.submitted_wall + duration,
                     0.0,
@@ -733,9 +690,14 @@ class AsyncFrontDoor:
             RequestTrace(
                 context=context,
                 root=root,
-                outcome=outcome,
+                outcome=outcome(answer, error),
                 duration_s=duration,
-                queue_wait_s=duration if outcome.startswith("shed") else 0.0,
+                queue_wait_s=duration if isinstance(error, Shed) else 0.0,
+                degraded_stage=(
+                    answer.degraded_stage
+                    if error is None and answer.degraded
+                    else None
+                ),
                 error=type(error).__name__ if error is not None else None,
                 worker="frontdoor",
                 coalesced_into=coalesced_into,

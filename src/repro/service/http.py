@@ -46,12 +46,7 @@ from typing import Any, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..core import STRATEGIES, ConstraintOptionError, Deadline, read_constraints
-from .errors import (
-    QueueFull,
-    ServiceClosed,
-    StaleRequest,
-    TenantQuotaExceeded,
-)
+from .errors import Shed
 from .frontdoor import PRIORITY_BATCH, PRIORITY_INTERACTIVE, AsyncFrontDoor
 
 __all__ = ["FrontDoorHTTP"]
@@ -69,13 +64,8 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: shed exception -> HTTP status (failures not listed here are 500s)
-_SHED_STATUS = {
-    StaleRequest: 408,
-    QueueFull: 429,
-    TenantQuotaExceeded: 429,
-    ServiceClosed: 503,
-}
+#: shed reason -> HTTP status (failures that are no shed are 500s)
+_SHED_STATUS = {"stale": 408, "full": 429, "tenant_quota": 429, "closed": 503}
 
 
 class _BadRequest(Exception):
@@ -273,14 +263,9 @@ class FrontDoorHTTP:
                 priority=priority,
                 **kwargs,
             )
-        except tuple(_SHED_STATUS) as exc:
-            status = next(
-                code
-                for cls, code in _SHED_STATUS.items()
-                if isinstance(exc, cls)
-            )
+        except Shed as exc:
             return (
-                status,
+                _SHED_STATUS[exc.reason],
                 {"error": type(exc).__name__, "detail": str(exc)},
                 "application/json",
             )

@@ -42,12 +42,7 @@ from typing import Optional, Sequence
 from ..core.engine import PrecisEngine
 from ..obs.context import TraceBuffer
 from ..obs.slo import SLOTracker
-from .errors import (
-    QueueFull,
-    ServiceClosed,
-    StaleRequest,
-    TenantQuotaExceeded,
-)
+from .errors import OUTCOMES, outcome
 from .frontdoor import (
     PRIORITY_BATCH,
     PRIORITY_INTERACTIVE,
@@ -64,15 +59,6 @@ __all__ = [
     "run_bench",
     "measure_trace_overhead",
 ]
-
-#: caller-side outcome of one shed exception
-_SHED_OUTCOME = {
-    StaleRequest: "shed_stale",
-    QueueFull: "shed_full",
-    TenantQuotaExceeded: "shed_tenant_quota",
-    ServiceClosed: "shed_closed",
-}
-_OUTCOMES = ("answered", "degraded", *_SHED_OUTCOME.values(), "failed")
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
@@ -241,10 +227,10 @@ async def run_load(
                 **submit_kwargs,
             )
         except Exception as exc:  # noqa: BLE001 — tallied, not propagated
-            outcome = _SHED_OUTCOME.get(type(exc), "failed")
+            ended = outcome(None, exc)
         else:
-            outcome = "degraded" if answer.degraded else "answered"
-        records.append((priority, outcome, loop.time() - t0))
+            ended = outcome(answer)
+        records.append((priority, ended, loop.time() - t0))
 
     start = loop.time()
     if config.closed_loop:
@@ -276,22 +262,22 @@ async def run_load(
         - coalesced_before
     )
     offered = len(stream)
-    outcomes = dict.fromkeys(_OUTCOMES, 0)
+    outcomes = dict.fromkeys(OUTCOMES, 0)
     per_class: dict[str, dict] = {}
     latencies: dict[str, list[float]] = {}
-    for priority, outcome, seconds in records:
-        outcomes[outcome] += 1
+    for priority, ended, seconds in records:
+        outcomes[ended] += 1
         bucket = per_class.setdefault(
             priority,
             {"offered": 0, "answered": 0, "degraded": 0, "shed": 0,
              "failed": 0},
         )
         bucket["offered"] += 1
-        if outcome in ("answered", "degraded"):
+        if ended in ("answered", "degraded"):
             bucket["answered"] += 1
-            bucket["degraded"] += outcome == "degraded"
+            bucket["degraded"] += ended == "degraded"
             latencies.setdefault(priority, []).append(seconds)
-        elif outcome == "failed":
+        elif ended == "failed":
             bucket["failed"] += 1
         else:
             bucket["shed"] += 1

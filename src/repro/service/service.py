@@ -1,17 +1,18 @@
-"""The worker pool: précis engines behind a fixed set of threads.
+"""The worker pool: one précis engine behind a fixed set of threads.
 
-:class:`PrecisService` runs asks on worker threads over one or more
-:class:`~repro.core.engine.PrecisEngine` instances (typically replicas
-over the same database). It makes **no admission decision**: every
-request handed to :meth:`PrecisService.submit` runs, in arrival order.
-Deadlines, shedding, tenant quotas, coalescing, priorities and the
-per-request metrics all belong to the admission layer in front of it,
-:class:`~repro.service.frontdoor.AsyncFrontDoor`, which dispatches at
-most one flight per worker — so the pool's hand-off queue stays empty
-and every ordering decision is the front door's. What the pool keeps:
+:class:`PrecisService` runs asks on worker threads over one
+:class:`~repro.core.engine.PrecisEngine`. It makes **no admission
+decision**: every request handed to :meth:`PrecisService.submit` runs,
+in arrival order. Deadlines, shedding, tenant quotas, coalescing,
+priorities and the per-request metrics all belong to the admission
+layer in front of it, :class:`~repro.service.frontdoor.AsyncFrontDoor`,
+which dispatches at most one flight per worker — so the pool's hand-off
+queue stays empty and every ordering decision is the front door's. What
+the pool keeps:
 
-* **Worker threads** — one per engine by default, each with a private
-  sinkless tracer for the whole thread lifetime.
+* **Worker threads** — ``ServiceConfig.workers`` of them (one by
+  default), all asking the one engine, each with a private sinkless
+  tracer for the whole thread lifetime.
 * **Retry** — transient storage failures
   (:class:`~repro.storage.TransientStorageError`) retry with
   exponential backoff per :class:`~repro.service.retry.RetryPolicy`;
@@ -41,7 +42,7 @@ import queue
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional
 
 from ..core.deadline import NO_DEADLINE, Deadline
 from ..core.engine import PrecisEngine
@@ -56,7 +57,7 @@ from ..obs.context import (
 from ..obs.metrics import MetricsRegistry, ServiceMetrics
 from ..obs.tracer import Tracer
 from ..storage import PermanentStorageError
-from .errors import RetryExhausted, ServiceClosed
+from .errors import RetryExhausted, ServiceClosed, outcome
 from .retry import RetryPolicy, call_with_retry
 
 __all__ = ["ServiceConfig", "PrecisService"]
@@ -69,13 +70,13 @@ _SHUTDOWN = object()
 class ServiceConfig:
     """Shape of one :class:`PrecisService` worker pool."""
 
-    #: worker threads; default one per engine
-    workers: Optional[int] = None
+    #: worker threads, all asking the pool's one engine
+    workers: int = 1
     #: backoff policy for transient storage failures
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self):
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
 
@@ -92,20 +93,18 @@ class _Request:
 
 
 class PrecisService:
-    """A fixed pool of worker threads running précis asks."""
+    """A fixed pool of worker threads running précis asks on one engine."""
 
     def __init__(
         self,
-        engines: Union[PrecisEngine, Sequence[PrecisEngine]],
+        engine: PrecisEngine,
         config: Optional[ServiceConfig] = None,
         registry: Optional[MetricsRegistry] = None,
         traces: Optional[TraceBuffer] = None,
     ):
-        if isinstance(engines, PrecisEngine):
-            engines = [engines]
-        if not engines:
-            raise ValueError("PrecisService needs at least one engine")
-        self.engines = list(engines)
+        #: the engine every worker asks (the front door's admission
+        #: hits read its answer cache)
+        self.engine = engine
         self.config = config if config is not None else ServiceConfig()
         #: the serving stack's one metrics façade; the front door over
         #: this pool records into it too
@@ -115,15 +114,11 @@ class PrecisService:
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
         self._close_lock = threading.Lock()
-        n_workers = self.config.workers or len(self.engines)
         self._threads = [
             threading.Thread(
-                target=self._worker,
-                args=(self.engines[i % len(self.engines)],),
-                name=f"precis-worker-{i}",
-                daemon=True,
+                target=self._worker, name=f"precis-worker-{i}", daemon=True
             )
-            for i in range(n_workers)
+            for i in range(self.config.workers)
         ]
         for thread in self._threads:
             thread.start()
@@ -169,7 +164,7 @@ class PrecisService:
 
     # ------------------------------------------------------------- workers
 
-    def _worker(self, engine: PrecisEngine) -> None:
+    def _worker(self) -> None:
         # One sinkless tracer for the whole worker lifetime: its span
         # stack is thread-local and empties between requests, and a
         # fresh Tracer per request would allocate a threading.local
@@ -180,7 +175,9 @@ class PrecisService:
             request = self._queue.get()
             if request is _SHUTDOWN:
                 return
-            self._serve(engine, request, tracer)
+            # perfbench/tracing.py wraps _serve and reads the request
+            # by position, so the engine stays its first argument
+            self._serve(self.engine, request, tracer)
 
     def _serve(
         self,
@@ -289,28 +286,20 @@ class PrecisService:
                     mono_start=root._mono_start,
                 ),
             )
-        if failure is not None:
-            outcome = "failed"
-            degraded_stage = None
-            error = type(failure).__name__
-        elif answer is not None and answer.degraded:
-            outcome = "degraded"
-            degraded_stage = answer.degraded_stage
-            error = None
-        else:
-            outcome = "answered"
-            degraded_stage = None
-            error = None
         self.traces.offer(
             RequestTrace(
                 context=context,
                 root=root,
-                outcome=outcome,
+                outcome=outcome(answer, failure),
                 duration_s=root.duration_s if root is not None else 0.0,
                 queue_wait_s=waited,
                 retries=retries,
-                degraded_stage=degraded_stage,
-                error=error,
+                degraded_stage=(
+                    answer.degraded_stage
+                    if failure is None and answer.degraded
+                    else None
+                ),
+                error=type(failure).__name__ if failure is not None else None,
                 worker=threading.current_thread().name,
             )
         )
@@ -362,7 +351,6 @@ class PrecisService:
 
     def __repr__(self):
         return (
-            f"PrecisService({len(self.engines)} engine(s), "
-            f"{len(self._threads)} worker(s)"
+            f"PrecisService({len(self._threads)} worker(s)"
             f"{', closed' if self._closed else ''})"
         )

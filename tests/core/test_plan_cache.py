@@ -112,3 +112,31 @@ class TestPlanCache:
         )
         second, __, ___ = engine.plan('"Woody Allen"', WeightThreshold(0.9))
         assert second is first
+
+    def test_per_occurrence_schemas_go_through_the_cache(self):
+        """Each occurrence's schema is planned like an ask's: the first
+        call misses once per occurrence, the second hits and runs no
+        schema generator, and EXPLAIN names the real outcome."""
+        from repro.obs import InMemorySink, Tracer
+
+        engine = PrecisEngine(
+            paper_instance(), graph=movies_graph(), cache=True
+        )
+        seen = []
+        for __ in range(2):
+            sink = InMemorySink()
+            answers = engine.ask_per_occurrence(
+                '"Woody Allen"', tracer=Tracer([sink])
+            )
+            names = [span.name for span, __ in sink.last.walk()]
+            seen.append(
+                (
+                    [a.explanation.cache.plan for a in answers],
+                    names.count("schema_generator"),
+                )
+            )
+        assert seen == [(["miss", "miss"], 2), (["hit", "hit"], 0)]
+        stats = engine.cache.stats()
+        assert (stats["plans"]["misses"], stats["plans"]["hits"]) == (2, 2)
+        # no ask signature names one occurrence: never answer-cached
+        assert stats["answers"]["misses"] == stats["answers"]["hits"] == 0

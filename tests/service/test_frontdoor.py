@@ -8,21 +8,24 @@ metrics and traces account correctly, and close() drains.
 """
 
 import asyncio
+import threading
 
 import pytest
 
-from repro.core import PrecisEngine, WeightThreshold
+from repro.core import Deadline, PrecisEngine, WeightThreshold
 from repro.datasets import movies_graph, paper_instance
 from repro.obs import TraceBuffer
 from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
     PrecisService,
+    QueueFull,
     ServiceClosed,
     ServiceConfig,
+    StaleRequest,
 )
 
-from .helpers import run
+from .helpers import FakeClock, GateDeadline, entered, run, spin
 
 QUERY = '"Woody Allen"'
 
@@ -217,6 +220,73 @@ class TestMetricsAndTraces:
         # context the front door minted at its own admission time
         assert trace.stage_names()[0] == "request"
         assert "queue" in trace.stage_names()
+
+
+class TestWaiterShedTraces:
+    def test_each_waiter_shed_traces_its_error_class(self, engine):
+        """A waiter the front door sheds on its own — at submit as
+        full, stale or closed, or as a stale follower — names its
+        error class in its trace, as flight-level sheds do."""
+        traces = TraceBuffer(capacity=16, sample_rate=0.0)  # triggers only
+        service = PrecisService(
+            engine, config=ServiceConfig(workers=1), traces=traces
+        )
+        clock = FakeClock()
+
+        async def go():
+            frontdoor = AsyncFrontDoor(service, FrontDoorConfig(max_pending=1))
+            gate = threading.Event()
+            parked = GateDeadline(gate)
+            try:
+                blocker = asyncio.ensure_future(
+                    frontdoor.submit("Allen", deadline=parked)
+                )
+                await entered(parked)
+                # the one pending slot, and a follower on it whose own
+                # deadline runs out while it waits
+                leader = asyncio.ensure_future(frontdoor.submit(QUERY))
+                await spin(lambda: frontdoor._flights, "leader admitted")
+                follower = asyncio.ensure_future(
+                    frontdoor.submit(QUERY, deadline=Deadline(10.0, clock=clock))
+                )
+                await spin(
+                    lambda: counter(
+                        frontdoor,
+                        "precis_service_coalesced_total",
+                        priority="interactive",
+                    ),
+                    "follower joined",
+                )
+                with pytest.raises(QueueFull):
+                    await frontdoor.submit("comedy")
+                with pytest.raises(StaleRequest):
+                    await frontdoor.submit("drama", deadline=Deadline.after(-1))
+                clock.advance(11.0)
+                gate.set()
+                await asyncio.gather(blocker, leader)
+                with pytest.raises(StaleRequest):
+                    await follower
+                await frontdoor.close()
+                with pytest.raises(ServiceClosed):
+                    await frontdoor.submit(QUERY)
+            finally:
+                gate.set()
+                await frontdoor.close()
+
+        try:
+            run(go())
+        finally:
+            service.close()
+        shed = sorted(
+            (t.context.query, t.outcome, t.error, t.coalesced_into is not None)
+            for t in traces.traces()
+        )
+        assert shed == [
+            (QUERY, "shed_closed", "ServiceClosed", False),
+            (QUERY, "shed_stale", "StaleRequest", True),
+            ("comedy", "shed_full", "QueueFull", False),
+            ("drama", "shed_stale", "StaleRequest", False),
+        ]
 
 
 class TestLifecycle:

@@ -438,6 +438,41 @@ class TestFollowerTraces:
         )
 
 
+    def test_degraded_follower_trace_names_its_stage(self):
+        db = generate_movies_database(n_movies=40, seed=11)
+        engine = PrecisEngine(db, graph=movies_graph())
+        traces = TraceBuffer(capacity=64, sample_rate=1.0)
+        service = PrecisService(
+            engine, config=ServiceConfig(workers=1), traces=traces
+        )
+
+        async def go():
+            async with AsyncFrontDoor(service) as frontdoor:
+                # the shared deadline trips at the engine's first check:
+                # one degraded execution, fanned out to two followers
+                expiring = AfterNChecks(0)
+                waiters = [
+                    asyncio.ensure_future(
+                        frontdoor.submit(QUERIES[0], deadline=expiring)
+                    )
+                    for _ in range(3)
+                ]
+                return await asyncio.gather(*waiters)
+
+        try:
+            answers = run(go())
+        finally:
+            service.close()
+        [stage] = {answer.degraded_stage for answer in answers}
+        assert stage is not None
+        kept = traces.traces()
+        assert sum(t.coalesced_into is not None for t in kept) == 2
+        # the leader's trace (the pool's) and each follower's alike
+        assert [(t.outcome, t.degraded_stage) for t in kept] == [
+            ("degraded", stage)
+        ] * 3
+
+
 # --------------------------------------------------------------- property
 
 

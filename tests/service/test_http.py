@@ -22,8 +22,12 @@ from repro.service import (
     FrontDoorConfig,
     FrontDoorHTTP,
     PrecisService,
+    QueueFull,
     RetryPolicy,
+    ServiceClosed,
     ServiceConfig,
+    StaleRequest,
+    TenantQuotaExceeded,
 )
 from repro.storage import PermanentStorageError, TransientStorageError
 
@@ -169,6 +173,37 @@ class TestAsk:
         status, body = run(go())
         assert status == 408
         assert body["error"] == "StaleRequest"
+
+
+class _ShedFrontDoor:
+    """A front door whose every submit raises *error*."""
+
+    def __init__(self, error):
+        self.error = error
+
+    async def submit(self, query, **kwargs):
+        raise self.error
+
+
+class TestShedStatus:
+    @pytest.mark.parametrize(
+        "error, status",
+        [
+            (StaleRequest(0.0), 408),
+            (QueueFull(1), 429),
+            (TenantQuotaExceeded("acme", 1), 429),
+            (ServiceClosed("front door is closed"), 503),
+        ],
+        ids=["stale", "full", "tenant_quota", "closed"],
+    )
+    def test_each_shed_has_its_status(self, error, status):
+        async def go():
+            async with FrontDoorHTTP(_ShedFrontDoor(error), port=0) as http:
+                return await http_get(http.host, http.port, f"/ask?q={Q}")
+
+        got, body = run(go())
+        assert got == status
+        assert body == {"error": type(error).__name__, "detail": str(error)}
 
 
 class TestStorageFaults:

@@ -216,11 +216,12 @@ class TestLifecycle:
             assert svc.ask(QUERY).found
         assert svc.closed
 
-    def test_worker_pool_defaults_to_engine_count(self, engine):
-        engines = [engine, PrecisEngine(paper_instance(), graph=movies_graph())]
-        svc = PrecisService(engines)
+    def test_worker_pool_defaults_to_one_worker(self, engine):
+        assert ServiceConfig().workers == 1
+        svc = PrecisService(engine)
         try:
-            assert len(svc._threads) == 2
+            assert len(svc._threads) == 1
+            assert svc.engine is engine
         finally:
             svc.close()
 
@@ -238,10 +239,6 @@ class TestConfig:
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             ServiceConfig(workers=0)
-
-    def test_needs_at_least_one_engine(self):
-        with pytest.raises(ValueError):
-            PrecisService([])
 
     def test_repr_mentions_shape(self, engine):
         svc = PrecisService(engine, config=ServiceConfig(workers=2))
