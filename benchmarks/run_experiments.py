@@ -660,6 +660,76 @@ def tenants_scaling(backend=None, tenant_counts=(1, 10, 100, 1000)):
     return payload
 
 
+def startup(backend=None, sizes=(2000, 10000)):
+    """Start-up cost of a served database, per ``repro init-demo`` size
+    (seed 1): best of 3 of ``load_database``, of ``build_index`` over
+    the loaded database, and of the whole engine load ``repro serve``
+    performs (load, index, graph, translator), with what the index
+    holds."""
+    import io
+    import tempfile
+
+    from repro.cli import _load_engine, main as repro_main
+    from repro.relational.csvio import load_database
+    from repro.text import build_index
+
+    def best_of_3(make, close=lambda made: None):
+        """Best wall time of three make() calls; each result is closed
+        and freed after its clock stops."""
+        best = float("inf")
+        for __ in range(3):
+            start = time.perf_counter()
+            made = make()
+            best = min(best, time.perf_counter() - start)
+            close(made)
+            del made
+        return best
+
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for movies in sizes:
+            directory = str(Path(tmp) / f"demo{movies}")
+            repro_main(
+                ["init-demo", directory, "--movies", str(movies),
+                 "--seed", "1"],
+                out=io.StringIO(),
+            )
+
+            def load():
+                return load_database(
+                    directory, enforce_foreign_keys=False, backend=backend
+                )
+
+            load_s = best_of_3(load, lambda db: db.close())
+            db = load()
+            index_s = best_of_3(lambda: build_index(db))
+            index = build_index(db)
+            db.close()
+            del db
+            engine_s = best_of_3(
+                lambda: _load_engine(directory, backend=backend),
+                lambda engine: engine.db.close(),
+            )
+            rows.append(
+                [
+                    movies,
+                    index.epoch,  # one bump per value indexed
+                    index.vocabulary_size,
+                    index.postings_count(),
+                    load_s * 1e3,
+                    index_s * 1e3,
+                    engine_s * 1e3,
+                ]
+            )
+    return _table(
+        "Start-up — repro serve's engine load over init-demo data "
+        "(seed 1, best of 3)",
+        ["movies", "values indexed", "vocabulary", "postings",
+         "load ms", "index ms", "engine ms"],
+        rows,
+    )
+
+
 def _stamp() -> dict:
     """What a run was measured on: host, CPU count, Python version, and
     the git commit of this checkout (None outside one) with whether its
@@ -704,6 +774,7 @@ def main(argv=None):
         "frontdoor": frontdoor_bench,
         "tracing": tracing_overhead,
         "tenants": tenants_scaling,
+        "startup": startup,
     }
     default_json = Path(__file__).resolve().parent.parent / "BENCH_precis.json"
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

@@ -25,6 +25,12 @@ The concrete syntax follows the paper's example::
 Evaluation never fails on missing data: an unbound variable renders as
 the empty string (answers are partial by design — a précis "may be
 incomplete in many ways").
+
+A template is compiled when it is parsed: each node becomes a closure,
+so rendering neither walks a tree nor re-cases names. Misuse that
+depends on the scope or the function table (an unknown function, an
+unbound loop variable, a loop bound that is not an integer) is still
+reported by the render that reaches it, not by the parser.
 """
 
 from __future__ import annotations
@@ -241,7 +247,13 @@ class _Parser:
         )
 
 
-# ------------------------------------------------------------------ evaluator
+# ------------------------------------------------------------------ compiler
+#
+# Every closure takes (scope, macros), the scope keyed by upper-case
+# names. A value closure returns the node's value; a text closure
+# returns what the node writes.
+
+_Closure = Callable[[dict, "MacroLibrary"], Any]
 
 
 def _as_list(value: Any) -> list:
@@ -264,88 +276,162 @@ _FUNCTIONS: dict[str, Callable] = {
 }
 
 
+def _text_of(value: Any) -> str:
+    """What a value writes: a list writes its items, comma separated."""
+    if type(value) is str:
+        return value
+    if isinstance(value, (list, tuple)):
+        return ", ".join([render(v) for v in value])
+    return render(value)
+
+
+def _constant(value: Any) -> _Closure:
+    return lambda scope, macros: value
+
+
+def _compile_value(node: _Node) -> _Closure:
+    if isinstance(node, _Literal):
+        return _constant(node.text)
+    if isinstance(node, _Number):
+        return _constant(node.value)
+    if isinstance(node, _VarRef):
+        return _compile_variable(node)
+    if isinstance(node, _FuncCall):
+        return _compile_call(node)
+    raise TemplateError(f"unknown node {node!r}")  # pragma: no cover
+
+
+def _compile_variable(node: _VarRef) -> _Closure:
+    """A variable reads the scope; a name the scope does not bind
+    expands the macro of that name, if any (an index is then ignored),
+    and otherwise reads as NULL. An index is 1-based; out of range
+    reads as the empty string."""
+    name = node.name.upper()
+    index = node.index
+    if index is None:
+
+        def variable(scope, macros):
+            if name in scope:
+                return scope[name]
+            return macros._expansion(name, scope)
+
+        return variable
+    loop_variable = index.upper() if isinstance(index, str) else None
+
+    def item(scope, macros):
+        if name in scope:
+            value = scope[name]
+        else:
+            value = macros._expansion(name, scope)
+            if value is not None:
+                return value
+        if loop_variable is None:
+            position = index
+        else:
+            position = scope.get(loop_variable)
+            if not isinstance(position, int):
+                raise TemplateError(f"loop variable ${index}$ unbound")
+        if value is None:
+            return ""
+        if isinstance(value, (list, tuple)):
+            return value[position - 1] if 1 <= position <= len(value) else ""
+        return value if position == 1 else ""  # a scalar is a 1-list
+
+    return item
+
+
+def _compile_call(node: _FuncCall) -> _Closure:
+    name = node.name
+    func = _FUNCTIONS.get(name)
+    if func is None:
+
+        def unknown(scope, macros):
+            raise TemplateError(f"unknown function {name}")
+
+        return unknown
+    args = [_compile_value(arg) for arg in node.args]
+    return lambda scope, macros: func(*[arg(scope, macros) for arg in args])
+
+
+def _compile_loop(node: _Loop) -> _Closure:
+    """The body once per index the guard admits, the loop variable
+    bound to the index in a copy of the scope."""
+    bound_of = _compile_value(node.bound)
+    body = _compile_text(node.body)
+    variable = node.var.upper()
+    op = node.op
+
+    def loop(scope, macros):
+        bound = bound_of(scope, macros)
+        if not isinstance(bound, int):
+            raise TemplateError("loop bound must evaluate to an integer")
+        if op == "<":
+            indices = range(1, bound)
+        elif op == "<=":
+            indices = range(1, bound + 1)
+        else:  # '='
+            indices = range(bound, bound + 1) if bound >= 1 else range(0)
+        if not indices:
+            return ""
+        inner = dict(scope)
+        out = []
+        for i in indices:
+            inner[variable] = i
+            out.append(body(inner, macros))
+        return "".join(out)
+
+    return loop
+
+
+def _compile_text(nodes: Sequence[_Node]) -> _Closure:
+    """The text closure of a node sequence: its nodes' texts, joined."""
+    parts = []
+    for node in nodes:
+        if isinstance(node, _Literal):
+            parts.append(_constant(node.text))
+        elif isinstance(node, _Number):
+            parts.append(_constant(str(node.value)))
+        elif isinstance(node, _Loop):
+            parts.append(_compile_loop(node))  # a loop's value is text
+        else:
+            value_of = _compile_value(node)
+            parts.append(
+                lambda scope, macros, value_of=value_of: _text_of(
+                    value_of(scope, macros)
+                )
+            )
+    if len(parts) == 1:
+        return parts[0]
+    return lambda scope, macros: "".join(
+        [part(scope, macros) for part in parts]
+    )
+
+
 class Template:
-    """A parsed, evaluatable template."""
+    """A parsed template, compiled into closures when it is parsed."""
 
     def __init__(self, nodes: tuple, source: str = ""):
-        self._nodes = nodes
         self.source = source
+        self._text = _compile_text(nodes)
 
     def render(
         self,
         context: dict[str, Any],
         macros: Optional["MacroLibrary"] = None,
     ) -> str:
-        """Evaluate against *context* (variable name → scalar or list)."""
+        """Evaluate against *context* (variable name → scalar or list;
+        names are case-insensitive)."""
         scope = {k.upper(): v for k, v in context.items()}
-        return "".join(
-            self._render_node(node, scope, macros or _EMPTY_MACROS)
-            for node in self._nodes
-        )
+        return self._text(scope, macros or _EMPTY_MACROS)
 
-    # -- node dispatch ------------------------------------------------------
-
-    def _render_node(self, node: _Node, scope: dict, macros: "MacroLibrary") -> str:
-        value = self._eval(node, scope, macros)
-        if isinstance(value, (list, tuple)):
-            return ", ".join(render(v) for v in value)
-        return render(value)
-
-    def _eval(self, node: _Node, scope: dict, macros: "MacroLibrary") -> Any:
-        if isinstance(node, _Literal):
-            return node.text
-        if isinstance(node, _Number):
-            return node.value
-        if isinstance(node, _VarRef):
-            name = node.name.upper()
-            if name not in scope and name in macros:
-                return macros.expand(name, scope)
-            value = scope.get(name)
-            if node.index is None:
-                return value
-            if isinstance(node.index, str):
-                position = scope.get(node.index.upper())
-                if not isinstance(position, int):
-                    raise TemplateError(
-                        f"loop variable ${node.index}$ unbound"
-                    )
-            else:
-                position = node.index
-            items = _as_list(value)
-            if 1 <= position <= len(items):
-                return items[position - 1]
-            return ""
-        if isinstance(node, _FuncCall):
-            func = _FUNCTIONS.get(node.name)
-            if func is None:
-                raise TemplateError(f"unknown function {node.name}")
-            args = [self._eval(arg, scope, macros) for arg in node.args]
-            return func(*args)
-        if isinstance(node, _Loop):
-            return self._eval_loop(node, scope, macros)
-        raise TemplateError(f"unknown node {node!r}")  # pragma: no cover
-
-    def _eval_loop(self, node: _Loop, scope: dict, macros: "MacroLibrary") -> str:
-        bound = self._eval(node.bound, scope, macros)
-        if not isinstance(bound, int):
-            raise TemplateError("loop bound must evaluate to an integer")
-        if node.op == "<":
-            indices = range(1, bound)
-        elif node.op == "<=":
-            indices = range(1, bound + 1)
-        else:  # '='
-            indices = range(bound, bound + 1) if bound >= 1 else range(0)
-        out = []
-        for i in indices:
-            inner = dict(scope)
-            inner[node.var.upper()] = i
-            out.append(
-                "".join(
-                    self._render_node(child, inner, macros)
-                    for child in node.body
-                )
-            )
-        return "".join(out)
+    def render_scope(
+        self,
+        scope: dict[str, Any],
+        macros: Optional["MacroLibrary"] = None,
+    ) -> str:
+        """:meth:`render` for a *scope* whose names are upper-case
+        already, as the translator builds them once per relation."""
+        return self._text(scope, macros or _EMPTY_MACROS)
 
     def __repr__(self):
         return f"Template({self.source!r})"
@@ -370,6 +456,12 @@ class MacroLibrary:
         if template is None:
             raise TemplateError(f"unknown macro {name}")
         return template.render(scope, self)
+
+    def _expansion(self, name: str, scope: dict[str, Any]) -> Optional[str]:
+        """Macro *name* expanded in *scope* (both upper-case already),
+        or None when no macro has that name."""
+        template = self._macros.get(name)
+        return None if template is None else template._text(scope, self)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._macros)

@@ -94,12 +94,12 @@ class Translator:
 
     def _entity_clause(self, walk: "_Walk", relation: str, row: Row) -> str:
         """Projection labels of *relation*, heading attribute first."""
-        scope = self._row_scope(row)
+        scope = walk.scope(relation, row)
         parts = []
         for attribute, template in walk.projection_labels(relation):
             if row.get(attribute) is None:
                 continue  # a précis may be incomplete; skip silently
-            parts.append(template.render(scope, self.spec.macros))
+            parts.append(template.render_scope(scope, self.spec.macros))
         return "".join(parts)
 
     def _join_clauses(
@@ -124,11 +124,13 @@ class Translator:
                 if not targets:
                     continue
                 scope = dict(inherited)
-                scope.update(self._row_scope(row))
+                scope.update(walk.scope(relation, row))
                 if template is not None:
                     scope_with_lists = dict(scope)
-                    scope_with_lists.update(self._rows_scope(targets))
-                    clause = template.render(
+                    scope_with_lists.update(
+                        walk.list_scope(edge.target, targets)
+                    )
+                    clause = template.render_scope(
                         scope_with_lists, self.spec.macros
                     ).strip()
                     if clause:
@@ -144,38 +146,21 @@ class Translator:
                     clauses=clauses,
                 )
 
-    # ------------------------------------------------------------- scopes
-
-    @staticmethod
-    def _row_scope(row: Row) -> dict[str, Any]:
-        return {
-            attr.upper(): value
-            for attr, value in zip(row.attributes, row.values)
-        }
-
-    @staticmethod
-    def _rows_scope(rows: list[Row]) -> dict[str, Any]:
-        if not rows:
-            return {}
-        return {
-            attr.upper(): [row.values[pos] for row in rows]
-            for pos, attr in enumerate(rows[0].attributes)
-        }
-
-
 class _Walk:
     """What one translation reads of its answer, each piece computed on
     first use and dropped with the call (a translator may serve several
     threads at once): each relation's rows by answer tid from one scan
     in tid order, the rows grouped by the value of a join's target
-    attribute, and each relation's projection labels, heading attribute
-    first."""
+    attribute, each relation's upper-cased attribute names (the names
+    of its template scopes) and each relation's projection labels,
+    heading attribute first."""
 
     def __init__(self, answer, spec: TranslationSpec):
         self.answer = answer
         self.spec = spec
         self._rows: dict[str, dict[int, Row]] = {}
         self._groups: dict[tuple[str, str], dict[Any, list[Row]]] = {}
+        self._names: dict[str, tuple[str, ...]] = {}
         self._labels: dict[str, list[tuple[str, Template]]] = {}
 
     def rows(self, relation: str) -> dict[int, Row]:
@@ -197,6 +182,28 @@ class _Walk:
             for row in self.rows(edge.target).values():
                 groups.setdefault(row.values[pos], []).append(row)
         return groups.get(value, [])
+
+    def _scope_names(self, relation: str) -> tuple[str, ...]:
+        names = self._names.get(relation)
+        if names is None:
+            schema = self.answer.database.relation(relation).schema
+            names = self._names[relation] = tuple(
+                [name.upper() for name in schema.attribute_names]
+            )
+        return names
+
+    def scope(self, relation: str, row: Row) -> dict[str, Any]:
+        """A row of *relation* as a template scope: each attribute, by
+        its upper-cased name, bound to the row's value."""
+        return dict(zip(self._scope_names(relation), row.values))
+
+    def list_scope(self, relation: str, rows: list[Row]) -> dict[str, Any]:
+        """Rows of *relation* as a template scope: each attribute, by
+        its upper-cased name, bound to the list of the rows' values."""
+        return {
+            name: [row.values[pos] for row in rows]
+            for pos, name in enumerate(self._scope_names(relation))
+        }
 
     def projection_labels(self, relation: str) -> list[tuple[str, Template]]:
         """(attribute, label) of each labelled projection of *relation*,

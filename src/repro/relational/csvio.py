@@ -18,11 +18,11 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Union
+from typing import Any, Callable, Union
 
 from ..storage.base import StorageBackend
 from .database import Database
-from .datatypes import DataType, coerce, render
+from .datatypes import DataType, render, text_parser
 from .errors import SchemaError
 from .schema import Column, DatabaseSchema, ForeignKey, RelationSchema
 
@@ -40,14 +40,23 @@ def _to_field(value) -> str:
     return _ESCAPED_NULL if text == _NULL else text
 
 
-def _from_field(text: str, dtype: DataType):
-    if text == _NULL:
-        return None
-    if text == _ESCAPED_NULL:
-        return _NULL
-    if text == "" and dtype is not DataType.TEXT:
-        return None  # legacy files: NULL was the empty field
-    return coerce(text, dtype)
+def _field_reader(dtype: DataType) -> Callable[[str], Any]:
+    """One column's field text -> value, resolved once per file: the
+    NULL marker, its escape, the legacy empty field, else what
+    :func:`~repro.relational.datatypes.coerce` makes of the text."""
+    parse = text_parser(dtype)
+    empty_is_null = dtype is not DataType.TEXT
+
+    def read(text: str):
+        if text == _NULL:
+            return None
+        if text == _ESCAPED_NULL:
+            return _NULL
+        if not text and empty_is_null:
+            return None  # legacy files: NULL was the empty field
+        return parse(text)
+
+    return read
 
 
 def schema_to_dict(schema: DatabaseSchema) -> dict:
@@ -148,11 +157,20 @@ def load_database(
                 if header is None:
                     header = list(rs.attribute_names)
                 order = [rs.position(name) for name in header]
+                fields = [
+                    (pos, _field_reader(rs.columns[pos].dtype))
+                    for pos in order
+                ]
                 for record in reader:
+                    if len(record) != len(fields):
+                        raise SchemaError(
+                            f"{csv_path}, line {reader.line_num}: "
+                            f"{len(record)} fields where the header has "
+                            f"{len(fields)}"
+                        )
                     values: list = [None] * len(rs)
-                    for pos, text in zip(order, record):
-                        col = rs.columns[pos]
-                        values[pos] = _from_field(text, col.dtype)
+                    for (pos, read), text in zip(fields, record):
+                        values[pos] = read(text)
                     rows.append(values)
         data[rs.name] = rows
     return Database.from_rows(

@@ -12,9 +12,16 @@ from __future__ import annotations
 
 import datetime
 import enum
-from typing import Any
+from typing import Any, Callable
 
-__all__ = ["DataType", "coerce", "validate", "render"]
+__all__ = [
+    "DataType",
+    "coerce",
+    "validate",
+    "render",
+    "canonical_class",
+    "text_parser",
+]
 
 
 class DataType(enum.Enum):
@@ -34,6 +41,47 @@ _TRUE_WORDS = frozenset({"true", "t", "yes", "y", "1"})
 _FALSE_WORDS = frozenset({"false", "f", "no", "n", "0"})
 
 
+def _bool_from_text(text: str) -> bool:
+    word = text.strip().lower()
+    if word in _TRUE_WORDS:
+        return True
+    if word in _FALSE_WORDS:
+        return False
+    raise ValueError(f"cannot coerce {text!r} to BOOL")
+
+
+#: per type: how :func:`coerce` reads a ``str`` value
+_FROM_TEXT: dict[DataType, Callable[[str], Any]] = {
+    DataType.INT: lambda text: int(text.strip()),
+    DataType.FLOAT: lambda text: float(text.strip()),
+    DataType.TEXT: lambda text: text,
+    DataType.DATE: lambda text: datetime.date.fromisoformat(text.strip()),
+    DataType.BOOL: _bool_from_text,
+}
+
+#: per type: the exact class of its canonical values
+_CANONICAL_CLASS: dict[DataType, type] = {
+    DataType.INT: int,
+    DataType.FLOAT: float,
+    DataType.TEXT: str,
+    DataType.DATE: datetime.date,
+    DataType.BOOL: bool,
+}
+
+
+def text_parser(dtype: DataType) -> Callable[[str], Any]:
+    """What :func:`coerce` does to a ``str`` value of *dtype*, as one
+    function (CSV loading resolves it once per column)."""
+    return _FROM_TEXT[dtype]
+
+
+def canonical_class(dtype: DataType) -> type:
+    """The class of *dtype*'s canonical values. :func:`coerce` returns
+    a value of exactly this class unchanged, so a value of exactly this
+    class needs no coercion."""
+    return _CANONICAL_CLASS[dtype]
+
+
 def coerce(value: Any, dtype: DataType) -> Any:
     """Coerce *value* into the canonical Python representation of *dtype*.
 
@@ -44,6 +92,8 @@ def coerce(value: Any, dtype: DataType) -> Any:
     """
     if value is None:
         return None
+    if isinstance(value, str):
+        return _FROM_TEXT[dtype](value)
     if dtype is DataType.INT:
         if isinstance(value, bool):
             raise ValueError("bool is not an INT")
@@ -51,40 +101,26 @@ def coerce(value: Any, dtype: DataType) -> Any:
             return value
         if isinstance(value, float) and value.is_integer():
             return int(value)
-        if isinstance(value, str):
-            return int(value.strip())
         raise ValueError(f"cannot coerce {value!r} to INT")
     if dtype is DataType.FLOAT:
         if isinstance(value, bool):
             raise ValueError("bool is not a FLOAT")
         if isinstance(value, (int, float)):
             return float(value)
-        if isinstance(value, str):
-            return float(value.strip())
         raise ValueError(f"cannot coerce {value!r} to FLOAT")
     if dtype is DataType.TEXT:
-        if isinstance(value, str):
-            return value
         raise ValueError(f"cannot coerce {value!r} to TEXT")
     if dtype is DataType.DATE:
         if isinstance(value, datetime.datetime):
             return value.date()
         if isinstance(value, datetime.date):
             return value
-        if isinstance(value, str):
-            return datetime.date.fromisoformat(value.strip())
         raise ValueError(f"cannot coerce {value!r} to DATE")
     if dtype is DataType.BOOL:
         if isinstance(value, bool):
             return value
         if isinstance(value, int) and value in (0, 1):
             return bool(value)
-        if isinstance(value, str):
-            word = value.strip().lower()
-            if word in _TRUE_WORDS:
-                return True
-            if word in _FALSE_WORDS:
-                return False
         raise ValueError(f"cannot coerce {value!r} to BOOL")
     raise ValueError(f"unknown data type {dtype!r}")  # pragma: no cover
 

@@ -101,7 +101,13 @@ class Relation:
     # ------------------------------------------------------------------ writes
 
     def _normalize(self, values: Mapping[str, Any] | Sequence[Any]) -> tuple:
-        """Coerce input into a full-width storage tuple in schema order."""
+        """Coerce input into a full-width storage tuple in schema order.
+
+        A value whose class is exactly its column's canonical class is
+        stored as it is: :func:`coerce` would return it unchanged, and
+        it is not NULL. Any other value (NULL, a ``str`` to parse, a
+        ``bool`` into INT, a ``datetime`` into DATE, an ``int`` into
+        FLOAT) goes through :func:`coerce` and the NOT NULL check."""
         names = self.schema.attribute_names
         if isinstance(values, Mapping):
             unknown = set(values) - set(names)
@@ -111,24 +117,25 @@ class Relation:
                 )
             raw = [values.get(name) for name in names]
         else:
-            raw = list(values)
+            raw = values if isinstance(values, (list, tuple)) else list(values)
             if len(raw) != len(names):
                 raise SchemaError(
                     f"{self.name} expects {len(names)} values, "
                     f"got {len(raw)}"
                 )
         out = []
-        for name, (dtype, required), value in zip(
+        for name, (dtype, required, cls), value in zip(
             names, self.schema.column_checks, raw
         ):
-            try:
-                value = coerce(value, dtype)
-            except (ValueError, TypeError):
-                raise TypeMismatchError(
-                    self.name, name, dtype, value
-                ) from None
-            if value is None and required:
-                raise NotNullViolation(self.name, name)
+            if type(value) is not cls:
+                try:
+                    value = coerce(value, dtype)
+                except (ValueError, TypeError):
+                    raise TypeMismatchError(
+                        self.name, name, dtype, value
+                    ) from None
+                if value is None and required:
+                    raise NotNullViolation(self.name, name)
             out.append(value)
         return tuple(out)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .datatypes import DataType
+from .datatypes import DataType, canonical_class
 from .errors import SchemaError
 
 __all__ = ["Column", "ForeignKey", "RelationSchema", "DatabaseSchema"]
@@ -97,10 +97,16 @@ class RelationSchema:
         # computed once: every insert and fetch reads them
         self.attribute_names: tuple[str, ...] = tuple(self._positions)
         self.primary_key_positions: tuple[int, ...] = self.positions(pk)
-        #: per column, in order: (dtype, required) — required when the
-        #: column is NOT NULL or part of the primary key
-        self.column_checks: tuple[tuple[DataType, bool], ...] = tuple(
-            (col.dtype, not col.nullable or col.name in pk)
+        #: per column, in order: (dtype, required, class) — required
+        #: when the column is NOT NULL or part of the primary key; class
+        #: the exact class of the type's canonical values, which an
+        #: insert stores as it is, with no coercion or NULL check
+        self.column_checks: tuple[tuple[DataType, bool, type], ...] = tuple(
+            (
+                col.dtype,
+                not col.nullable or col.name in pk,
+                canonical_class(col.dtype),
+            )
             for col in self.columns
         )
 

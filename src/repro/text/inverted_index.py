@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 from ..obs import NULL_TRACER, Tracer
 from ..relational.database import Database
 from ..relational.datatypes import DataType, render
-from .tokenizer import normalize, tokenize
+from .tokenizer import normalize, words as words_of
 
 __all__ = ["Occurrence", "InvertedIndex", "build_index"]
 
@@ -54,15 +54,15 @@ class InvertedIndex:
     def __init__(self):
         self._postings: _Postings = {}
         self._indexed_attributes: set[tuple[str, str]] = set()
-        self._documents = 0
         self._epoch = 0
 
     @property
     def epoch(self) -> int:
         """Monotonic maintenance counter — the index's cache-validity
         token (see :mod:`repro.cache.versions`). Bumped by every
-        :meth:`add_value` / :meth:`remove_value`, including the ones a
-        bulk :meth:`index_database` issues."""
+        :meth:`add_value` / :meth:`remove_value`, and by a bulk
+        :meth:`index_database` once per value it indexed, exactly as
+        one :meth:`add_value` per value would."""
         return self._epoch
 
     # ------------------------------------------------------------- building
@@ -79,6 +79,9 @@ class InvertedIndex:
         omitted, every TEXT column of every relation is indexed. Non-TEXT
         columns may be listed explicitly — their values are indexed by
         their text rendering (useful for, e.g., years).
+
+        The postings and the epoch are those of one :meth:`add_value`
+        per non-NULL value, in scan order.
 
         *tracer* (``repro.obs``, no-op by default) wraps the build in a
         ``"build_index"`` span counting ``attributes_indexed`` and
@@ -102,17 +105,20 @@ class InvertedIndex:
             values_indexed = 0
             for relation, attrs in by_relation.items():
                 rel = db.relation(relation)
-                positions = [(a, rel.schema.position(a)) for a in attrs]
+                columns = [
+                    ((relation, a), rel.schema.position(a)) for a in attrs
+                ]
                 # one raw storage scan per relation: index building is
                 # maintenance work, outside the paper's metered cost model
                 for tid, stored in rel.store.scan():
-                    for attribute, pos in positions:
+                    for key, pos in columns:
                         value = stored[pos]
-                        if value is not None:
-                            self.add_value(
-                                relation, attribute, tid, render(value)
-                            )
-                            values_indexed += 1
+                        if value is None:
+                            continue
+                        text = value if type(value) is str else render(value)
+                        self._post(key, tid, words_of(text))
+                        values_indexed += 1
+            self._epoch += values_indexed
             tracer.count("attributes_indexed", len(pairs))
             tracer.count("values_indexed", values_indexed)
         return self
@@ -122,15 +128,27 @@ class InvertedIndex:
     ) -> None:
         """Index one attribute value."""
         self._epoch += 1
-        self._indexed_attributes.add((relation, attribute))
         key = (relation, attribute)
-        tokens = tokenize(text)
-        if tokens:
-            self._documents += 1
-        for token in tokens:
-            by_attr = self._postings.setdefault(token.text, {})
-            by_tid = by_attr.setdefault(key, {})
-            by_tid.setdefault(tid, []).append(token.position)
+        self._indexed_attributes.add(key)
+        self._post(key, tid, words_of(text))
+
+    def _post(self, key: tuple[str, str], tid: int, words: list[str]) -> None:
+        """Post word *i* of *words* at position *i* of *tid*'s value."""
+        postings = self._postings
+        for position, word in enumerate(words):
+            by_attr = postings.get(word)
+            if by_attr is None:
+                postings[word] = {key: {tid: [position]}}
+                continue
+            by_tid = by_attr.get(key)
+            if by_tid is None:
+                by_attr[key] = {tid: [position]}
+                continue
+            positions = by_tid.get(tid)
+            if positions is None:
+                by_tid[tid] = [position]
+            else:
+                positions.append(position)
 
     def remove_value(
         self, relation: str, attribute: str, tid: int, text: str
@@ -138,11 +156,8 @@ class InvertedIndex:
         """Remove a previously indexed value (must pass the same text)."""
         self._epoch += 1
         key = (relation, attribute)
-        tokens = tokenize(text)
-        if tokens:
-            self._documents = max(0, self._documents - 1)
-        for token in tokens:
-            by_attr = self._postings.get(token.text)
+        for word in words_of(text):
+            by_attr = self._postings.get(word)
             if not by_attr:
                 continue
             by_tid = by_attr.get(key)
@@ -152,7 +167,7 @@ class InvertedIndex:
             if not by_tid:
                 del by_attr[key]
             if not by_attr:
-                del self._postings[token.text]
+                del self._postings[word]
 
     # ------------------------------------------------------------- lookups
 
@@ -204,10 +219,8 @@ class InvertedIndex:
         become phrases) or a pre-tokenized word sequence.
         """
         if isinstance(token, str):
-            words = [t.text for t in tokenize(token)]
-        else:
-            words = list(token)
-        return self.lookup_phrase(words)
+            return self.lookup_phrase(words_of(token))
+        return self.lookup_phrase(list(token))
 
     def contains_word(self, word: str) -> bool:
         return normalize(word) in self._postings

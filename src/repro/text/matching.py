@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .inverted_index import InvertedIndex, Occurrence
-from .tokenizer import normalize, tokenize
+from .tokenizer import normalize, words
 
 __all__ = ["SynonymMap", "TokenMatch", "match_tokens", "group_homonyms"]
 
@@ -41,7 +41,7 @@ class SynonymMap:
 
     @staticmethod
     def _key(text: str) -> str:
-        return " ".join(t.text for t in tokenize(text))
+        return " ".join(words(text))
 
     def canonicalize(self, token: str) -> str:
         key = self._key(token)

@@ -17,7 +17,11 @@ from .inverted_index import InvertedIndex
 
 __all__ = ["save_index", "load_index", "index_to_dict", "index_from_dict"]
 
-_FORMAT_VERSION = 1
+#: 2: words keep letters and digits of any script whole and are folded
+#: before the split (``Précis`` -> ``precis``); a version-1 index split
+#: such words at the first non-ASCII letter, so it is refused rather
+#: than silently missing them
+_FORMAT_VERSION = 2
 
 
 def index_to_dict(index: InvertedIndex) -> dict:

@@ -21,7 +21,7 @@ import math
 from typing import Sequence
 
 from .inverted_index import InvertedIndex
-from .tokenizer import normalize, tokenize
+from .tokenizer import normalize, words as words_of
 
 __all__ = ["TfIdfScorer"]
 
@@ -71,7 +71,7 @@ class TfIdfScorer:
         contributes ``tf·idf``.
         """
         if isinstance(token, str):
-            words = [t.text for t in tokenize(token)]
+            words = words_of(token)
         else:
             words = [normalize(w) for w in token]
         if not words:

@@ -1,33 +1,49 @@
 """Tokenization of attribute values and query strings.
 
 The inverted index and the query front-end must agree on what a token is;
-both use this module. Tokens are case-folded word sequences; punctuation
-splits, apostrophes inside words are kept (``o'brien`` is one token), and
-positions are preserved so the index can answer phrase queries such as
-the paper's running example token ``"Woody Allen"``.
+both use this module. A value is folded once, as a whole (NFKD, combining
+marks dropped, casefold: ``Précis`` -> ``precis``; plain ``str.lower``
+for ASCII text, where the fold is exactly that), and then split once:
+a word is a run of letters and digits of any script, and apostrophes
+inside words are kept (``o'brien`` is one token). Everything else
+splits. A combining mark is any character of Unicode category M, the
+spacing vowel signs of Devanagari or Thai too, so that no mark left
+between two letters splits a word. Positions are preserved so the index
+can answer phrase queries such as the paper's running example token
+``"Woody Allen"``.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 __all__ = ["Token", "tokenize", "normalize", "query_tokens"]
 
-_WORD_RE = re.compile(r"[0-9A-Za-z]+(?:'[0-9A-Za-z]+)*")
+#: letters and digits of any script (``\w`` without the underscore)
+_WORD_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
+_MARKS = frozenset({"Mn", "Mc", "Me"})
 
 
-def normalize(word: str) -> str:
+def normalize(text: str) -> str:
     """Case-fold and strip diacritics: ``Précis`` -> ``precis``."""
-    decomposed = unicodedata.normalize("NFKD", word)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    if text.isascii():
+        return text.lower()
+    decomposed = unicodedata.normalize("NFKD", text)
+    category = unicodedata.category
+    stripped = "".join(
+        [ch for ch in decomposed if category(ch) not in _MARKS]
+    )
     return stripped.casefold()
 
 
-@dataclass(frozen=True)
-class Token:
+def words(text: str) -> list[str]:
+    """The normalized words of *text*, in order: one fold, one split."""
+    return _WORD_RE.findall(normalize(text))
+
+
+class Token(NamedTuple):
     """A normalized word with its ordinal position in the source text."""
 
     text: str
@@ -39,13 +55,12 @@ def tokenize(text: str) -> list[Token]:
 
     >>> [t.text for t in tokenize("Woody Allen's 'Match Point' (2005)")]
     ['woody', "allen's", 'match', 'point', '2005']
+    >>> [t.text for t in tokenize("Précis café")]
+    ['precis', 'cafe']
     """
     if not text:
         return []
-    return [
-        Token(normalize(match.group()), position)
-        for position, match in enumerate(_WORD_RE.finditer(text))
-    ]
+    return [Token(word, position) for position, word in enumerate(words(text))]
 
 
 def query_tokens(query: str) -> list[tuple[str, ...]]:
@@ -62,18 +77,12 @@ def query_tokens(query: str) -> list[tuple[str, ...]]:
     out: list[tuple[str, ...]] = []
     pos = 0
     for match in re.finditer(r'"([^"]*)"', query):
-        for token in tokenize(query[pos : match.start()]):
-            out.append((token.text,))
-        phrase = tuple(t.text for t in tokenize(match.group(1)))
+        for word in words(query[pos : match.start()]):
+            out.append((word,))
+        phrase = tuple(words(match.group(1)))
         if phrase:
             out.append(phrase)
         pos = match.end()
-    for token in tokenize(query[pos:]):
-        out.append((token.text,))
+    for word in words(query[pos:]):
+        out.append((word,))
     return out
-
-
-def words(text: str) -> Iterator[str]:
-    """Just the normalized words of *text*, no positions."""
-    for token in tokenize(text):
-        yield token.text

@@ -1,5 +1,7 @@
 """Unit tests for CSV round-tripping."""
 
+import csv
+
 import pytest
 
 from repro.relational import SchemaError
@@ -102,3 +104,56 @@ class TestDatabaseRoundtrip:
         back = load_database(save_database(paper_db, tmp_path / "movies"))
         assert back.cardinalities() == paper_db.cardinalities()
         assert back.integrity_violations() == []
+
+
+def _rewrite_record(path, line, change):
+    """Replace data record *line* (1 = the first after the header) of a
+    CSV file by ``change(fields)``."""
+    with open(path, newline="") as handle:
+        records = list(csv.reader(handle))
+    records[line] = change(records[line])
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(records)
+
+
+class TestFieldCount:
+    """A record whose field count differs from its header's is refused,
+    naming the file and the line, instead of losing or inventing
+    values."""
+
+    def test_extra_fields_refused(self, paper_db, tmp_path):
+        path = save_database(paper_db, tmp_path / "extra")
+        _rewrite_record(path / "GENRE.csv", 2, lambda f: f + ["x", "y"])
+        with pytest.raises(SchemaError) as refused:
+            load_database(path)
+        message = str(refused.value)
+        assert "GENRE.csv" in message and "line 3" in message
+        assert "4 fields" in message and "header has 2" in message
+
+    def test_short_record_refused(self, paper_db, tmp_path):
+        path = save_database(paper_db, tmp_path / "short")
+        header = (path / "MOVIE.csv").read_text().splitlines()[0]
+        cut = header.split(",").index("YEAR") + 1
+        _rewrite_record(path / "MOVIE.csv", 1, lambda f: f[:cut])
+        with pytest.raises(SchemaError) as refused:
+            load_database(path, enforce_foreign_keys=False)
+        message = str(refused.value)
+        assert "MOVIE.csv" in message and "line 2" in message
+
+    def test_header_subset_still_loads(self, tiny_db, tmp_path):
+        """A file may hold fewer columns than the schema (the header
+        says which); each record then matches its header."""
+        path = save_database(tiny_db, tmp_path / "subset")
+        csv_path = path / "CHILD.csv"
+        with open(csv_path, newline="") as handle:
+            records = list(csv.reader(handle))
+        keep = [records[0].index(n) for n in records[0] if n != "LABEL"]
+        with open(csv_path, "w", newline="") as handle:
+            csv.writer(handle).writerows(
+                [[record[i] for i in keep] for record in records]
+            )
+        back = load_database(path)
+        assert back.cardinalities() == tiny_db.cardinalities()
+        assert {row["LABEL"] for row in back.relation("CHILD").scan()} == {
+            None
+        }

@@ -115,3 +115,25 @@ def test_metrics_overhead_payload(capsys):
     assert payload["counters"]["precis_asks_total"] == 20
     assert payload["ask_histogram"]["count"] == 20
     assert payload["note"]
+
+
+def test_startup_payload(capsys):
+    module = _load()
+    payload = module.startup(sizes=(40,))
+    capsys.readouterr()
+    assert payload["columns"] == [
+        "movies", "values indexed", "vocabulary", "postings",
+        "load ms", "index ms", "engine ms",
+    ]
+    ((movies, values, vocabulary, postings, *times),) = payload["rows"]
+    assert movies == 40
+    assert 0 < vocabulary <= postings
+    assert values > 0
+    assert all(ms > 0 for ms in times)
+
+
+def test_startup_on_sqlite(capsys):
+    module = _load()
+    payload = module.startup(backend="sqlite", sizes=(20,))
+    capsys.readouterr()
+    assert payload["rows"][0][3] > 0

@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro.text import InvertedIndex, build_index
+from repro.core import PrecisQuery
+from repro.datasets import generate_movies_database
+from repro.relational import (
+    Column,
+    Database,
+    DatabaseSchema,
+    DataType,
+    RelationSchema,
+)
+from repro.relational.datatypes import render
+from repro.text import InvertedIndex, build_index, match_tokens
 
 
 @pytest.fixture()
@@ -111,3 +121,115 @@ class TestMaintenance:
         assert occs and 1 in occs[0].tids
         assert idx.lookup_phrase(["la", "land"])
         assert idx.lookup_phrase(["land", "la"]) == []
+
+
+def _people_db(names, backend="memory"):
+    schema = DatabaseSchema(
+        [
+            RelationSchema(
+                "PERSON",
+                [
+                    Column("PID", DataType.INT, nullable=False),
+                    Column("NAME", DataType.TEXT),
+                    Column("BORN", DataType.INT),
+                ],
+                primary_key="PID",
+            )
+        ]
+    )
+    return Database.from_rows(
+        schema,
+        {
+            "PERSON": [
+                [pid, name, 1900 + pid]
+                for pid, name in enumerate(names, start=1)
+            ]
+        },
+        backend=backend,
+    )
+
+
+class TestAnyScript:
+    """Stored words with non-ASCII letters are indexed whole and folded,
+    so plain, accented and differently cased queries all find them."""
+
+    @pytest.fixture()
+    def index(self, backend):
+        db = _people_db(
+            ["Précis café", "Αλέξης Παπαδόπουλος", "plain ascii"], backend
+        )
+        yield build_index(db)
+        db.close()
+
+    def _found(self, index, query):
+        (match,) = match_tokens(index, PrecisQuery.parse(query).tokens)
+        return {t for o in match.occurrences for t in o.tids}
+
+    @pytest.mark.parametrize(
+        "query", ["precis", '"precis cafe"', '"Précis Café"', "CAFÉ"]
+    )
+    def test_folded_value_found(self, index, query):
+        assert self._found(index, query) == {1}
+
+    @pytest.mark.parametrize(
+        "query", ['"Αλέξης Παπαδόπουλος"', '"ΑΛΕΞΗΣ παπαδοπουλος"']
+    )
+    def test_greek_name_phrase_matches(self, index, query):
+        assert self._found(index, query) == {2}
+
+    def test_greek_phrase_order_matters(self, index):
+        assert self._found(index, '"Παπαδόπουλος Αλέξης"') == set()
+
+
+def _one_add_value_per_value(db, attributes=None):
+    """The reference build: one add_value per non-NULL value, in the
+    order index_database scans them."""
+    index = InvertedIndex()
+    if attributes is None:
+        attributes = [
+            (rs.name, col.name)
+            for rs in db.schema
+            for col in rs.columns
+            if col.dtype is DataType.TEXT
+        ]
+    by_relation = {}
+    for relation, attribute in attributes:
+        by_relation.setdefault(relation, []).append(attribute)
+    for relation, attrs in by_relation.items():
+        rel = db.relation(relation)
+        for tid, stored in rel.store.scan():
+            for attribute in attrs:
+                value = stored[rel.schema.position(attribute)]
+                if value is not None:
+                    index.add_value(relation, attribute, tid, render(value))
+    return index
+
+
+class TestBulkBuild:
+    """index_database posts exactly what one add_value per value does,
+    and bumps the epoch by the number of values it indexed."""
+
+    @pytest.mark.parametrize(
+        "attributes",
+        [None, [("MOVIE", "TITLE"), ("MOVIE", "YEAR"), ("GENRE", "GENRE")]],
+    )
+    def test_same_postings_and_epoch(self, backend, attributes):
+        db = generate_movies_database(n_movies=60, seed=5, backend=backend)
+        bulk = build_index(db, attributes)
+        reference = _one_add_value_per_value(db, attributes)
+        assert bulk._postings == reference._postings
+        assert bulk.epoch == reference.epoch > 0
+        assert bulk.indexed_attributes == reference.indexed_attributes
+        db.close()
+
+    def test_repeated_and_non_ascii_values(self):
+        names = ["Précis café", "Précis café", "la la land", "", "Ωμέγα"] * 3
+        db = _people_db(names)
+        bulk = build_index(db)
+        reference = _one_add_value_per_value(db)
+        assert bulk._postings == reference._postings
+        assert bulk.epoch == reference.epoch == len(names)
+
+    def test_epoch_counts_values_not_words(self):
+        db = _people_db(["a b c", None, "d"])
+        assert build_index(db).epoch == 2

@@ -1,6 +1,8 @@
 """Property-based tests for the text substrate."""
 
+import re
 import string
+import unicodedata
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,42 @@ from repro.relational import Column, Database, DatabaseSchema, DataType, Relatio
 
 words = st.text(alphabet=string.ascii_letters, min_size=1, max_size=8)
 sentences = st.lists(words, min_size=0, max_size=8).map(" ".join)
+
+#: ASCII text with the separators and apostrophes that split and join
+ascii_texts = st.text(
+    alphabet=string.ascii_letters + string.digits + " '-_.,\"()\t",
+    max_size=40,
+)
+#: non-ASCII text: accented Latin, Greek (final sigma), Cyrillic, CJK,
+#: Devanagari and Thai (spacing and non-spacing vowel signs), Japanese
+#: voiced kana, compatibility forms (ligatures, fractions, superscripts,
+#: full-width), bare combining marks, dotted capital I, mixed with ASCII
+mixed_texts = st.text(
+    alphabet=(
+        "aZ09 '-_.éÉèüÜñçøØßİıΑλέξηςΣΩωПриветЁ漢字ﬁﬀ½²Ⅻ"
+        "हिन्दीสวัสดีガ"
+        "\u0301\u0308\u00a0\u2019\uff21\uff11"
+    ),
+    max_size=40,
+)
+any_texts = st.text(max_size=30)
+
+_REFERENCE_WORD = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
+
+
+def reference_tokens(text):
+    """The definition: fold the whole text (NFKD, marks of Unicode
+    category M dropped, casefold), then split it into runs of letters
+    and digits of any script, apostrophes kept inside words."""
+    decomposed = unicodedata.normalize("NFKD", text)
+    folded = "".join(
+        ch for ch in decomposed if not unicodedata.category(ch).startswith("M")
+    ).casefold()
+    return [
+        (word, position)
+        for position, word in enumerate(_REFERENCE_WORD.findall(folded))
+    ]
+
 
 #: a small vocabulary, so words repeat inside values and phrases
 PHRASE_WORDS = ["la", "land", "woody", "allen", "point"]
@@ -66,6 +104,20 @@ class TestTokenizerProperties:
         once = [t.text for t in tokenize(text)]
         twice = [t.text for t in tokenize(" ".join(once))]
         assert once == twice
+
+    @given(st.one_of(ascii_texts, mixed_texts, any_texts))
+    @settings(max_examples=300, deadline=None)
+    def test_tokenize_is_fold_then_split(self, text):
+        """The ASCII shortcut (``str.lower``) and the one-pass split
+        give exactly the fold-then-split definition."""
+        assert [tuple(t) for t in tokenize(text)] == reference_tokens(text)
+
+    @given(st.one_of(mixed_texts, any_texts))
+    @settings(max_examples=150, deadline=None)
+    def test_tokens_stay_normalized_in_any_script(self, text):
+        for token in tokenize(text):
+            assert token.text == normalize(token.text)
+            assert [t.text for t in tokenize(token.text)] == [token.text]
 
 
 class TestIndexRoundTrip:

@@ -69,3 +69,38 @@ class TestQueryTokens:
 
     def test_case_insensitive(self):
         assert query_tokens('"MATCH Point"') == [("match", "point")]
+
+
+class TestAnyScript:
+    """A value is folded whole before it is split, so letters of any
+    script stay inside their word."""
+
+    def test_accented_words_fold_whole(self):
+        assert [t.text for t in tokenize("Précis café")] == [
+            "precis",
+            "cafe",
+        ]
+
+    def test_greek_words_are_tokens(self):
+        assert [t.text for t in tokenize("Αλέξης Παπαδόπουλος")] == [
+            "αλεξησ",
+            "παπαδοπουλοσ",
+        ]
+
+    def test_positions_count_whole_words(self):
+        tokens = tokenize("naïve Précis, 2005")
+        assert [(t.text, t.position) for t in tokens] == [
+            ("naive", 0),
+            ("precis", 1),
+            ("2005", 2),
+        ]
+
+    def test_spacing_vowel_signs_keep_words_whole(self):
+        assert len(tokenize("हिन्दी भाषा")) == 2
+        assert len(tokenize("สวัสดี ครับ")) == 2
+
+    def test_query_tokens_fold_phrases_and_words(self):
+        assert query_tokens('"Précis" café') == [("precis",), ("cafe",)]
+
+    def test_ascii_normalize_is_lower(self):
+        assert normalize("O'Brien MATCH 2005") == "o'brien match 2005"
