@@ -665,7 +665,11 @@ def startup(backend=None, sizes=(2000, 10000)):
     (seed 1): best of 3 of ``load_database``, of ``build_index`` over
     the loaded database, and of the whole engine load ``repro serve``
     performs (load, index, graph, translator), with what the index
-    holds."""
+    holds and how many containers the cyclic collector tracks once the
+    engine is loaded (``len(gc.get_objects())`` after a full
+    collection, every other load freed: the whole interpreter's count,
+    which repeats exactly)."""
+    import gc
     import io
     import tempfile
 
@@ -704,18 +708,27 @@ def startup(backend=None, sizes=(2000, 10000)):
             db = load()
             index_s = best_of_3(lambda: build_index(db))
             index = build_index(db)
+            counts = [
+                index.epoch,  # one bump per value indexed
+                index.vocabulary_size,
+                index.postings_count(),
+            ]
             db.close()
-            del db
+            del db, index
             engine_s = best_of_3(
                 lambda: _load_engine(directory, backend=backend),
                 lambda engine: engine.db.close(),
             )
+            engine = _load_engine(directory, backend=backend)
+            gc.collect()
+            containers = len(gc.get_objects())
+            engine.db.close()
+            del engine
             rows.append(
                 [
                     movies,
-                    index.epoch,  # one bump per value indexed
-                    index.vocabulary_size,
-                    index.postings_count(),
+                    *counts,
+                    containers,
                     load_s * 1e3,
                     index_s * 1e3,
                     engine_s * 1e3,
@@ -725,7 +738,7 @@ def startup(backend=None, sizes=(2000, 10000)):
         "Start-up — repro serve's engine load over init-demo data "
         "(seed 1, best of 3)",
         ["movies", "values indexed", "vocabulary", "postings",
-         "load ms", "index ms", "engine ms"],
+         "gc containers", "load ms", "index ms", "engine ms"],
         rows,
     )
 

@@ -146,10 +146,10 @@ def load_database(
     if not manifest.exists():
         raise SchemaError(f"no {_MANIFEST} manifest in {path}")
     schema = schema_from_dict(json.loads(manifest.read_text()))
-    data: dict[str, list[list]] = {}
+    data: dict[str, list[tuple]] = {}
     for rs in schema:
         csv_path = path / f"{rs.name}.csv"
-        rows: list[list] = []
+        rows: list[tuple] = []
         if csv_path.exists():
             with open(csv_path, newline="") as handle:
                 reader = csv.reader(handle)
@@ -171,7 +171,7 @@ def load_database(
                     values: list = [None] * len(rs)
                     for (pos, read), text in zip(fields, record):
                         values[pos] = read(text)
-                    rows.append(values)
+                    rows.append(tuple(values))
         data[rs.name] = rows
     return Database.from_rows(
         schema,

@@ -26,7 +26,11 @@ class HashIndex:
     # -- maintenance ----------------------------------------------------------
 
     def insert(self, value: Any, tid: int) -> None:
-        self._buckets.setdefault(value, set()).add(tid)
+        bucket = self._buckets.get(value)
+        if bucket is None:
+            self._buckets[value] = {tid}
+        else:
+            bucket.add(tid)
 
     def remove(self, value: Any, tid: int) -> None:
         bucket = self._buckets.get(value)

@@ -8,8 +8,9 @@ index. The actual storage lives behind the
 ``MemoryStore`` by default, SQLite optional); the façade owns what must
 be backend-independent:
 
-* input normalization — type coercion, NOT NULL and primary-key
-  validation (referential integrity spans relations and lives in
+* input normalization — type coercion and NOT NULL validation (the
+  store enforces the primary key, and referential integrity spans
+  relations and lives in
   :class:`~repro.relational.database.Database`);
 * :class:`~repro.relational.row.Row` construction and projection;
 * **all** :class:`~repro.relational.cost.CostMeter` charging, so the
@@ -37,7 +38,6 @@ from .cost import CostMeter
 from .datatypes import coerce
 from .errors import (
     NotNullViolation,
-    PrimaryKeyViolation,
     SchemaError,
     TypeMismatchError,
     UnknownTupleError,
@@ -139,22 +139,13 @@ class Relation:
             out.append(value)
         return tuple(out)
 
-    def _primary_key_of(self, stored: tuple) -> tuple:
-        return tuple([stored[p] for p in self.schema.primary_key_positions])
-
     def insert(self, values: Mapping[str, Any] | Sequence[Any]) -> int:
         """Insert one tuple; returns its tid.
 
         Raises on type mismatch, NULL in a required column, or duplicate
-        primary key.
+        primary key (the store refuses it).
         """
-        stored = self._normalize(values)
-        if self.schema.primary_key:
-            pk_value = self._primary_key_of(stored)
-            # unmetered pre-check: loading is not part of Formula (2)
-            if self.store.lookup_pk(pk_value) is not None:
-                raise PrimaryKeyViolation(self.name, pk_value)
-        tid = self.store.insert(stored)
+        tid = self.store.insert(self._normalize(values))
         if self.on_mutate is not None:
             self.on_mutate()
         return tid
@@ -169,10 +160,10 @@ class Relation:
 
         *changes* maps attribute names to new values; unmentioned
         attributes keep their current values. The merged tuple passes
-        the same validation as an insert (type coercion, NOT NULL,
-        primary-key uniqueness against every *other* tuple). Raises
-        :class:`UnknownTupleError` when *tid* is absent. Referential
-        integrity spans relations and lives in
+        the same validation as an insert (type coercion, NOT NULL, and
+        the store's primary-key uniqueness against every *other*
+        tuple). Raises :class:`UnknownTupleError` when *tid* is absent.
+        Referential integrity spans relations and lives in
         :meth:`~repro.relational.database.Database.update`.
         """
         current = self.store.get(tid)
@@ -187,13 +178,7 @@ class Relation:
             col.name: changes.get(col.name, current[pos])
             for pos, col in enumerate(self.schema.columns)
         }
-        stored = self._normalize(merged)
-        if self.schema.primary_key:
-            pk_value = self._primary_key_of(stored)
-            owner = self.store.lookup_pk(pk_value)
-            if owner is not None and owner != tid:
-                raise PrimaryKeyViolation(self.name, pk_value)
-        self.store.update(tid, stored)
+        self.store.update(tid, self._normalize(merged))
         if self.on_mutate is not None:
             self.on_mutate()
 

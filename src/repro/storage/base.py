@@ -12,7 +12,7 @@ Division of labour
 ------------------
 
 * :class:`~repro.relational.relation.Relation` (the façade) owns
-  validation — type coercion, NOT NULL, primary-key uniqueness — plus
+  validation — type coercion and NOT NULL — plus
   :class:`~repro.relational.row.Row` construction and **all**
   :class:`~repro.relational.cost.CostMeter` charging. Stores never touch
   the meter; the modeled cost of a query is therefore identical across
@@ -21,8 +21,10 @@ Division of labour
   canonical Python values in schema order (what
   ``Relation._normalize`` produces). It assigns monotonically increasing
   integer tuple ids starting at 1 (never reused, even across
-  :meth:`TupleStore.clear`), keeps the primary-key mapping, and maintains
-  any secondary indexes created through :meth:`TupleStore.create_index`.
+  :meth:`TupleStore.clear`), keeps the primary-key mapping and enforces
+  it — each key is checked once, here, and the façade does not probe it
+  first — and maintains any secondary indexes created through
+  :meth:`TupleStore.create_index`.
 * A :class:`StorageBackend` is the per-database factory: one store per
   relation schema, sharing whatever resources the backend needs (the
   SQLite backend shares one connection across all relations of a
@@ -96,10 +98,11 @@ class TupleStore(abc.ABC):
     def insert(self, stored: tuple) -> int:
         """Store one full-width canonical tuple; return its new tid.
 
-        The façade has already validated types, NOT NULL and primary-key
-        uniqueness; stores may additionally enforce the primary key (and
-        raise :class:`~repro.relational.errors.PrimaryKeyViolation`) as a
-        defence in depth.
+        The façade has already validated types and NOT NULL. The store
+        enforces the primary key: a tuple whose key another tuple holds
+        raises :class:`~repro.relational.errors.PrimaryKeyViolation`
+        naming the relation and the key, and leaves the store as it was
+        (no tid consumed, no index touched).
         """
 
     @abc.abstractmethod
@@ -108,10 +111,11 @@ class TupleStore(abc.ABC):
         the tid is preserved, so references held elsewhere (inbound
         foreign keys, inverted-index postings) stay addressable. Raise
         :class:`~repro.relational.errors.UnknownTupleError` if absent.
-        The façade has already validated the new tuple (including
-        primary-key uniqueness against other tuples); stores may enforce
-        the primary key again as a defence in depth and must keep the
-        pk mapping and any secondary indexes coherent.
+        The façade has already validated types and NOT NULL. The store
+        enforces the primary key against every *other* tuple (raising
+        :class:`~repro.relational.errors.PrimaryKeyViolation` and
+        changing nothing) and keeps the pk mapping and any secondary
+        indexes coherent.
         """
 
     @abc.abstractmethod

@@ -39,14 +39,16 @@ class MemoryStore(TupleStore):
         return tuple([stored[p] for p in positions])
 
     def insert(self, stored: tuple) -> int:
-        pk_value = self._pk_of(stored)
-        if pk_value is not None and pk_value in self._pk_index:
-            raise PrimaryKeyViolation(self.schema.name, pk_value)
         tid = self._next_tid
-        self._next_tid += 1
+        pk_value = self._pk_of(stored)
+        # one probe claims the key, or finds its owner
+        if (
+            pk_value is not None
+            and self._pk_index.setdefault(pk_value, tid) != tid
+        ):
+            raise PrimaryKeyViolation(self.schema.name, pk_value)
+        self._next_tid = tid + 1
         self._tuples[tid] = stored
-        if pk_value is not None:
-            self._pk_index[pk_value] = tid
         for attr, index in self._indexes.items():
             index.insert(stored[self.schema.position(attr)], tid)
         return tid

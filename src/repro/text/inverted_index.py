@@ -9,7 +9,11 @@
 This implementation is positional, so multi-word query tokens (phrases
 like ``"Woody Allen"``) match only tuples whose attribute value contains
 the words *contiguously and in order* — matching the paper's treatment of
-a person's name as a single token.
+a person's name as a single token. A posting keeps a word's positions in
+one value as one int, a bitmask with bit *i* set when the word is word
+*i* of the value, so the index holds no container per posting: in a
+value of a few words every mask is one of CPython's shared small ints,
+and a long value gets a long int.
 
 The index is maintainable (``add_value`` / ``remove_value``) and can be
 (re)built from any :class:`~repro.relational.database.Database`, indexing
@@ -44,8 +48,9 @@ class Occurrence:
         )
 
 
-# posting structure: word -> (relation, attribute) -> tid -> positions
-_Postings = dict[str, dict[tuple[str, str], dict[int, list[int]]]]
+# posting structure: word -> (relation, attribute) -> tid -> position
+# mask (bit i set when the word sits at position i of the value)
+_Postings = dict[str, dict[tuple[str, str], dict[int, int]]]
 
 
 class InvertedIndex:
@@ -133,22 +138,20 @@ class InvertedIndex:
         self._post(key, tid, words_of(text))
 
     def _post(self, key: tuple[str, str], tid: int, words: list[str]) -> None:
-        """Post word *i* of *words* at position *i* of *tid*'s value."""
+        """Post word *i* of *words* at position *i* of *tid*'s value:
+        set bit *i* of the word's position mask."""
         postings = self._postings
         for position, word in enumerate(words):
+            bit = 1 << position
             by_attr = postings.get(word)
             if by_attr is None:
-                postings[word] = {key: {tid: [position]}}
+                postings[word] = {key: {tid: bit}}
                 continue
             by_tid = by_attr.get(key)
             if by_tid is None:
-                by_attr[key] = {tid: [position]}
-                continue
-            positions = by_tid.get(tid)
-            if positions is None:
-                by_tid[tid] = [position]
+                by_attr[key] = {tid: bit}
             else:
-                positions.append(position)
+                by_tid[tid] = by_tid.get(tid, 0) | bit
 
     def remove_value(
         self, relation: str, attribute: str, tid: int, text: str
@@ -183,8 +186,8 @@ class InvertedIndex:
         """Occurrences where *words* appear contiguously, in order.
 
         Under each (relation, attribute) the words' tid sets are
-        intersected first, smallest first, and positions are checked
-        only on the tids all the words share."""
+        intersected first, smallest first, and position masks are
+        checked only on the tids all the words share."""
         words = [normalize(w) for w in words]
         if not words:
             return []
@@ -206,7 +209,7 @@ class InvertedIndex:
             hits = frozenset(
                 tid
                 for tid in common
-                if _contiguous([positions[tid] for positions in by_tid])
+                if _contiguous([masks[tid] for masks in by_tid])
             )
             if hits:
                 out.append(Occurrence(key[0], key[1], hits))
@@ -251,14 +254,15 @@ class InvertedIndex:
         )
 
 
-def _contiguous(positions: list[list[int]]) -> bool:
+def _contiguous(masks: list[int]) -> bool:
     """Whether word *i* of a phrase sits at ``start + i`` for some start,
-    given each word's positions in one value."""
-    later = list(enumerate(positions[1:], start=1))
-    return any(
-        all(start + offset in word for offset, word in later)
-        for start in positions[0]
-    )
+    given each word's position mask in one value: shifting word *i*'s
+    mask down by *i* lines its positions up with the starts, and the
+    AND keeps the starts every word agrees on."""
+    starts = masks[0]
+    for offset, mask in enumerate(masks[1:], start=1):
+        starts &= mask >> offset
+    return bool(starts)
 
 
 def build_index(

@@ -4,7 +4,8 @@ The paper's system keeps its inverted index alongside the database; for
 a library, being able to build once and reload cheaply matters as soon
 as databases get large. The format is a single JSON document mapping
 words to postings; positions are preserved so phrase queries work after
-a reload.
+a reload. A posting's position mask is written as the ascending list of
+its set bits, and read back into a mask.
 """
 
 from __future__ import annotations
@@ -20,8 +21,29 @@ __all__ = ["save_index", "load_index", "index_to_dict", "index_from_dict"]
 #: 2: words keep letters and digits of any script whole and are folded
 #: before the split (``Précis`` -> ``precis``); a version-1 index split
 #: such words at the first non-ASCII letter, so it is refused rather
-#: than silently missing them
-_FORMAT_VERSION = 2
+#: than silently missing them.
+#: 3: the fold maps typographic apostrophes (U+2019, U+02BC) to ``'``,
+#: so ``O’Brien`` is the one word ``o'brien``; a version-2 index split
+#: it in two (or kept the U+02BC), so it is refused too
+_FORMAT_VERSION = 3
+
+
+def _positions(mask: int) -> list[int]:
+    """The set bits of *mask*, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask(positions) -> int:
+    """Inverse of :func:`_positions`."""
+    mask = 0
+    for position in positions:
+        mask |= 1 << position
+    return mask
 
 
 def index_to_dict(index: InvertedIndex) -> dict:
@@ -33,7 +55,7 @@ def index_to_dict(index: InvertedIndex) -> dict:
                 "relation": relation,
                 "attribute": attribute,
                 "tids": {
-                    str(tid): positions for tid, positions in by_tid.items()
+                    str(tid): _positions(mask) for tid, mask in by_tid.items()
                 },
             }
             for (relation, attribute), by_tid in sorted(by_attr.items())
@@ -60,7 +82,7 @@ def index_from_dict(data: dict) -> InvertedIndex:
         for entry in entries:
             key = (entry["relation"], entry["attribute"])
             by_attr[key] = {
-                int(tid): list(positions)
+                int(tid): _mask(positions)
                 for tid, positions in entry["tids"].items()
             }
     return index

@@ -7,8 +7,8 @@ VLDB 2003). The DISCOVER-style baseline supports both; this module
 supplies the IR half: classic TF·IDF over attribute values, where each
 (relation, attribute, tuple) value is one document.
 
-* ``tf(word, doc)`` — occurrences of the word in the value (available
-  directly from the positional postings);
+* ``tf(word, doc)`` — occurrences of the word in the value (the set
+  bits of the posting's position mask);
 * ``idf(word)`` — ``ln(1 + N/df)`` with ``N`` the number of indexed
   documents and ``df`` the number of documents containing the word;
 * a multi-word (phrase) token scores as the sum of its words, over
@@ -59,7 +59,7 @@ class TfIdfScorer:
     def tf(self, word: str, doc: DocKey) -> int:
         relation, attribute, tid = doc
         by_attr = self.index._postings.get(normalize(word), {})  # noqa: SLF001
-        return len(by_attr.get((relation, attribute), {}).get(tid, ()))
+        return by_attr.get((relation, attribute), {}).get(tid, 0).bit_count()
 
     # ----------------------------------------------------------------- score
 

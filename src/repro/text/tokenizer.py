@@ -2,15 +2,18 @@
 
 The inverted index and the query front-end must agree on what a token is;
 both use this module. A value is folded once, as a whole (NFKD, combining
-marks dropped, casefold: ``Précis`` -> ``precis``; plain ``str.lower``
-for ASCII text, where the fold is exactly that), and then split once:
-a word is a run of letters and digits of any script, and apostrophes
-inside words are kept (``o'brien`` is one token). Everything else
-splits. A combining mark is any character of Unicode category M, the
-spacing vowel signs of Devanagari or Thai too, so that no mark left
-between two letters splits a word. Positions are preserved so the index
-can answer phrase queries such as the paper's running example token
-``"Woody Allen"``.
+marks dropped, casefold, and the typographic apostrophes U+2019 and
+U+02BC mapped to ``'``: ``Précis`` -> ``precis``, ``O’Brien`` ->
+``o'brien``; plain ``str.lower`` for ASCII text, where the fold is
+exactly that), and then split once: a word is a run of letters and
+digits of any script, and apostrophes inside words are kept
+(``o'brien`` is one token). Everything else splits, the left quote
+U+2018 too, so ``‘Match Point’`` gives ``match``, ``point``. A
+combining mark is any character of Unicode category M, the spacing
+vowel signs of Devanagari or Thai too, so that no mark left between two
+letters splits a word. Positions are preserved so the index can answer
+phrase queries such as the paper's running example token ``"Woody
+Allen"``.
 """
 
 from __future__ import annotations
@@ -24,10 +27,14 @@ __all__ = ["Token", "tokenize", "normalize", "query_tokens"]
 #: letters and digits of any script (``\w`` without the underscore)
 _WORD_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
 _MARKS = frozenset({"Mn", "Mc", "Me"})
+#: right single quotation mark and modifier letter apostrophe -> ``'``;
+#: mapped after the fold, since NFKD turns ``ŉ`` into U+02BC + ``n``
+_APOSTROPHES = str.maketrans({"\u2019": "'", "\u02bc": "'"})
 
 
 def normalize(text: str) -> str:
-    """Case-fold and strip diacritics: ``Précis`` -> ``precis``."""
+    """Case-fold and strip diacritics: ``Précis`` -> ``precis``, and
+    spell typographic apostrophes ``'``: ``O’Brien`` -> ``o'brien``."""
     if text.isascii():
         return text.lower()
     decomposed = unicodedata.normalize("NFKD", text)
@@ -35,7 +42,7 @@ def normalize(text: str) -> str:
     stripped = "".join(
         [ch for ch in decomposed if category(ch) not in _MARKS]
     )
-    return stripped.casefold()
+    return stripped.casefold().translate(_APOSTROPHES)
 
 
 def words(text: str) -> list[str]:
@@ -57,6 +64,8 @@ def tokenize(text: str) -> list[Token]:
     ['woody', "allen's", 'match', 'point', '2005']
     >>> [t.text for t in tokenize("Précis café")]
     ['precis', 'cafe']
+    >>> [t.text for t in tokenize("O’Brien in ‘Match Point’")]
+    ["o'brien", 'in', 'match', 'point']
     """
     if not text:
         return []

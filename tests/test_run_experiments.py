@@ -123,12 +123,15 @@ def test_startup_payload(capsys):
     capsys.readouterr()
     assert payload["columns"] == [
         "movies", "values indexed", "vocabulary", "postings",
-        "load ms", "index ms", "engine ms",
+        "gc containers", "load ms", "index ms", "engine ms",
     ]
-    ((movies, values, vocabulary, postings, *times),) = payload["rows"]
+    ((movies, values, vocabulary, postings, containers, *times),) = (
+        payload["rows"]
+    )
     assert movies == 40
     assert 0 < vocabulary <= postings
     assert values > 0
+    assert containers > 0
     assert all(ms > 0 for ms in times)
 
 

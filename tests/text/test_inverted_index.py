@@ -1,9 +1,17 @@
 """Unit tests for the positional inverted index (§4)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import PrecisQuery
-from repro.datasets import generate_movies_database
+from repro.datasets import (
+    generate_library_database,
+    generate_movies_database,
+    generate_university_database,
+    paper_instance,
+)
 from repro.relational import (
     Column,
     Database,
@@ -12,7 +20,14 @@ from repro.relational import (
     RelationSchema,
 )
 from repro.relational.datatypes import render
-from repro.text import InvertedIndex, build_index, match_tokens
+from repro.text import (
+    InvertedIndex,
+    TfIdfScorer,
+    build_index,
+    index_from_dict,
+    index_to_dict,
+    match_tokens,
+)
 
 
 @pytest.fixture()
@@ -233,3 +248,128 @@ class TestBulkBuild:
     def test_epoch_counts_values_not_words(self):
         db = _people_db(["a b c", None, "d"])
         assert build_index(db).epoch == 2
+
+
+#: sha256 of the sorted-key, compact JSON of ``index_to_dict`` without
+#: its ``version``, recorded while postings still held position lists
+#: (index format 2): the position masks serialize to the same document
+PINNED_INDEX_DIGESTS = [
+    (
+        "paper instance",
+        lambda backend: paper_instance(backend=backend),
+        "d89f10481194f911c04e011afff0300d9248db34aec079429a1761514cb9cdde",
+    ),
+    (
+        "init-demo, 2,000 movies, seed 1",
+        lambda backend: generate_movies_database(
+            n_movies=2000, seed=1, backend=backend
+        ),
+        "daa8f66de647087b9881348da08a1fe42c614409c31b777e93ee5d484297374b",
+    ),
+]
+
+
+def _index_digest(index):
+    data = index_to_dict(index)
+    del data["version"]
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestPinnedPostings:
+    """The masks hold exactly the positions the lists held."""
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [case[1:] for case in PINNED_INDEX_DIGESTS],
+        ids=[case[0] for case in PINNED_INDEX_DIGESTS],
+    )
+    def test_serialized_index_unchanged(self, backend, make, digest):
+        db = make(backend)
+        index = build_index(db)
+        db.close()
+        assert _index_digest(index) == digest
+        assert _index_digest(index_from_dict(index_to_dict(index))) == digest
+
+
+class TestLongValue:
+    """A value longer than any machine word: its masks are long ints."""
+
+    #: 3,000 words; ``echo`` is every sixth, 500 times, the last one
+    #: the value's last word; every other word is unique
+    WORDS = [
+        "echo" if position % 6 == 5 else f"w{position}"
+        for position in range(3000)
+    ]
+
+    @pytest.fixture()
+    def index(self):
+        index = InvertedIndex()
+        index.add_value("R", "A", 1, " ".join(self.WORDS))
+        return index
+
+    def test_phrase_matches_at_the_end(self, index):
+        (occurrence,) = index.lookup_phrase(["w2998", "echo"])
+        assert occurrence.tids == {1}
+        assert index.lookup_phrase(["w2997", "w2998", "echo"])
+        assert index.lookup_phrase(["echo", "w2998"]) == []
+        assert index.lookup_phrase(["w2998", "w2999"]) == []
+
+    def test_tf_counts_every_occurrence(self, index):
+        scorer = TfIdfScorer(index)
+        assert scorer.tf("echo", ("R", "A", 1)) == 500
+        assert scorer.tf("w2998", ("R", "A", 1)) == 1
+
+    def test_positions_survive_serialization(self, index):
+        data = index_to_dict(index)
+        (entry,) = data["postings"]["echo"]
+        assert entry["tids"] == {"1": list(range(5, 3000, 6))}
+        clone = index_from_dict(data)
+        assert clone._postings == index._postings
+        assert clone.lookup_phrase(["w2998", "echo"])
+
+
+class TestTypographicApostrophes:
+    """``O'Brien``, ``O’Brien`` (U+2019) and ``Oʼbrien`` (U+02BC) are
+    one word: each spelling, stored or asked, finds the others."""
+
+    SPELLINGS = ["Conan O'Brien", "Conan O’Brien", "Conan Oʼbrien"]
+
+    @pytest.fixture()
+    def index(self, backend):
+        db = _people_db(self.SPELLINGS + ["Obrien"], backend)
+        yield build_index(db)
+        db.close()
+
+    def _found(self, index, query):
+        (match,) = match_tokens(index, PrecisQuery.parse(query).tokens)
+        return {t for o in match.occurrences for t in o.tids}
+
+    @pytest.mark.parametrize(
+        "query",
+        ["O'Brien", "O’Brien", "oʼbrien", '"Conan O’BRIEN"', "\"o'brien\""],
+    )
+    def test_each_spelling_finds_the_others(self, index, query):
+        assert self._found(index, query) == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            paper_instance,
+            lambda: generate_movies_database(n_movies=2000, seed=1),
+            lambda: generate_movies_database(n_movies=200, seed=5),
+            generate_university_database,
+            generate_library_database,
+        ],
+        ids=["paper", "movies-2000", "movies-200", "university", "library"],
+    )
+    def test_no_generated_value_holds_one(self, make):
+        """So the fold leaves the bundled data's index, and every golden
+        digest, as they were."""
+        db = make()
+        for rel in db:
+            for __, stored in rel.store.scan():
+                for value in stored:
+                    if isinstance(value, str):
+                        assert "\u2019" not in value, (rel.name, value)
+                        assert "\u02bc" not in value, (rel.name, value)

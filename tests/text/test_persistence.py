@@ -1,5 +1,7 @@
 """Unit tests for inverted-index persistence."""
 
+import json
+
 import pytest
 
 from repro.text import (
@@ -47,3 +49,14 @@ class TestRoundtrip:
     def test_version_check(self):
         with pytest.raises(ValueError):
             index_from_dict({"version": 99, "postings": {}})
+
+    def test_version_2_file_is_refused(self, paper_db, tmp_path):
+        """A version-2 index split ``O’Brien`` in two (or kept its
+        U+02BC), so it would miss what the current fold finds."""
+        data = index_to_dict(build_index(paper_db))
+        assert data["version"] == 3
+        data["version"] = 2
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="version 2"):
+            load_index(path)

@@ -22,12 +22,14 @@ ascii_texts = st.text(
 #: non-ASCII text: accented Latin, Greek (final sigma), Cyrillic, CJK,
 #: Devanagari and Thai (spacing and non-spacing vowel signs), Japanese
 #: voiced kana, compatibility forms (ligatures, fractions, superscripts,
-#: full-width), bare combining marks, dotted capital I, mixed with ASCII
+#: full-width), bare combining marks, dotted capital I, typographic
+#: quotes and apostrophes (``ŉ`` folds to U+02BC + ``n``), mixed with
+#: ASCII
 mixed_texts = st.text(
     alphabet=(
         "aZ09 '-_.éÉèüÜñçøØßİıΑλέξηςΣΩωПриветЁ漢字ﬁﬀ½²Ⅻ"
-        "हिन्दीสวัสดีガ"
-        "\u0301\u0308\u00a0\u2019\uff21\uff11"
+        "हिन्दीสวัสดีガŉ"
+        "\u0301\u0308\u00a0\u2018\u2019\u02bc\uff21\uff11"
     ),
     max_size=40,
 )
@@ -38,12 +40,20 @@ _REFERENCE_WORD = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
 
 def reference_tokens(text):
     """The definition: fold the whole text (NFKD, marks of Unicode
-    category M dropped, casefold), then split it into runs of letters
-    and digits of any script, apostrophes kept inside words."""
+    category M dropped, casefold, U+2019 and U+02BC spelled ``'``),
+    then split it into runs of letters and digits of any script,
+    apostrophes kept inside words."""
     decomposed = unicodedata.normalize("NFKD", text)
-    folded = "".join(
-        ch for ch in decomposed if not unicodedata.category(ch).startswith("M")
-    ).casefold()
+    folded = (
+        "".join(
+            ch
+            for ch in decomposed
+            if not unicodedata.category(ch).startswith("M")
+        )
+        .casefold()
+        .replace("\u2019", "'")
+        .replace("\u02bc", "'")
+    )
     return [
         (word, position)
         for position, word in enumerate(_REFERENCE_WORD.findall(folded))
@@ -204,3 +214,67 @@ class TestIndexRoundTrip:
         got = index.lookup_phrase(phrase)
         assert [(o.relation, o.attribute) for o in got] == sorted(expected)
         assert {(o.relation, o.attribute): o.tids for o in got} == expected
+
+
+def reference_contiguous(positions):
+    """The list-form rule the position masks replaced: word *i* of a
+    phrase sits at ``start + i`` for some start, given each word's
+    positions in one value."""
+    later = list(enumerate(positions[1:], start=1))
+    return any(
+        all(start + offset in word for offset, word in later)
+        for start in positions[0]
+    )
+
+
+#: words that repeat inside values; two fold to the same word
+VALUE_WORDS = ["la", "land", "Woody", "allen", "O’Brien", "o'brien", "café"]
+
+
+@st.composite
+def values_and_phrases(draw):
+    """Values of up to 80 words (masks past one machine word), and a
+    phrase of words the values hold: a slice of one value's words, or
+    words drawn from them in any order."""
+    texts = draw(
+        st.lists(
+            st.lists(st.sampled_from(VALUE_WORDS), min_size=1, max_size=80),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    tokens = [[t.text for t in tokenize(" ".join(text))] for text in texts]
+    if draw(st.booleans()):
+        source = draw(st.sampled_from(tokens))
+        start = draw(st.integers(0, len(source) - 1))
+        length = draw(st.integers(1, 5))
+        phrase = source[start : start + length]
+    else:
+        vocabulary = sorted({word for words in tokens for word in words})
+        phrase = draw(
+            st.lists(st.sampled_from(vocabulary), min_size=1, max_size=5)
+        )
+    return [" ".join(text) for text in texts], phrase
+
+
+class TestPositionMasks:
+    @given(values_and_phrases())
+    @settings(max_examples=200, deadline=None)
+    def test_phrase_lookup_matches_list_positions(self, case):
+        """lookup_phrase over position masks finds exactly the values
+        the list-form rule finds over ``tokenize`` positions."""
+        values, phrase = case
+        index = InvertedIndex()
+        for tid, value in enumerate(values, start=1):
+            index.add_value("R", "A", tid, value)
+        expected = set()
+        for tid, value in enumerate(values, start=1):
+            tokens = tokenize(value)
+            positions = [
+                [t.position for t in tokens if t.text == word]
+                for word in phrase
+            ]
+            if reference_contiguous(positions):
+                expected.add(tid)
+        got = {tid for o in index.lookup_phrase(phrase) for tid in o.tids}
+        assert got == expected

@@ -1,5 +1,7 @@
 """Unit tests for tokenization and query parsing."""
 
+import pytest
+
 from repro.text import normalize, query_tokens, tokenize
 
 
@@ -104,3 +106,31 @@ class TestAnyScript:
 
     def test_ascii_normalize_is_lower(self):
         assert normalize("O'Brien MATCH 2005") == "o'brien match 2005"
+
+
+class TestTypographicApostrophes:
+    """U+2019 and U+02BC are spelled ``'`` by the fold, so every
+    spelling of a name with an apostrophe is one and the same word."""
+
+    @pytest.mark.parametrize(
+        "text", ["O'Brien", "O’Brien", "Oʼbrien", "O’BRIEN"]
+    )
+    def test_each_spelling_is_one_word(self, text):
+        assert [t.text for t in tokenize(text)] == ["o'brien"]
+
+    def test_quotes_around_words_still_split(self):
+        assert [t.text for t in tokenize("‘Match Point’")] == [
+            "match",
+            "point",
+        ]
+        assert [t.text for t in tokenize("Allen’s ‘Sleeper’")] == [
+            "allen's",
+            "sleeper",
+        ]
+
+    def test_folded_apostrophe_from_a_compatibility_letter(self):
+        # NFKD turns U+0149 into U+02BC + n
+        assert normalize("ŉ") == "'n"
+
+    def test_query_phrase(self):
+        assert query_tokens('"Conan O’Brien"') == [("conan", "o'brien")]
