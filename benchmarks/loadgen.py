@@ -1,9 +1,12 @@
-"""The load generator: closed or open loop through the async front door.
+"""The in-process load generator: closed or open loop through the async
+front door.
 
-One generator for every serving benchmark (``repro serve-bench``, the
-``benchmarks/`` gates and experiments). It offers a seeded stream of
-asks to an :class:`~repro.service.frontdoor.AsyncFrontDoor` and
-tallies what each caller saw:
+One generator for the serving gates and experiments of ``benchmarks/``;
+it is not part of the ``repro`` package, so a script imports it with
+``benchmarks`` on its path (``PYTHONPATH=src:benchmarks``). It offers
+a seeded stream of asks to an
+:class:`~repro.service.frontdoor.AsyncFrontDoor` and tallies what each
+caller saw:
 
 * **Closed loop** (``LoadConfig.arrival_rate`` is None) — *clients*
   callers, each awaiting :meth:`~AsyncFrontDoor.submit` in turn for
@@ -39,17 +42,17 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..core.engine import PrecisEngine
-from ..obs.context import TraceBuffer
-from ..obs.slo import SLOTracker
-from .errors import OUTCOMES, outcome
-from .frontdoor import (
+from repro.core.engine import PrecisEngine
+from repro.obs.context import TraceBuffer
+from repro.obs.slo import SLOTracker
+from repro.service.errors import OUTCOMES, outcome
+from repro.service.frontdoor import (
     PRIORITY_BATCH,
     PRIORITY_INTERACTIVE,
     AsyncFrontDoor,
     FrontDoorConfig,
 )
-from .service import PrecisService, ServiceConfig
+from repro.service.service import PrecisService, ServiceConfig
 
 __all__ = [
     "LoadConfig",
@@ -81,7 +84,7 @@ def movies_workload(
     """A deterministic mid-size workload: synthetic movies database +
     a query mix that exercises single-token, multi-relation and
     phrase matching."""
-    from ..datasets import generate_movies_database, movies_graph
+    from repro.datasets import generate_movies_database, movies_graph
 
     db = generate_movies_database(n_movies=n_movies, seed=11, backend=backend)
     engine = PrecisEngine(db, graph=movies_graph())
@@ -408,8 +411,8 @@ def measure_trace_overhead(
     one worker): that isolates the cost of the tracing code path
     itself — a multi-worker loop on a shared runner measures scheduler
     noise. The best round of each side counts; the result is gated at
-    *budget_pct* by ``benchmarks/`` and recorded — with a warning, not
-    a failure — by ``serve-bench``.
+    *budget_pct* by ``test_trace_overhead.py`` and recorded by the
+    ``tracing`` experiment.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")

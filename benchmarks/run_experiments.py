@@ -385,13 +385,13 @@ def metrics_overhead(backend=None):
 
 
 def serve_bench(backend=None):
-    """Closed-loop serving benchmark (repro.service load generator):
+    """Closed-loop serving benchmark (the load generator, loadgen.py):
     throughput and client-observed latency through the front door and
     worker pool, with and without a per-request deadline. With the
     deadline on, p99 stays bounded near it — pending requests past the
     deadline are shed stale, executing ones degrade cooperatively at
     the next iteration boundary."""
-    from repro.service import LoadConfig, movies_workload, run_bench
+    from loadgen import LoadConfig, movies_workload, run_bench
 
     engine, queries = movies_workload(n_movies=200, backend=backend)
     rows = []
@@ -435,7 +435,7 @@ def frontdoor_bench(backend=None):
     makespan), shed rate and the coalescing hit rate — the gate in
     benchmarks/test_frontdoor.py asserts hit rate >= 0.4 and goodput
     ratio >= 1.5 on these same counters."""
-    from repro.service import LoadConfig, movies_workload, run_bench
+    from loadgen import LoadConfig, movies_workload, run_bench
 
     engine, queries = movies_workload(n_movies=200, backend=backend)
     for query in queries:
@@ -487,13 +487,13 @@ def tracing_overhead(backend=None):
     where served time goes, read from the span trees of a load run
     that keeps every request — the correlation layer must be cheap
     enough to leave on."""
-    from repro.obs import TraceBuffer
-    from repro.service import (
+    from loadgen import (
         LoadConfig,
         measure_trace_overhead,
         movies_workload,
         run_bench,
     )
+    from repro.obs import TraceBuffer
 
     engine, queries = movies_workload(n_movies=200, backend=backend)
     overhead = measure_trace_overhead(engine, queries, sample_rate=0.1)

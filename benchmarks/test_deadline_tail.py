@@ -2,7 +2,7 @@
 
 A speed claim, so it lives here and not in tier-1 (where "the deadline
 binds" is checked with check-count deadlines instead,
-``tests/service/test_serve_bench.py``). The workload is a deep chain
+``tests/test_loadgen.py``). The workload is a deep chain
 join fan-out whose unbounded ask takes seconds, driven closed loop
 through the front door with a 1 s per-request deadline: queue time
 counts against the deadline and engine time degrades cooperatively at
@@ -23,7 +23,7 @@ import pytest
 
 from repro.bench import chain_database, chain_graph
 from repro.core import Deadline, PrecisEngine, WeightThreshold
-from repro.service import LoadConfig, run_bench
+from loadgen import LoadConfig, run_bench
 
 # the overshoot tail is a near-constant chunk of work (one fetch /
 # deposit chunk between cooperative checks, ≤30 ms here), so 1 s sits

@@ -4,7 +4,7 @@ The coalescing claim: a duplicate-heavy offered stream at ~2x the
 stack's capacity is served with materially higher goodput when
 identical in-flight asks share one execution. The gate replays the
 *same* seeded Poisson schedule against two fresh stacks — coalescing
-on, then off — through the load generator (``repro.service.loadgen``) and
+on, then off — through the load generator (``benchmarks/loadgen.py``) and
 asserts the front door's own counters: a coalescing hit rate of at
 least 0.4 at a 60% duplicate share, and at least 1.5x the goodput of
 the uncoalesced arm. Best-of-N so the ratio holds on noisy CI
@@ -20,14 +20,8 @@ import time
 
 import pytest
 
-from repro.service import (
-    AsyncFrontDoor,
-    LoadConfig,
-    PrecisService,
-    ServiceConfig,
-    movies_workload,
-    run_bench,
-)
+from loadgen import LoadConfig, movies_workload, run_bench
+from repro.service import AsyncFrontDoor, PrecisService, ServiceConfig
 
 WORKERS = 2
 DUPLICATE_FRACTION = 0.6

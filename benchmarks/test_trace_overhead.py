@@ -8,15 +8,14 @@ contexts minted, no spans built) against a fully traced one, asking
 each query on both in turn, serial (one client, one worker) — serial
 because a concurrent closed loop on a shared runner measures scheduler
 noise, not tracing (an A/A control there swings ±10%). This module *fails* when the
-budget is blown, where ``repro serve-bench --trace-overhead`` only
-warns.
+budget is blown, where ``run_experiments.py tracing`` only records it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.service import measure_trace_overhead, movies_workload
+from loadgen import measure_trace_overhead, movies_workload
 
 
 @pytest.fixture(scope="module")

@@ -79,6 +79,32 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sample_rate(text: str) -> float:
+    """argparse type of ``--trace-sample``: a rate in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(
+            f"expected a rate in [0, 1], got {text!r}"
+        )
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type of ``--port``: 0 (ephemeral) to 65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected a port from 0 to 65535, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -226,128 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--save", metavar="DIR", help="export the answer database"
             )
 
-    bench = sub.add_parser(
-        "serve-bench",
-        help="load benchmark of the serving stack (repro.service): a "
-        "closed loop of N clients, or with --arrival-rate an open "
-        "Poisson loop, through the async front door over a worker "
-        "pool — coalescing on, then off — reporting goodput, latency "
-        "percentiles, shed/degraded counts and the SLO snapshot",
-    )
-    bench.add_argument(
-        "--movies",
-        type=int,
-        default=300,
-        help="size of the synthetic movies workload database",
-    )
-    bench.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="memory",
-        help="storage backend for the workload database",
-    )
-    bench.add_argument(
-        "--clients", type=int, default=8, help="closed loop: clients"
-    )
-    bench.add_argument(
-        "--requests",
-        type=int,
-        default=25,
-        help="closed loop: requests per client",
-    )
-    bench.add_argument(
-        "--workers", type=_positive_int, default=2, help="worker-pool threads"
-    )
-    bench.add_argument(
-        "--deadline-ms",
-        type=_milliseconds,
-        default=None,
-        help="per-request deadline; expired requests degrade or are shed",
-    )
-    bench.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=None,
-        metavar="RPS",
-        help="run an OPEN loop instead: Poisson arrivals at RPS, "
-        "whether or not earlier requests resolved",
-    )
-    bench.add_argument(
-        "--duration",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="open loop: length of the arrival schedule in seconds "
-        "(default 2)",
-    )
-    bench.add_argument(
-        "--duplicate-fraction",
-        type=float,
-        default=0.5,
-        metavar="F",
-        help="share of asks aimed at the hot query — the coalescable "
-        "mass (default 0.5)",
-    )
-    bench.add_argument(
-        "--batch-fraction",
-        type=float,
-        default=0.0,
-        metavar="F",
-        help="share of asks classed 'batch' (default 0)",
-    )
-    bench.add_argument(
-        "--max-pending",
-        type=_positive_int,
-        default=256,
-        help="front-door pending-flight bound (default 256)",
-    )
-    bench.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="RNG seed of the offered stream (default 0)",
-    )
-    bench.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the coalescing-off comparison arm",
-    )
-    bench.add_argument(
-        "--json-out",
-        default="BENCH_precis.json",
-        metavar="FILE",
-        help="merge the results into FILE under the 'serve' key "
-        "(default: BENCH_precis.json; '-' disables)",
-    )
-    bench.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        help="capture per-request traces (repro.obs.context) and write "
-        "them to FILE as JSON lines; render with 'repro trace export'",
-    )
-    bench.add_argument(
-        "--trace-sample",
-        type=float,
-        default=0.1,
-        metavar="RATE",
-        help="head-sampling rate for normal traces (degraded/shed/"
-        "retried/failed requests are always kept; default 0.1)",
-    )
-    bench.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=256,
-        metavar="N",
-        help="trace ring-buffer capacity (default 256)",
-    )
-    bench.add_argument(
-        "--trace-overhead",
-        action="store_true",
-        help="also measure tracing's throughput cost (sampling on vs "
-        "off) and record it under 'trace_overhead'; warns above the "
-        "5%% budget",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="serve précis queries over HTTP: the asyncio front door "
@@ -361,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8765,
         help="bind port (0 = ephemeral; default 8765)",
     )
@@ -410,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--trace-sample",
-        type=float,
+        type=_sample_rate,
         default=0.1,
         metavar="RATE",
         help="head-sampling rate for normal traces (default 0.1)",
     )
     serve.add_argument(
         "--trace-capacity",
-        type=int,
+        type=_positive_int,
         default=256,
         metavar="N",
         help="trace ring-buffer capacity (default 256)",
@@ -430,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     export = trace_sub.add_parser(
         "export",
-        help="render a JSONL trace capture (serve-bench --trace-out) as "
+        help="render a JSONL trace capture (serve --trace-out) as "
         "Chrome trace-event JSON for chrome://tracing / Perfetto",
     )
     export.add_argument("input", help="JSONL trace file to read")
@@ -729,26 +633,6 @@ def _cmd_estimate(args, out) -> int:
     return 0
 
 
-def _merge_bench_json(args, out, key: str, payload: dict) -> None:
-    """Merge *payload* into --json-out under *key* ('-' disables)."""
-    import json
-
-    if args.json_out == "-":
-        return
-    target = Path(args.json_out)
-    document = {}
-    if target.exists():
-        try:
-            document = json.loads(target.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            document = {}
-    document[key] = payload
-    with open(target, "w", encoding="utf-8") as stream:
-        json.dump(document, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    print(f"(results merged into {target} under {key!r})", file=out)
-
-
 def _cmd_serve(args, out) -> int:
     import asyncio
 
@@ -818,136 +702,6 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
-def _cmd_serve_bench(args, out) -> int:
-    from .obs import TraceBuffer
-    from .service import (
-        LoadConfig,
-        measure_trace_overhead,
-        movies_workload,
-        run_bench,
-    )
-
-    engine, queries = movies_workload(
-        n_movies=args.movies,
-        backend=args.backend if args.backend != "memory" else None,
-    )
-    traces = (
-        TraceBuffer(
-            capacity=args.trace_capacity, sample_rate=args.trace_sample
-        )
-        if args.trace_out is not None
-        else None
-    )
-    config = LoadConfig(
-        clients=args.clients,
-        requests=args.requests,
-        arrival_rate=args.arrival_rate,
-        duration_s=args.duration,
-        duplicate_fraction=args.duplicate_fraction,
-        batch_fraction=args.batch_fraction,
-        deadline_ms=args.deadline_ms,
-        seed=args.seed,
-    )
-    payload = run_bench(
-        engine,
-        queries,
-        config,
-        workers=args.workers,
-        max_pending=args.max_pending,
-        compare_coalescing=not args.no_baseline,
-        traces=traces,
-    )
-    payload["backend"] = args.backend
-    on = payload["coalesced"]
-    offered = (
-        f"{args.clients} clients x {args.requests} requests"
-        if config.closed_loop
-        else f"{args.arrival_rate:g} req/s for {args.duration:g}s"
-    )
-    print(
-        f"serve-bench ({on['loop']} loop): {offered}, {on['offered']} "
-        f"asks ({args.duplicate_fraction:.0%} duplicates, "
-        f"{args.batch_fraction:.0%} batch), {args.workers} workers, "
-        "deadline "
-        + (f"{args.deadline_ms:g} ms" if args.deadline_ms else "none"),
-        file=out,
-    )
-
-    def fmt(value):
-        return "-" if value is None else f"{value:.2f}"
-
-    def describe(label: str, arm: dict) -> None:
-        outcomes = arm["outcomes"]
-        latency = arm["latency_ms"]
-        shed = ", ".join(
-            f"{count} {name.replace('_', ' ')}"
-            for name, count in outcomes.items()
-            if name.startswith("shed_") and count
-        )
-        print(
-            f"  {label}: answered "
-            f"{outcomes['answered'] + outcomes['degraded']}/{arm['offered']} "
-            f"({outcomes['degraded']} degraded, {outcomes['failed']} "
-            f"failed{', ' + shed if shed else ''}); goodput "
-            f"{arm['goodput_rps']:.1f} req/s, coalesce hit rate "
-            f"{arm['coalesce_hit_rate']:.0%}; latency ms "
-            f"p50={fmt(latency['p50'])} p95={fmt(latency['p95'])} "
-            f"p99={fmt(latency['p99'])} max={fmt(latency['max'])}",
-            file=out,
-        )
-        for priority, stats in sorted(arm["classes"].items()):
-            print(
-                f"    {priority}: {stats['answered']}/{stats['offered']} "
-                f"answered, p99 "
-                f"{fmt(stats.get('latency_ms', {}).get('p99'))} ms",
-                file=out,
-            )
-
-    describe("coalesced", on)
-    if "uncoalesced" in payload:
-        describe("uncoalesced", payload["uncoalesced"])
-        print(
-            f"  goodput ratio (coalesced/uncoalesced): "
-            f"{payload['goodput_ratio']:.2f}x",
-            file=out,
-        )
-    if traces is not None:
-        kept = traces.export_jsonl(args.trace_out)
-        stats = traces.stats()
-        print(
-            f"  traces: {kept} kept ({stats['kept_triggered']} triggered, "
-            f"{stats['kept_sampled']} sampled of {stats['offered']} "
-            f"offered) -> {args.trace_out}",
-            file=out,
-        )
-    if args.trace_overhead:
-        # serial defaults on purpose: the budget gate isolates the
-        # tracing code path; a concurrent closed loop would measure
-        # scheduler noise (see measure_trace_overhead)
-        overhead = measure_trace_overhead(
-            engine,
-            queries,
-            sample_rate=args.trace_sample,
-        )
-        payload["trace_overhead"] = overhead
-        verdict = "ok" if overhead["passed"] else "OVER BUDGET"
-        print(
-            f"  trace overhead: {overhead['overhead_pct']:.1f}% at "
-            f"{overhead['sample_rate']:.0%} sampling "
-            f"(budget {overhead['budget_pct']:g}%, {verdict})",
-            file=out,
-        )
-        if not overhead["passed"]:
-            print(
-                "  warning: tracing costs more than its budget on this "
-                "run; see benchmarks/test_trace_overhead.py for the "
-                "gated measurement",
-                file=out,
-            )
-    _merge_bench_json(args, out, "serve", payload)
-    return 0
-
-
 def _cmd_trace(args, out) -> int:
     import json
 
@@ -992,7 +746,6 @@ _COMMANDS = {
     "explain": _cmd_explain,
     "estimate": _cmd_estimate,
     "serve": _cmd_serve,
-    "serve-bench": _cmd_serve_bench,
     "trace": _cmd_trace,
 }
 

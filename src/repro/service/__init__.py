@@ -20,13 +20,11 @@ a servable component in two pieces:
 How a request ended is one vocabulary (:mod:`repro.service.errors`):
 each shed error is a :class:`Shed` naming its reason, and
 :func:`~repro.service.errors.outcome` maps an answer or an error onto
-:data:`~repro.service.errors.OUTCOMES` for the traces and the load
-generator's tally.
+:data:`~repro.service.errors.OUTCOMES` for the traces and for any
+harness that tallies outcomes.
 
 The stdlib HTTP endpoint (:mod:`repro.service.http`, ``repro serve``)
-serves the front door over the wire, and one load generator
-(:mod:`repro.service.loadgen`, ``repro serve-bench``) drives it closed
-or open loop.
+serves the front door over the wire.
 
 See ``docs/service.md``.
 """
@@ -48,14 +46,6 @@ from .frontdoor import (
     FrontDoorConfig,
 )
 from .http import FrontDoorHTTP
-from .loadgen import (
-    LoadConfig,
-    measure_trace_overhead,
-    movies_workload,
-    percentile,
-    run_bench,
-    run_load,
-)
 from .retry import RetryPolicy, call_with_retry
 from .service import PrecisService, ServiceConfig
 
@@ -69,9 +59,6 @@ __all__ = [
     "FrontDoorHTTP",
     "PRIORITY_INTERACTIVE",
     "PRIORITY_BATCH",
-    "LoadConfig",
-    "run_load",
-    "run_bench",
     "RetryPolicy",
     "call_with_retry",
     "ServiceError",
@@ -81,7 +68,4 @@ __all__ = [
     "StaleRequest",
     "TenantQuotaExceeded",
     "RetryExhausted",
-    "movies_workload",
-    "percentile",
-    "measure_trace_overhead",
 ]

@@ -13,7 +13,7 @@ the retry budget ran out; the last underlying error rides along as
 
 How a served request ended is one of :data:`OUTCOMES`, and
 :func:`outcome` is the one place that says which: the pool's and the
-front door's traces and the load generator's tally all call it.
+front door's traces and the tally of ``benchmarks/loadgen.py`` call it.
 """
 
 from __future__ import annotations

@@ -34,8 +34,9 @@ A request line or header line longer than the stream reader's limit
 endpoint cannot parse is a 400.
 
 One request per connection (``Connection: close``): the endpoint
-exists for integration tests, the load generator and manual poking, not
-as a production web server.
+exists for integration tests, the repository's benchmark
+(``perfbench/`` drives ``repro serve`` over HTTP) and manual poking,
+not as a production web server.
 """
 
 from __future__ import annotations

@@ -11,12 +11,14 @@ events via ``run_in_executor``, and clock-dependent behaviour uses
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import threading
 
 from repro.core import Deadline
 
 __all__ = [
+    "Banner",
     "GateDeadline",
     "FakeClock",
     "canonical",
@@ -131,3 +133,26 @@ async def http_get(host: str, port: int, target: str, method: str = "GET"):
     except ValueError:
         parsed = body.decode("utf-8", "replace")
     return status, parsed
+
+
+class Banner(io.StringIO):
+    """``repro serve``'s stdout: signals once the server announces its
+    port."""
+
+    def __init__(self):
+        super().__init__()
+        self.ready = threading.Event()
+
+    def write(self, text):
+        written = super().write(text)
+        if "listening on http://" in self.getvalue():
+            self.ready.set()
+        return written
+
+    @property
+    def port(self) -> int:
+        line = next(
+            line for line in self.getvalue().splitlines()
+            if "listening on" in line
+        )
+        return int(line.rsplit(":", 1)[1])

@@ -7,7 +7,6 @@ side of the socket.
 
 import asyncio
 import contextlib
-import io
 import json
 import socket
 import threading
@@ -32,7 +31,7 @@ from repro.service import (
 from repro.storage import PermanentStorageError, TransientStorageError
 
 from .faults import gate_reads, make_flaky
-from .helpers import http_get, run, spin
+from .helpers import Banner, http_get, run, spin
 
 QUERY = '"Woody Allen"'
 Q = quote(QUERY)
@@ -497,28 +496,6 @@ def _read(sock):
     return status_and_body(raw)
 
 
-class _Banner(io.StringIO):
-    """The CLI's stdout: signals once the server announces its port."""
-
-    def __init__(self):
-        super().__init__()
-        self.ready = threading.Event()
-
-    def write(self, text):
-        written = super().write(text)
-        if "listening on http://" in self.getvalue():
-            self.ready.set()
-        return written
-
-    @property
-    def port(self) -> int:
-        line = next(
-            line for line in self.getvalue().splitlines()
-            if "listening on" in line
-        )
-        return int(line.rsplit(":", 1)[1])
-
-
 class TestShutdownWithWorkInFlight:
     def test_every_admitted_flight_resolves_and_the_server_exits(
         self, monkeypatch
@@ -535,7 +512,7 @@ class TestShutdownWithWorkInFlight:
         monkeypatch.setattr(
             cli, "_load_engine", lambda *args, **kwargs: service_engine
         )
-        out = _Banner()
+        out = Banner()
         result = {}
         server = threading.Thread(
             target=lambda: result.update(

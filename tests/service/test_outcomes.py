@@ -1,8 +1,8 @@
 """How a served request ended: the one outcome vocabulary.
 
 ``repro.service.errors.outcome`` is the one function the pool's and
-the front door's traces and the load generator's tally call, and each
-shed error names its own reason.
+the front door's traces and the tally of ``benchmarks/loadgen.py``
+call, and each shed error names its own reason.
 """
 
 import pytest
@@ -62,7 +62,7 @@ def test_every_shed_names_its_reason():
 
 
 def test_vocabulary_is_listed_in_tally_order():
-    # run_load's ``outcomes`` keys, in this order
+    # run_load's ``outcomes`` keys (benchmarks/loadgen.py), in this order
     assert OUTCOMES == (
         "answered",
         "degraded",

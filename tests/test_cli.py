@@ -1,16 +1,26 @@
 """Tests for the command-line interface."""
 
 import io
+import threading
+import urllib.request
 
 import pytest
 
 from repro.cli import build_parser, main
+
+from .service.helpers import Banner
 
 
 def _run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def _http_get(port: int, target: str):
+    return urllib.request.urlopen(
+        f"http://127.0.0.1:{port}{target}", timeout=30
+    )
 
 
 @pytest.fixture()
@@ -161,8 +171,11 @@ class TestUsageErrors:
             (["serve", "DIR", "--workers", "0"], "--workers"),
             (["serve", "DIR", "--max-pending", "0"], "--max-pending"),
             (["serve", "DIR", "--cache-size", "0"], "--cache-size"),
-            (["serve-bench", "--workers", "-1"], "--workers"),
-            (["serve-bench", "--max-pending", "0"], "--max-pending"),
+            (["serve", "DIR", "--trace-sample", "1.5"], "--trace-sample"),
+            (["serve", "DIR", "--trace-sample", "nan"], "--trace-sample"),
+            (["serve", "DIR", "--trace-capacity", "0"], "--trace-capacity"),
+            (["serve", "DIR", "--port", "70000"], "--port"),
+            (["serve", "DIR", "--port", "-5"], "--port"),
         ],
     )
     def test_serving_counts_below_one(self, demo_dir, capsys, argv, flag):
@@ -401,45 +414,53 @@ class TestMetricsExport:
         assert "metrics written" not in out
 
 
-class TestServeBenchTracing:
+#: the asks of the traced serve below, one trace each
+_TRACED_ASKS = ("Allen", "Drama", "Coppola", "Allen")
+
+
+class TestServeTracing:
     @pytest.fixture(scope="class")
-    def bench_dir(self, tmp_path_factory):
-        """One small traced serve-bench run shared by the class: its
-        JSONL capture, JSON payload, and printed output."""
+    def capture_dir(self, tmp_path_factory):
+        """One traced ``repro serve`` shared by the class: a few asks,
+        then /shutdown; its JSONL capture and printed output."""
         directory = tmp_path_factory.mktemp("serve")
-        trace_path = directory / "trace.jsonl"
-        json_path = directory / "BENCH.json"
-        code, out = _run(
-            [
-                "serve-bench", "--movies", "30",
-                "--clients", "2", "--requests", "3", "--workers", "1",
-                "--trace-out", str(trace_path),
-                "--trace-sample", "1.0",
-                "--json-out", str(json_path),
-            ]
+        assert _run(["init-demo", str(directory / "demo")])[0] == 0
+        out = Banner()
+        result = {}
+        argv = [
+            "serve", str(directory / "demo"), "--port", "0",
+            "--workers", "1", "--trace-out", str(directory / "trace.jsonl"),
+            "--trace-sample", "1.0",
+        ]
+        server = threading.Thread(
+            target=lambda: result.update(code=main(argv, out=out)),
+            daemon=True,
         )
-        assert code == 0
-        return directory, out
+        server.start()
+        try:
+            assert out.ready.wait(30), out.getvalue()
+            for query in _TRACED_ASKS:
+                with _http_get(out.port, f"/ask?q={query}") as response:
+                    assert response.status == 200
+        finally:
+            if out.ready.is_set():
+                _http_get(out.port, "/shutdown").close()
+            server.join(30)
+        assert not server.is_alive(), "server did not exit"
+        assert result == {"code": 0}
+        return directory, out.getvalue()
 
-    def test_trace_capture_written_and_announced(self, bench_dir):
-        directory, out = bench_dir
-        assert "traces: 6 kept" in out
+    def test_trace_capture_written_and_announced(self, capture_dir):
+        directory, out = capture_dir
+        n = len(_TRACED_ASKS)
+        assert f"{n} trace(s) -> {directory / 'trace.jsonl'}" in out
         lines = (directory / "trace.jsonl").read_text().splitlines()
-        assert len(lines) == 6
+        assert len(lines) == n
 
-    def test_payload_carries_slo_and_trace_stats(self, bench_dir):
+    def test_export_chrome_validates(self, capture_dir):
         import json
 
-        directory, __ = bench_dir
-        serve = json.loads((directory / "BENCH.json").read_text())["serve"]
-        payload = serve["coalesced"]
-        assert payload["traces"]["kept"] == 6
-        assert payload["slo"]["objectives"]
-
-    def test_export_chrome_validates(self, bench_dir):
-        import json
-
-        directory, __ = bench_dir
+        directory, __ = capture_dir
         chrome = directory / "trace.json"
         code, out = _run(
             [
@@ -448,24 +469,25 @@ class TestServeBenchTracing:
             ]
         )
         assert code == 0
-        assert "6 trace(s) exported" in out
+        assert f"{len(_TRACED_ASKS)} trace(s) exported" in out
         document = json.loads(chrome.read_text())
         events = document["traceEvents"]
         names = {e["name"] for e in events if e.get("ph") == "B"}
         assert {"request", "queue", "ask"} <= names
         # every request rendered on its own tid row
-        assert len({e["tid"] for e in events if e["ph"] == "M"}) == 6
+        tids = {e["tid"] for e in events if e["ph"] == "M"}
+        assert len(tids) == len(_TRACED_ASKS)
 
-    def test_export_chrome_to_stdout(self, bench_dir):
+    def test_export_chrome_to_stdout(self, capture_dir):
         import json
 
-        directory, __ = bench_dir
+        directory, __ = capture_dir
         code, out = _run(["trace", "export", str(directory / "trace.jsonl")])
         assert code == 0
         assert json.loads(out)["displayTimeUnit"] == "ms"
 
-    def test_export_jsonl_round_trip(self, bench_dir):
-        directory, __ = bench_dir
+    def test_export_jsonl_round_trip(self, capture_dir):
+        directory, __ = capture_dir
         source = directory / "trace.jsonl"
         code, out = _run(
             ["trace", "export", str(source), "--format", "jsonl"]

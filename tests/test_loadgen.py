@@ -1,5 +1,8 @@
-"""serve-bench's load generator: payload shape, deadlines that bind, and
-shed counters that reach the export.
+"""The benchmarks' load generator (``benchmarks/loadgen.py``): payload
+shape, deadlines that bind, and shed counters that reach the export.
+
+The harness lives outside the package, so it is loaded by path, the way
+``tests/test_run_experiments.py`` loads ``run_experiments.py``.
 
 Deadlines here trip after a fixed number of cooperative checks
 (``AfterNChecks``), never after wall time: whether a deadline binds
@@ -8,20 +11,35 @@ client-observed p99 stays within 10% of a 1 s deadline — is a speed
 claim and lives in ``benchmarks/test_deadline_tail.py``.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import WeightThreshold
-from repro.obs import MetricsRegistry
-from repro.service import (
-    LoadConfig,
-    PrecisService,
-    movies_workload,
-    percentile,
-    run_bench,
-)
+from repro.obs import MetricsRegistry, TraceBuffer
+from repro.service import PrecisService
 
-from .faults import AfterNChecks
-from .helpers import serve
+from .service.faults import AfterNChecks
+from .service.helpers import serve
+
+_PATH = Path(__file__).parent.parent / "benchmarks" / "loadgen.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("loadgen", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["loadgen"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+loadgen = _load()
+LoadConfig = loadgen.LoadConfig
+movies_workload = loadgen.movies_workload
+percentile = loadgen.percentile
+run_bench = loadgen.run_bench
 
 
 class TestPercentile:
@@ -41,7 +59,7 @@ class TestPercentile:
         assert 99.0 <= percentile(values, 99) <= 100.0
 
 
-class TestServeBenchPayload:
+class TestRunBenchPayload:
     @pytest.fixture(scope="class")
     def payload(self):
         engine, queries = movies_workload(n_movies=60)
@@ -76,6 +94,24 @@ class TestServeBenchPayload:
         requests = 'precis_service_requests_total{priority="interactive"}'
         assert payload["counters"][requests] == 12
         assert payload["slo"]["objectives"][0]["total_events"] == 12
+
+
+class TestTracedPayload:
+    def test_payload_carries_slo_and_trace_stats(self):
+        engine, queries = movies_workload(n_movies=30)
+        traces = TraceBuffer(sample_rate=1.0)
+        payload = run_bench(
+            engine,
+            queries,
+            LoadConfig(clients=2, requests=3),
+            workers=1,
+            traces=traces,
+        )
+        # only the coalesced arm is traced, every one of its requests
+        assert payload["coalesced"]["traces"]["kept"] == 6
+        assert len(traces.traces()) == 6
+        assert "traces" not in payload["uncoalesced"]
+        assert payload["coalesced"]["slo"]["objectives"]
 
 
 class TestDeadlineBoundsTail:
