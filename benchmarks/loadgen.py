@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.core.deadline import Deadline
 from repro.core.engine import PrecisEngine
 from repro.obs.context import TraceBuffer
 from repro.obs.slo import SLOTracker
@@ -52,7 +53,6 @@ from repro.service.frontdoor import (
     AsyncFrontDoor,
     FrontDoorConfig,
 )
-from repro.service.service import PrecisService, ServiceConfig
 
 __all__ = [
     "LoadConfig",
@@ -206,7 +206,8 @@ async def run_load(
 ) -> dict:
     """Offer the configured stream to *frontdoor*; returns the results
     payload once every request has resolved. Extra keyword arguments
-    go to every :meth:`~AsyncFrontDoor.submit` call."""
+    go to every :meth:`~AsyncFrontDoor.submit` call; a ``deadline``
+    among them overrides ``config.deadline_ms``."""
     if not queries:
         raise ValueError("run_load needs at least one query")
     loop = asyncio.get_running_loop()
@@ -215,17 +216,21 @@ async def run_load(
     coalesced_before = _counter_total(
         registry, "precis_service_coalesced_total"
     )
-    timeout_s = (
+    budget_s = (
         config.deadline_ms / 1000.0 if config.deadline_ms is not None else None
     )
+    explicit = submit_kwargs.pop("deadline", None)
     records: list[tuple[str, str, float]] = []  # (priority, outcome, s)
 
     async def one(index: int, priority: str) -> None:
         t0 = loop.time()
         try:
+            deadline = explicit
+            if deadline is None and budget_s is not None:
+                deadline = Deadline.after(budget_s)
             answer = await frontdoor.submit(
                 queries[index],
-                timeout_s=timeout_s,
+                deadline=deadline,
                 priority=priority,
                 **submit_kwargs,
             )
@@ -326,8 +331,8 @@ def run_bench(
     traces: Optional[TraceBuffer] = None,
     **submit_kwargs,
 ) -> dict:
-    """The serving experiment: the stream through a fresh pool + front
-    door with coalescing on, then (optionally) the identical stream
+    """The serving experiment: the stream through a fresh front door
+    with coalescing on, then (optionally) the identical stream
     against another fresh stack with coalescing off, so a gate can
     assert the goodput ratio.
 
@@ -339,29 +344,22 @@ def run_bench(
     """
 
     def arm(coalesce: bool) -> dict:
-        service = PrecisService(
+        frontdoor = AsyncFrontDoor(
             engine,
-            config=ServiceConfig(workers=workers),
+            FrontDoorConfig(
+                workers=workers, max_pending=max_pending, coalesce=coalesce
+            ),
             traces=traces if coalesce else None,
         )
 
         async def run() -> dict:
-            frontdoor = AsyncFrontDoor(
-                service,
-                FrontDoorConfig(max_pending=max_pending, coalesce=coalesce),
-            )
-            try:
+            async with frontdoor:
                 return await run_load(
                     frontdoor, queries, config, **submit_kwargs
                 )
-            finally:
-                await frontdoor.close()
 
-        try:
-            payload = asyncio.run(run())
-        finally:
-            service.close()
-        metrics = service.metrics
+        payload = asyncio.run(run())
+        metrics = frontdoor.metrics
         payload["inflight_after"] = metrics.inflight.value
         payload["pending_after"] = metrics.pending.value
         payload["counters"] = metrics.snapshot()["counters"]
@@ -436,25 +434,19 @@ def measure_trace_overhead(
         return tuple(asks * clients / spent[side] for side in (base, traced))
 
     def run_round() -> tuple[float, float]:
-        base_pool = PrecisService(
-            engine, config=ServiceConfig(workers=workers)
-        )
-        traced_pool = PrecisService(
+        shape = FrontDoorConfig(workers=workers)
+        base = AsyncFrontDoor(engine, shape)
+        traced = AsyncFrontDoor(
             engine,
-            config=ServiceConfig(workers=workers),
+            shape,
             traces=TraceBuffer(capacity=256, sample_rate=sample_rate),
         )
 
         async def run() -> tuple[float, float]:
-            async with AsyncFrontDoor(base_pool) as base:
-                async with AsyncFrontDoor(traced_pool) as traced:
-                    return await interleaved(base, traced)
+            async with base, traced:
+                return await interleaved(base, traced)
 
-        try:
-            return asyncio.run(run())
-        finally:
-            base_pool.close()
-            traced_pool.close()
+        return asyncio.run(run())
 
     run_round()  # warm-up: caches, lazy imports, branch predictors
     baseline_rps = traced_rps = 0.0

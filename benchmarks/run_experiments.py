@@ -293,8 +293,8 @@ def ablation_cache(backend=None):
     ]
     configs = [
         ("off", None),
-        ("plans", CacheConfig(plans=True, answers=False)),
-        ("plans+answers", CacheConfig(plans=True, answers=True)),
+        ("plans", CacheConfig(answers=False)),
+        ("plans+answers", CacheConfig(answers=True)),
     ]
     rows = []
     for label, config in configs:
@@ -603,7 +603,7 @@ def tenants_scaling(backend=None, tenant_counts=(1, 10, 100, 1000)):
         engine = PrecisEngine(
             db,
             graph=base,
-            cache=CacheConfig(plans=True, plan_entries=max(256, 2 * n)),
+            cache=CacheConfig(plan_entries=max(256, 2 * n)),
         )
 
         def sweep():

@@ -57,7 +57,7 @@ def test_cold_ask(benchmark, movies_db):
 
 def test_warm_plan_cache(benchmark, movies_db):
     benchmark.group = "warm vs cold ask (300-movie db)"
-    engine = _engine(movies_db, CacheConfig(plans=True, answers=False))
+    engine = _engine(movies_db, CacheConfig(answers=False))
     _ask_all(engine)  # prime
     answer = benchmark(engine.ask, QUERIES[0], cardinality=CARDINALITY)
     assert answer.found

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from loadgen import LoadConfig, movies_workload, run_bench
-from repro.service import AsyncFrontDoor, PrecisService, ServiceConfig
+from repro.service import AsyncFrontDoor, FrontDoorConfig
 
 WORKERS = 2
 DUPLICATE_FRACTION = 0.6
@@ -94,22 +94,18 @@ def test_open_loop_accounts_for_every_arrival(workload):
 
 def test_frontdoor_roundtrip(benchmark, workload):
     """Latency of one uncontended submit through the full front-door
-    stack (dispatcher + pool worker + engine), warm cache path."""
+    stack (dispatcher + pool worker + engine), warm cache path; each
+    round starts and stops its own front door and pool."""
     engine, queries = workload
     benchmark.group = "front door round trip (200-movie db)"
-    service = PrecisService(
-        engine, config=ServiceConfig(workers=WORKERS)
-    )
+    config = FrontDoorConfig(workers=WORKERS)
 
     def roundtrip():
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine, config) as frontdoor:
                 for query in queries:
                     await frontdoor.submit(query)
 
         asyncio.run(go())
 
-    try:
-        benchmark(roundtrip)
-    finally:
-        service.close()
+    benchmark(roundtrip)

@@ -97,10 +97,9 @@ def answer_key(
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """What to cache and how much of it to keep."""
+    """What to cache and how much of it to keep. Result schemas are
+    always memoized (cheap to hold, safe under the epoch contract)."""
 
-    #: memoize result schemas (cheap to hold, safe under the epoch contract)
-    plans: bool = True
     #: memoize whole answers (opt-in: answers can be large)
     answers: bool = False
     plan_entries: int = 256
@@ -118,9 +117,7 @@ class EngineCache:
 
     def __init__(self, config: Optional[CacheConfig] = None):
         self.config = config or CacheConfig()
-        self.plans: Optional[LRUCache] = (
-            LRUCache(self.config.plan_entries) if self.config.plans else None
-        )
+        self.plans = LRUCache(self.config.plan_entries)
         self.answers: Optional[LRUCache] = (
             LRUCache(self.config.answer_entries)
             if self.config.answers
@@ -137,17 +134,13 @@ class EngineCache:
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-layer counter snapshot: ``{"plans": {...}, "answers": {...}}``."""
-        out: dict[str, dict[str, int]] = {}
-        if self.plans is not None:
-            out["plans"] = self.plans.stats.as_dict()
+        out = {"plans": self.plans.stats.as_dict()}
         if self.answers is not None:
             out["answers"] = self.answers.stats.as_dict()
         return out
 
     def __repr__(self):
-        layers = []
-        if self.plans is not None:
-            layers.append(f"plans={len(self.plans)}")
+        layers = [f"plans={len(self.plans)}"]
         if self.answers is not None:
             layers.append(f"answers={len(self.answers)}")
-        return f"EngineCache({', '.join(layers) or 'disabled'})"
+        return f"EngineCache({', '.join(layers)})"

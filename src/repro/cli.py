@@ -15,7 +15,9 @@ per relation plus ``_schema.json``, and optionally ``_graph.json`` (a
 weighted schema graph with heading attributes, written by
 ``init-demo`` or :func:`repro.graph.serialization.save_graph`). Without
 ``_graph.json`` the graph is derived from the foreign keys at uniform
-weights.
+weights. A ``_graph.json`` naming a relation or attribute the database
+lacks is refused at load: the command exits 1 with one line naming
+each mismatch.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .core import (
 from .core.explain import render_explanation
 from .graph import graph_from_schema, result_schema_to_dot
 from .graph.serialization import load_graph, save_graph
+from .graph.validation import GraphSchemaMismatch, check_graph
 from .nlg import Translator, generic_spec
 from .obs import InMemorySink, Tracer, format_span_table, write_metrics
 from .cache import CacheConfig
@@ -256,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve précis queries over HTTP: the asyncio front door "
         "(deadlines, sheds, request coalescing, priority classes, "
-        "repro.service.frontdoor) over a PrecisService worker pool, on "
+        "repro.service.frontdoor) and its worker pool, on "
         "the stdlib endpoint (GET /ask, /metrics, /healthz, /shutdown)",
     )
     serve.add_argument("directory")
@@ -388,10 +391,8 @@ def _cache_for(args) -> Optional[CacheConfig]:
     if not getattr(args, "cache", False) and size is None:
         return None
     if size is None:
-        return CacheConfig(plans=True, answers=True)
-    return CacheConfig(
-        plans=True, answers=True, plan_entries=size, answer_entries=size
-    )
+        return CacheConfig(answers=True)
+    return CacheConfig(answers=True, plan_entries=size, answer_entries=size)
 
 
 def _load_engine(
@@ -408,6 +409,7 @@ def _load_engine(
     translator = None
     if graph_path.exists():
         graph, headings = load_graph(graph_path)
+        check_graph(graph, db.schema)
         if headings:
             translator = Translator(generic_spec(graph, headings))
     else:
@@ -637,13 +639,7 @@ def _cmd_serve(args, out) -> int:
     import asyncio
 
     from .obs import TraceBuffer
-    from .service import (
-        AsyncFrontDoor,
-        FrontDoorConfig,
-        FrontDoorHTTP,
-        PrecisService,
-        ServiceConfig,
-    )
+    from .service import AsyncFrontDoor, FrontDoorConfig, FrontDoorHTTP
 
     engine = _load_engine(
         args.directory,
@@ -657,44 +653,38 @@ def _cmd_serve(args, out) -> int:
         if args.trace_out is not None
         else None
     )
-    service = PrecisService(
-        engine, config=ServiceConfig(workers=args.workers), traces=traces
+    config = FrontDoorConfig(
+        workers=args.workers,
+        max_pending=args.max_pending,
+        default_timeout_s=(
+            args.timeout_ms / 1000.0 if args.timeout_ms is not None else None
+        ),
     )
 
     async def run() -> None:
-        frontdoor = AsyncFrontDoor(
-            service,
-            FrontDoorConfig(
-                max_pending=args.max_pending,
-                default_timeout_s=(
-                    args.timeout_ms / 1000.0
-                    if args.timeout_ms is not None
-                    else None
-                ),
-            ),
-        )
-        http = FrontDoorHTTP(frontdoor, host=args.host, port=args.port)
-        host, port = await http.start()
-        print(
-            f"precis front door listening on http://{host}:{port}",
-            file=out,
-        )
-        print(
-            "routes: GET /ask?q=... | /metrics | /healthz | /shutdown",
-            file=out,
-        )
-        try:
-            await http.serve_until_shutdown()
-        finally:
-            await http.stop()
-            await frontdoor.close()
+        # however the server stops, leaving the block closes the front
+        # door and with it the worker pool
+        async with AsyncFrontDoor(engine, config, traces=traces) as frontdoor:
+            http = FrontDoorHTTP(frontdoor, host=args.host, port=args.port)
+            host, port = await http.start()
+            print(
+                f"precis front door listening on http://{host}:{port}",
+                file=out,
+            )
+            print(
+                "routes: GET /ask?q=... | /metrics | /healthz | /shutdown",
+                file=out,
+            )
+            try:
+                await http.serve_until_shutdown()
+            finally:
+                await http.stop()
 
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
         print("interrupted", file=out)
     finally:
-        service.close()
         if traces is not None:
             kept = traces.export_jsonl(args.trace_out)
             print(f"{kept} trace(s) -> {args.trace_out}", file=out)
@@ -752,7 +742,8 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Entry point; returns a process exit code (a usage error exits 2
-    through :class:`SystemExit`, as argparse does)."""
+    through :class:`SystemExit`, as argparse does, and a ``_graph.json``
+    the database does not match exits 1 the same way)."""
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -771,7 +762,14 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                 f"argument {flag}: {exc.value!r} is out of range "
                 f"({exc.reason})"
             )
-    return _COMMANDS[args.command](args, out)
+    try:
+        return _COMMANDS[args.command](args, out)
+    except GraphSchemaMismatch as exc:
+        parser.exit(
+            1,
+            f"{parser.prog} {args.command}: {_GRAPH_FILE} does not match "
+            f"the database: {'; '.join(exc.problems)}\n",
+        )
 
 
 if __name__ == "__main__":  # pragma: no cover

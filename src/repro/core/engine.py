@@ -188,7 +188,7 @@ class PrecisEngine:
         if isinstance(cache, CacheConfig):
             return EngineCache(cache)
         if cache is True:
-            return EngineCache(CacheConfig(plans=True, answers=True))
+            return EngineCache(CacheConfig(answers=True))
         return None
 
     @staticmethod

@@ -24,11 +24,7 @@ class GraphSchemaMismatch(ValueError):
         )
 
 
-def validate_graph(
-    graph: SchemaGraph,
-    schema: DatabaseSchema,
-    require_headings_cover: bool = False,
-) -> list[str]:
+def validate_graph(graph: SchemaGraph, schema: DatabaseSchema) -> list[str]:
     """Return a list of human-readable mismatches (empty = consistent).
 
     Checks, in order:
@@ -41,26 +37,33 @@ def validate_graph(
     * every foreign key of the schema is covered by at least one join
       edge direction (otherwise précis answers can never traverse it).
     """
-    problems: list[str] = []
+    return [problem for __, problem in _findings(graph, schema)]
+
+
+def _findings(graph: SchemaGraph, schema: DatabaseSchema):
+    """Yield each of :func:`validate_graph`'s mismatches, in its order,
+    as ``(fatal, problem)``: fatal when the schema lacks a graph
+    relation, a graph attribute or a join attribute, which fails any ask
+    that reaches it."""
     for relation in graph.relations:
         if not schema.has_relation(relation):
-            problems.append(f"graph relation {relation} not in schema")
+            yield True, f"graph relation {relation} not in schema"
             continue
         rs = schema.relation(relation)
         for attribute in graph.attributes_of(relation):
             if not rs.has_column(attribute):
-                problems.append(
+                yield True, (
                     f"graph attribute {relation}.{attribute} not in schema"
                 )
         for column in rs.attribute_names:
             if column not in graph.attributes_of(relation):
-                problems.append(
+                yield False, (
                     f"schema attribute {relation}.{column} has no "
                     f"projection edge (can never appear in an answer)"
                 )
     for relation in schema.relation_names:
         if not graph.has_relation(relation):
-            problems.append(
+            yield False, (
                 f"schema relation {relation} missing from graph "
                 f"(unreachable by any précis)"
             )
@@ -72,7 +75,7 @@ def validate_graph(
             if not schema.has_relation(relation) or not schema.relation(
                 relation
             ).has_column(attribute):
-                problems.append(
+                yield True, (
                     f"join edge {edge.source}→{edge.target}: {side} "
                     f"attribute {relation}.{attribute} not in schema"
                 )
@@ -85,7 +88,7 @@ def validate_graph(
                 edge.target_attribute
             ).dtype
             if src_type != dst_type:
-                problems.append(
+                yield False, (
                     f"join edge {edge.source}.{edge.source_attribute} "
                     f"({src_type.name}) → {edge.target}."
                     f"{edge.target_attribute} ({dst_type.name}): "
@@ -100,14 +103,16 @@ def validate_graph(
             graph.has_join(fk.source, fk.target)
             or graph.has_join(fk.target, fk.source)
         ):
-            problems.append(
+            yield False, (
                 f"foreign key {fk} has no join edge in either direction"
             )
-    return problems
 
 
 def check_graph(graph: SchemaGraph, schema: DatabaseSchema) -> None:
-    """Raise :class:`GraphSchemaMismatch` if validation finds problems."""
-    problems = validate_graph(graph, schema)
+    """Raise :class:`GraphSchemaMismatch` naming each graph relation,
+    graph attribute or join attribute the schema lacks; the
+    warning-grade findings of :func:`validate_graph` pass silently.
+    ``repro`` checks every loaded ``_graph.json`` with it."""
+    problems = [p for fatal, p in _findings(graph, schema) if fatal]
     if problems:
         raise GraphSchemaMismatch(problems)

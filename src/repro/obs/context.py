@@ -8,7 +8,7 @@ view of all of them). It answers the production question neither can
 alone: *which request* put that observation in that p99 bucket, and
 *why was it slow*.
 
-* :class:`TraceContext` — minted by :meth:`repro.service.PrecisService.
+* :class:`TraceContext` — minted by :meth:`repro.service.AsyncFrontDoor.
   submit` per request (trace_id, tenant, priority, query, deadline) and
   propagated across the admission-queue boundary into the worker
   thread. Inside the worker it is *activated* into a
@@ -93,10 +93,10 @@ def deactivate(token: contextvars.Token) -> None:
 class TraceContext:
     """Identity and admission-time facts of one traced request.
 
-    Minted in :meth:`~repro.service.PrecisService.submit` (the caller's
-    thread), carried on the queued request object, and activated in the
-    worker thread — the one object that crosses the queue boundary and
-    ties both sides of the trace together.
+    Minted in :meth:`~repro.service.AsyncFrontDoor.submit` (on the
+    front door's loop), carried on the queued request object, and
+    activated in the worker thread — the one object that crosses the
+    queue boundary and ties both sides of the trace together.
     """
 
     __slots__ = (

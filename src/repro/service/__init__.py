@@ -12,10 +12,10 @@ a servable component in two pieces:
   dispatch and batch preemption, per-tenant quotas, and every shed
   decision, counted on one metrics façade shared with the
   :mod:`repro.obs` registry;
-* the worker pool underneath (:class:`PrecisService`): threads over
-  one engine, retry-with-backoff over the storage layer's
-  transient/permanent fault classification, and the per-request span
-  tree.
+* the worker pool underneath (:class:`PrecisService`), which the
+  front door builds, owns and closes: threads over one engine,
+  retry-with-backoff over the storage layer's transient/permanent
+  fault classification, and the per-request span tree.
 
 How a request ended is one vocabulary (:mod:`repro.service.errors`):
 each shed error is a :class:`Shed` naming its reason, and
@@ -47,13 +47,12 @@ from .frontdoor import (
 )
 from .http import FrontDoorHTTP
 from .retry import RetryPolicy, call_with_retry
-from .service import PrecisService, ServiceConfig
+from .service import PrecisService
 
 __all__ = [
     "Deadline",
     "NO_DEADLINE",
     "PrecisService",
-    "ServiceConfig",
     "AsyncFrontDoor",
     "FrontDoorConfig",
     "FrontDoorHTTP",

@@ -1,13 +1,16 @@
 """The asyncio front door: the serving stack's one admission layer.
 
-:class:`AsyncFrontDoor` sits in front of a :class:`~repro.service.
-PrecisService` worker pool and makes every admission decision a
+:class:`AsyncFrontDoor` is the one serving object: built over an
+engine, it owns its :class:`~repro.service.PrecisService` worker pool,
+its :class:`~repro.obs.metrics.ServiceMetrics` and its
+:class:`~repro.obs.context.TraceBuffer`, takes one
+:class:`FrontDoorConfig`, and makes every admission decision a
 request-per-user web front end needs:
 
 * **Deadlines** — each request's deadline is resolved here, once:
-  explicit *deadline* > *timeout_s* > ``FrontDoorConfig.
-  default_timeout_s`` > none. A request already expired at submit is
-  shed immediately (:class:`~repro.service.errors.StaleRequest`)
+  explicit *deadline* > ``FrontDoorConfig.default_timeout_s`` > none.
+  A request already expired at submit is shed immediately
+  (:class:`~repro.service.errors.StaleRequest`)
   without executing or coalescing; a pending flight that expires
   before dispatch is shed at dispatch; and a coalesced follower with a
   *tighter* deadline than its leader still honours its own — it is
@@ -42,8 +45,8 @@ request-per-user web front end needs:
   (:class:`~repro.service.errors.TenantQuotaExceeded`) and the one
   shed fans out to every waiter. The slot is released when the flight
   resolves.
-* **Admission hits** — when the pool's engine (``service.engine``)
-  holds a live answer in its answer cache under the request's signature
+* **Admission hits** — when the engine holds a live answer in its
+  answer cache under the request's signature
   (:meth:`~repro.core.engine.PrecisEngine.holds_answer`), the request
   is answered on the loop by
   :meth:`~repro.core.engine.PrecisEngine.ask`, which serves the cached
@@ -58,11 +61,12 @@ Dispatch runs one flight per pool worker, so the pool's hand-off queue
 stays empty and ordering decisions live entirely in the priority queue
 here. Every shed is decided, counted and traced here, and each shed
 error names its :attr:`~repro.service.errors.Shed.reason`; the metrics
-land in the pool's :class:`~repro.obs.metrics.ServiceMetrics` — one
-façade, one scrape for the whole stack.
+land in the front door's :class:`~repro.obs.metrics.ServiceMetrics`,
+which its pool records retries and failures into — one façade, one
+scrape for the whole stack.
 
-Tracing: when the pool carries a :class:`~repro.obs.context.
-TraceBuffer`, the front door mints each waiter's
+Tracing: given a :class:`~repro.obs.context.TraceBuffer` (``traces=``),
+which it shares with its pool, the front door mints each waiter's
 :class:`~repro.obs.context.TraceContext` at submit. The leader's
 context rides into the pool (``submit(context=)``), whose worker
 traces the execution — front-door queueing plus the full engine
@@ -88,17 +92,20 @@ import asyncio
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.deadline import NO_DEADLINE, Deadline
+from ..core.engine import PrecisEngine
 from ..obs.context import (
     RequestTrace,
+    TraceBuffer,
     TraceContext,
     activate,
     deactivate,
     synthetic_span,
 )
+from ..obs.metrics import MetricsRegistry, ServiceMetrics
 from ..obs.tracer import Tracer
 from .errors import (
     QueueFull,
@@ -108,6 +115,7 @@ from .errors import (
     TenantQuotaExceeded,
     outcome,
 )
+from .retry import RetryPolicy
 from .service import PrecisService
 
 __all__ = [
@@ -135,8 +143,14 @@ class _FollowerStale(Exception):
 
 @dataclass(frozen=True)
 class FrontDoorConfig:
-    """Admission policy of one :class:`AsyncFrontDoor`."""
+    """The serving settings of one :class:`AsyncFrontDoor`: its worker
+    pool's shape and its admission policy."""
 
+    #: worker threads, all asking the one engine; the front door runs
+    #: at most this many flights at once
+    workers: int = 1
+    #: backoff policy for transient storage failures
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: bound on *pending* (admitted, undispatched) flights
     max_pending: int = 256
     #: deadline for requests that carry none (seconds; None = none)
@@ -148,6 +162,8 @@ class FrontDoorConfig:
     coalesce: bool = True
 
     def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         if self.default_timeout_s is not None and math.isnan(
@@ -198,23 +214,38 @@ class _Flight:
 
 
 class AsyncFrontDoor:
-    """Coalescing, priority-scheduling asyncio admission layer over one
-    :class:`~repro.service.PrecisService` worker pool.
+    """Coalescing, priority-scheduling asyncio front door over one
+    engine, with the worker pool, metrics and trace buffer it owns.
 
-    All coroutine methods must run on one event loop (state is
-    loop-confined by design). The front door does not own the pool:
-    closing the front door drains its own queue but leaves the pool
-    running unless ``close(close_service=True)``.
+    *registry* is where its metrics land (shared with a metered engine,
+    one scrape carries both families); *traces* captures request traces
+    (None = untraced). The worker threads start here; all coroutine
+    methods must run on one event loop (state is loop-confined by
+    design), and :meth:`close` (or ``async with``) stops the whole
+    stack.
     """
 
     def __init__(
         self,
-        service: PrecisService,
+        engine: PrecisEngine,
         config: Optional[FrontDoorConfig] = None,
+        registry: Optional[MetricsRegistry] = None,
+        traces: Optional[TraceBuffer] = None,
     ):
-        self.service = service
+        #: the engine every worker asks; admission hits read its cache
+        self.engine = engine
         self.config = config if config is not None else FrontDoorConfig()
-        self.metrics = service.metrics
+        #: the serving stack's one metrics façade
+        self.metrics = ServiceMetrics(registry)
+        #: request-trace capture (repro.obs.context); None = untraced
+        self.traces = traces
+        self._pool = PrecisService(
+            engine,
+            workers=self.config.workers,
+            retry=self.config.retry,
+            metrics=self.metrics,
+            traces=traces,
+        )
         self._flights: dict[Any, _Flight] = {}
         self._heap: list[tuple[int, float, int, _Flight]] = []
         self._seq = 0
@@ -233,7 +264,6 @@ class AsyncFrontDoor:
         self,
         query,
         deadline: Optional[Deadline] = None,
-        timeout_s: Optional[float] = None,
         tenant: Optional[str] = None,
         priority: str = PRIORITY_INTERACTIVE,
         **ask_kwargs: Any,
@@ -242,7 +272,7 @@ class AsyncFrontDoor:
         :class:`~repro.core.answer.PrecisAnswer` (or raises the shed /
         failure exception the execution produced).
 
-        Deadline resolution: explicit *deadline* > *timeout_s* >
+        Deadline resolution: explicit *deadline* >
         ``FrontDoorConfig.default_timeout_s`` > none. *priority* must
         be ``"interactive"`` or ``"batch"``. *tenant* labels the
         request's metrics and, with ``tenant_slots`` set, counts its
@@ -258,12 +288,15 @@ class AsyncFrontDoor:
             raise ValueError(
                 f"priority must be one of {sorted(_RANK)}, got {priority!r}"
             )
-        # a NaN budget raises here, before the request is counted
-        deadline = self._resolve_deadline(deadline, timeout_s)
+        if deadline is None:
+            seconds = self.config.default_timeout_s
+            deadline = (
+                Deadline.after(seconds) if seconds is not None else NO_DEADLINE
+            )
         self._ensure_started()
         start = time.monotonic()
         context: Optional[TraceContext] = None
-        if self.service.traces is not None:
+        if self.traces is not None:
             context = TraceContext.mint(
                 query=getattr(query, "text", None) or str(query),
                 tenant=tenant,
@@ -284,7 +317,7 @@ class AsyncFrontDoor:
             if deadline.expires() and deadline.expired():
                 raise self._shed(context, StaleRequest(0.0), priority, tenant)
 
-            engine = self.service.engine
+            engine = self.engine
             caches_answers = (
                 engine.cache is not None and engine.cache.answers is not None
             )
@@ -330,22 +363,6 @@ class AsyncFrontDoor:
             return answer
         finally:
             metrics.resolved()
-
-    async def ask(self, query, **kwargs: Any):
-        """Alias of :meth:`submit` (symmetry with PrecisService)."""
-        return await self.submit(query, **kwargs)
-
-    def _resolve_deadline(
-        self, deadline: Optional[Deadline], timeout_s: Optional[float]
-    ) -> Deadline:
-        if deadline is not None:
-            return deadline
-        seconds = (
-            timeout_s
-            if timeout_s is not None
-            else self.config.default_timeout_s
-        )
-        return Deadline.after(seconds) if seconds is not None else NO_DEADLINE
 
     @staticmethod
     def _signature(engine, query, ask_kwargs) -> Optional[tuple]:
@@ -547,7 +564,7 @@ class AsyncFrontDoor:
         self._work = asyncio.Event()
         self._dispatchers = [
             loop.create_task(self._dispatch_loop(), name=f"frontdoor-{i}")
-            for i in range(self.service.workers)
+            for i in range(self.config.workers)
         ]
         self._started = True
 
@@ -586,17 +603,12 @@ class AsyncFrontDoor:
                 TenantQuotaExceeded(flight.tenant, self.config.tenant_slots),
             )
             return
-        try:
-            future = self.service.submit(
-                flight.query,
-                deadline=flight.deadline,
-                context=flight.context,
-                **flight.ask_kwargs,
-            )
-        except ServiceClosed as exc:
-            # the pool was closed under the front door
-            self._shed_flight(flight, exc)
-            return
+        future = self._pool.submit(
+            flight.query,
+            deadline=flight.deadline,
+            context=flight.context,
+            **flight.ask_kwargs,
+        )
         flight.dispatched = True
         self.metrics.executed()
         try:
@@ -666,7 +678,7 @@ class AsyncFrontDoor:
         execution) or a ``shed`` child. Shed and failed outcomes always
         trigger buffer admission, so under overload the buffer fills
         with exactly the requests that were turned away."""
-        buffer = self.service.traces
+        buffer = self.traces
         if buffer is None or context is None:
             return
         if root is not None:
@@ -714,19 +726,17 @@ class AsyncFrontDoor:
         """Flights admitted but not yet resolved (pending + executing)."""
         return int(self.metrics.pending.value)
 
-    async def close(self, close_service: bool = False) -> None:
-        """Stop admitting, drain pending flights, stop the dispatchers.
+    async def close(self) -> None:
+        """Stop admitting, drain the flights, stop the dispatchers, then
+        close the worker pool.
 
         Flights already admitted are executed (or shed stale) to
-        completion, so no waiter is ever stranded. Idempotent. Pass
-        ``close_service=True`` to also close the wrapped
-        :class:`PrecisService` afterwards."""
+        completion, so no waiter is ever stranded. Idempotent."""
         self._closed = True
         if self._started:
             self._work.set()
             await asyncio.gather(*self._dispatchers)
-        if close_service:
-            self.service.close()
+        self._pool.close()
 
     async def __aenter__(self) -> "AsyncFrontDoor":
         return self
@@ -736,7 +746,7 @@ class AsyncFrontDoor:
 
     def __repr__(self):
         return (
-            f"AsyncFrontDoor({self.service!r}, pending={self.pending()}, "
+            f"AsyncFrontDoor({self._pool!r}, pending={self.pending()}, "
             f"coalesce={self.config.coalesce}"
             f"{', closed' if self._closed else ''})"
         )

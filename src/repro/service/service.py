@@ -10,15 +10,16 @@ which dispatches at most one flight per worker — so the pool's hand-off
 queue stays empty and every ordering decision is the front door's. What
 the pool keeps:
 
-* **Worker threads** — ``ServiceConfig.workers`` of them (one by
-  default), all asking the one engine, each with a private sinkless
-  tracer for the whole thread lifetime.
+* **Worker threads** — *workers* of them (one by default; the front
+  door passes ``FrontDoorConfig.workers``), all asking the one engine,
+  each with a private sinkless tracer for the whole thread lifetime.
 * **Retry** — transient storage failures
   (:class:`~repro.storage.TransientStorageError`) retry with
   exponential backoff per :class:`~repro.service.retry.RetryPolicy`;
   exhaustion surfaces as
   :class:`~repro.service.errors.RetryExhausted`. Retries and failures
-  are counted on the shared :class:`~repro.obs.metrics.ServiceMetrics`.
+  are counted on the :class:`~repro.obs.metrics.ServiceMetrics` given
+  as ``metrics=`` (the front door hands over its own).
 * **Context activation** — a request may carry the
   :class:`~repro.obs.context.TraceContext` its submitter minted; the
   worker activates it into the ambient context
@@ -33,7 +34,9 @@ the pool keeps:
   find its trace.
 
 Responses are :class:`concurrent.futures.Future` objects — callers may
-block (:meth:`PrecisService.ask`), poll, or fan out.
+block (:meth:`PrecisService.ask`), poll, or fan out. The front door
+builds, owns and closes its pool; a pool used alone is closed by its
+caller.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.deadline import NO_DEADLINE, Deadline
@@ -54,30 +56,16 @@ from ..obs.context import (
     deactivate,
     synthetic_span,
 )
-from ..obs.metrics import MetricsRegistry, ServiceMetrics
+from ..obs.metrics import ServiceMetrics
 from ..obs.tracer import Tracer
 from ..storage import PermanentStorageError
 from .errors import RetryExhausted, ServiceClosed, outcome
 from .retry import RetryPolicy, call_with_retry
 
-__all__ = ["ServiceConfig", "PrecisService"]
+__all__ = ["PrecisService"]
 
 #: queue sentinel telling one worker to exit
 _SHUTDOWN = object()
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Shape of one :class:`PrecisService` worker pool."""
-
-    #: worker threads, all asking the pool's one engine
-    workers: int = 1
-    #: backoff policy for transient storage failures
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 class _Request:
@@ -98,17 +86,20 @@ class PrecisService:
     def __init__(
         self,
         engine: PrecisEngine,
-        config: Optional[ServiceConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
+        workers: int = 1,
+        retry: Optional[RetryPolicy] = None,
+        metrics: Optional[ServiceMetrics] = None,
         traces: Optional[TraceBuffer] = None,
     ):
-        #: the engine every worker asks (the front door's admission
-        #: hits read its answer cache)
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        #: the engine every worker asks
         self.engine = engine
-        self.config = config if config is not None else ServiceConfig()
-        #: the serving stack's one metrics façade; the front door over
-        #: this pool records into it too
-        self.metrics = ServiceMetrics(registry)
+        #: backoff policy for transient storage failures
+        self.retry = retry if retry is not None else RetryPolicy()
+        #: where retries and failures are counted; the front door
+        #: passes its own, so one scrape covers the whole stack
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
         #: request-trace capture (repro.obs.context); None = untraced
         self.traces = traces
         self._queue: queue.Queue = queue.Queue()
@@ -118,7 +109,7 @@ class PrecisService:
             threading.Thread(
                 target=self._worker, name=f"precis-worker-{i}", daemon=True
             )
-            for i in range(self.config.workers)
+            for i in range(workers)
         ]
         for thread in self._threads:
             thread.start()
@@ -229,7 +220,7 @@ class PrecisService:
                         deadline=request.deadline,
                         **ask_kwargs,
                     ),
-                    self.config.retry,
+                    self.retry,
                     on_retry=on_retry,
                 )
             except RetryExhausted as exc:
@@ -309,12 +300,6 @@ class PrecisService:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def workers(self) -> int:
-        """Size of the worker pool (the front door's dispatch
-        concurrency: one flight per worker)."""
-        return len(self._threads)
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting; serve what was handed over; join the workers.

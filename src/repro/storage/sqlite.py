@@ -163,14 +163,10 @@ def _probe_sql(value: Any, dtype: DataType) -> Any:
 
 
 class SQLiteStore(TupleStore):
-    """One relation stored as one SQLite table."""
+    """One relation stored as one SQLite table, dropped and recreated
+    when the store is created."""
 
-    def __init__(
-        self,
-        schema: RelationSchema,
-        connection: sqlite3.Connection,
-        fresh: bool = True,
-    ):
+    def __init__(self, schema: RelationSchema, connection: sqlite3.Connection):
         if _TID in schema.attribute_names:
             raise SchemaError(
                 f"{schema.name} has a column named {_TID!r}, which is "
@@ -182,8 +178,7 @@ class SQLiteStore(TupleStore):
         self._columns = ", ".join(_quote(c.name) for c in schema.columns)
         self._dtypes = tuple(c.dtype for c in schema.columns)
         self._indexed: set[str] = set()
-        if fresh:
-            self._execute(f"DROP TABLE IF EXISTS {self._table}")
+        self._execute(f"DROP TABLE IF EXISTS {self._table}")
         self._create_table()
 
     def _execute(self, sql: str, params: Sequence[Any] = ()):
@@ -423,22 +418,16 @@ class SQLiteBackend(StorageBackend):
     path:
         Database file; ``None`` (default) uses a private in-memory
         database. A file path makes the store persistent and
-        inspectable with the ``sqlite3`` CLI.
-    fresh:
-        Drop and recreate each relation's table when its store is
-        created (default). This keeps loads deterministic — reloading a
-        CSV directory into an existing file never duplicates rows — at
-        the price of treating the file as a cache of the source data
-        rather than the source of truth.
+        inspectable with the ``sqlite3`` CLI. Each relation's table is
+        dropped and recreated when its store is created, so reloading a
+        CSV directory into an existing file never duplicates rows: the
+        file is a cache of the source data, not the source of truth.
     """
 
     name = "sqlite"
 
-    def __init__(
-        self, path: Union[str, Path, None] = None, fresh: bool = True
-    ):
+    def __init__(self, path: Union[str, Path, None] = None):
         self.path = str(path) if path is not None else None
-        self.fresh = fresh
         # With a serialized (threadsafety == 3) sqlite3 build the module
         # itself locks around every statement, so one connection may be
         # shared across the service layer's worker threads; on lesser
@@ -461,7 +450,7 @@ class SQLiteBackend(StorageBackend):
         return self._conn
 
     def create_store(self, schema: RelationSchema) -> SQLiteStore:
-        return SQLiteStore(schema, self._conn, fresh=self.fresh)
+        return SQLiteStore(schema, self._conn)
 
     def close(self) -> None:
         self._conn.close()

@@ -188,17 +188,16 @@ class TestConfiguration:
         engine = PrecisEngine(
             paper_instance(),
             graph=movies_graph(),
-            cache=CacheConfig(plans=True, answers=False),
+            cache=CacheConfig(answers=False),
         )
         assert engine.cache.plans is not None
         assert engine.cache.answers is None
 
     def test_config_and_prebuilt_instances(self):
-        config = CacheConfig(plans=False, answers=True, answer_entries=4)
+        config = CacheConfig(answers=True, answer_entries=4)
         engine = PrecisEngine(
             paper_instance(), graph=movies_graph(), cache=config
         )
-        assert engine.cache.plans is None
         assert engine.cache.answers is not None
 
         shared = EngineCache()

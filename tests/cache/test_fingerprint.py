@@ -141,7 +141,7 @@ class TestEngineSharing:
         return PrecisEngine(
             db,
             graph=movies_graph(),
-            cache=CacheConfig(plans=True, answers=answers),
+            cache=CacheConfig(answers=answers),
         )
 
     def test_identical_overlays_share_plan_entries(self, engine_backend):

@@ -33,7 +33,7 @@ def engine(request):
     eng = PrecisEngine(
         db,
         graph=movies_graph(),
-        cache=CacheConfig(plans=True, answers=False),
+        cache=CacheConfig(answers=False),
     )
     yield eng
     db.close()

@@ -161,7 +161,7 @@ class TestCacheProvenance:
         engine = PrecisEngine(
             paper_instance(),
             graph=movies_graph(),
-            cache=CacheConfig(plans=True, answers=False),
+            cache=CacheConfig(answers=False),
         )
         first = engine.ask("Allen", translate=False)
         second = engine.ask("Allen", translate=False)

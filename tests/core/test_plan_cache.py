@@ -12,7 +12,7 @@ def engine():
     return PrecisEngine(
         paper_instance(),
         graph=movies_graph(),
-        cache=CacheConfig(plans=True, answers=False),
+        cache=CacheConfig(answers=False),
     )
 
 

@@ -132,7 +132,7 @@ class TestPlanCacheCounters:
         engine = PrecisEngine(
             paper_instance(),
             graph=movies_graph(),
-            cache=CacheConfig(plans=True, answers=False),
+            cache=CacheConfig(answers=False),
             tracer=Tracer([mem_sink]),
         )
         first = engine.ask('"Woody Allen"', degree=WeightThreshold(0.9))

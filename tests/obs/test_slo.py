@@ -16,9 +16,7 @@ from repro.obs.slo import SLObjective, SLOTracker, default_objectives
 from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
-    PrecisService,
     QueueFull,
-    ServiceConfig,
     StaleRequest,
 )
 
@@ -218,10 +216,9 @@ class TestFrontDoorSheds:
         deadline expired at submit — are bad events for availability,
         next to the two callers that were answered."""
         engine = PrecisEngine(paper_instance(), graph=movies_graph())
-        service = PrecisService(engine, config=ServiceConfig(workers=1))
+        frontdoor = AsyncFrontDoor(engine, FrontDoorConfig(max_pending=1))
 
         async def go():
-            frontdoor = AsyncFrontDoor(service, FrontDoorConfig(max_pending=1))
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -243,11 +240,8 @@ class TestFrontDoorSheds:
                 gate.set()
                 await frontdoor.close()
 
-        try:
-            run(go())
-        finally:
-            service.close()
-        entry = SLOTracker(service.metrics.registry).evaluate(
+        run(go())
+        entry = SLOTracker(frontdoor.metrics.registry).evaluate(
             SLObjective("avail", "availability", 0.99)
         )
         assert entry["total_events"] == 4

@@ -113,12 +113,7 @@ class TestTraceContextUnderTenantStress:
     def test_one_clean_trace_tree_per_request(self):
         import asyncio
 
-        from repro.service import (
-            AsyncFrontDoor,
-            FrontDoorConfig,
-            PrecisService,
-            ServiceConfig,
-        )
+        from repro.service import AsyncFrontDoor, FrontDoorConfig
 
         engine = PrecisEngine(paper_instance(), graph=movies_graph())
         tenants = [f"tenant-{i}" for i in range(8)]
@@ -139,9 +134,11 @@ class TestTraceContextUnderTenantStress:
                 # the submitting side
                 assert current_trace_id() is None
 
-        async def go(service):
+        async def go():
             async with AsyncFrontDoor(
-                service, FrontDoorConfig(coalesce=False)
+                engine,
+                FrontDoorConfig(workers=2, coalesce=False),
+                traces=buffer,
             ) as frontdoor:
                 await asyncio.wait_for(
                     asyncio.gather(
@@ -153,10 +150,7 @@ class TestTraceContextUnderTenantStress:
                     timeout=120,
                 )
 
-        with PrecisService(
-            engine, config=ServiceConfig(workers=2), traces=buffer
-        ) as service:
-            asyncio.run(go(service))
+        asyncio.run(go())
 
         traces = buffer.traces()
         # exactly one trace per completed request, every id unique

@@ -93,13 +93,17 @@ async def spin(predicate, what="condition"):
     raise AssertionError(f"{what} never became true")
 
 
-def serve(service, query, frontdoor_config=None, **submit_kwargs):
-    """One ask through a fresh front door over *service* (blocking)."""
+def serve(
+    engine, query, config=None, registry=None, traces=None, **submit_kwargs
+):
+    """One ask through a fresh front door over *engine* (blocking); the
+    front door's metrics land in *registry* and its traces in
+    *traces*, which outlive it."""
     from repro.service import AsyncFrontDoor
 
     async def go():
-        async with AsyncFrontDoor(service, frontdoor_config) as frontdoor:
-            return await frontdoor.submit(query, **submit_kwargs)
+        async with AsyncFrontDoor(engine, config, registry, traces) as door:
+            return await door.submit(query, **submit_kwargs)
 
     return run(go())
 

@@ -15,10 +15,10 @@ from repro.cache import CacheConfig
 from repro.core import PrecisEngine, WeightThreshold
 from repro.datasets import movies_graph, paper_instance
 from repro.service import (
+    FrontDoorConfig,
     PrecisService,
     RetryExhausted,
     RetryPolicy,
-    ServiceConfig,
     call_with_retry,
 )
 from repro.storage import (
@@ -114,13 +114,16 @@ class TestRetryPolicy:
         assert seen == [1, 2]
 
 
+RETRY = RetryPolicy(attempts=12, base_delay_s=0.0)
+
+
 def build_service(fail_times, methods=None, error=TransientStorageError):
     """A single-worker service over a paper instance whose stores fail
     the first *fail_times* calls per method. Retries back off through a
     recorded no-op sleep, so tests stay instant."""
     db = paper_instance()
     engine = PrecisEngine(
-        db, graph=movies_graph(), cache=CacheConfig(plans=True, answers=True)
+        db, graph=movies_graph(), cache=CacheConfig(answers=True)
     )
     # wrap *after* the index build so faults strike mid-ask, not mid-init
     wrappers = make_flaky(
@@ -128,11 +131,7 @@ def build_service(fail_times, methods=None, error=TransientStorageError):
     )
     # fail_times is per *store*: one ask touches several relations, so
     # the first-strike test needs one attempt per relation plus slack
-    config = ServiceConfig(
-        workers=1,
-        retry=RetryPolicy(attempts=12, base_delay_s=0.0),
-    )
-    return PrecisService(engine, config=config), engine, wrappers
+    return PrecisService(engine, workers=1, retry=RETRY), engine, wrappers
 
 
 class TestServiceUnderFaults:
@@ -213,8 +212,16 @@ class TestServiceUnderFaults:
             fail_times=10_000, methods={"get_many"}
         )
         try:
+            # a front door over the same engine, recording into the
+            # pool's registry, so the gauges read below are its own
             with pytest.raises(RetryExhausted):
-                serve(svc, QUERY, degree=WeightThreshold(0.5))
+                serve(
+                    engine,
+                    QUERY,
+                    FrontDoorConfig(retry=RETRY),
+                    registry=svc.metrics.registry,
+                    degree=WeightThreshold(0.5),
+                )
             # nothing half-built may be cached
             assert len(engine.cache.answers) == 0
             # the in-flight gauges went back down despite the failure

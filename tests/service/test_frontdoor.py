@@ -18,10 +18,8 @@ from repro.obs import TraceBuffer
 from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
-    PrecisService,
     QueueFull,
     ServiceClosed,
-    ServiceConfig,
     StaleRequest,
 )
 
@@ -35,11 +33,8 @@ def engine():
     return PrecisEngine(paper_instance(), graph=movies_graph())
 
 
-@pytest.fixture()
-def service(engine):
-    svc = PrecisService(engine, config=ServiceConfig(workers=2))
-    yield svc
-    svc.close()
+#: the shape every test here runs unless it says otherwise
+TWO_WORKERS = FrontDoorConfig(workers=2)
 
 
 def counter(frontdoor, name, **labels):
@@ -47,9 +42,9 @@ def counter(frontdoor, name, **labels):
 
 
 class TestAnswers:
-    def test_answer_matches_direct_engine(self, engine, service):
+    def test_answer_matches_direct_engine(self, engine):
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
             try:
                 return await frontdoor.submit(
                     QUERY, degree=WeightThreshold(0.5)
@@ -62,23 +57,16 @@ class TestAnswers:
         assert served.to_dict() == direct.to_dict()
         assert not served.degraded
 
-    def test_ask_is_submit_alias(self, service):
+    def test_ask_kwargs_are_forwarded(self, engine):
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
-                return await frontdoor.ask(QUERY)
-
-        assert run(go()).found
-
-    def test_ask_kwargs_are_forwarded(self, service):
-        async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine, TWO_WORKERS) as frontdoor:
                 return await frontdoor.submit(QUERY, translate=False)
 
         assert run(go()).narrative is None
 
-    def test_engine_error_propagates_and_frontdoor_survives(self, service):
+    def test_engine_error_propagates_and_frontdoor_survives(self, engine):
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine, TWO_WORKERS) as frontdoor:
                 with pytest.raises(TypeError):
                     await frontdoor.submit(QUERY, no_such_kwarg=True)
                 # the dispatcher is still alive and serving
@@ -94,13 +82,13 @@ class TestAnswers:
         assert answer.found
         assert failures == 1
 
-    def test_uncoalescable_ask_still_answers(self, service):
+    def test_uncoalescable_ask_still_answers(self, engine):
         # a tuple_weigher has no canonical signature -> never coalesced,
         # but the request must flow through normally
         from repro.core.value_weights import CallableWeigher
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine, TWO_WORKERS) as frontdoor:
                 return await frontdoor.submit(
                     QUERY,
                     tuple_weigher=CallableWeigher(
@@ -110,9 +98,9 @@ class TestAnswers:
 
         assert run(go()).found
 
-    def test_invalid_priority_rejected(self, service):
+    def test_invalid_priority_rejected(self, engine):
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine, TWO_WORKERS) as frontdoor:
                 with pytest.raises(ValueError, match="priority"):
                     await frontdoor.submit(QUERY, priority="urgent")
 
@@ -124,6 +112,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             FrontDoorConfig(max_pending=0)
 
+    def test_workers_validated(self):
+        with pytest.raises(ValueError, match="workers"):
+            FrontDoorConfig(workers=0)
+
     def test_nan_default_timeout_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             FrontDoorConfig(default_timeout_s=float("nan"))
@@ -131,22 +123,23 @@ class TestConfig:
         assert FrontDoorConfig(default_timeout_s=-1.0).default_timeout_s < 0
         assert FrontDoorConfig(default_timeout_s=float("inf"))
 
-    def test_default_dispatch_concurrency_is_worker_count(self, service):
+    def test_default_dispatch_concurrency_is_worker_count(self, engine):
+        frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
+
         async def go():
-            frontdoor = AsyncFrontDoor(service)
             try:
                 await frontdoor.submit(QUERY)
                 return len(frontdoor._dispatchers)
             finally:
                 await frontdoor.close()
 
-        assert run(go()) == service.workers == 2
+        assert run(go()) == len(frontdoor._pool._threads) == 2
 
 
 class TestMetricsAndTraces:
-    def test_waiter_accounting(self, service):
+    def test_waiter_accounting(self, engine):
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine, TWO_WORKERS) as frontdoor:
                 await frontdoor.submit(QUERY)
                 await frontdoor.submit(QUERY, priority="batch")
                 snap = frontdoor.metrics.snapshot()
@@ -172,9 +165,9 @@ class TestMetricsAndTraces:
         ]
         assert histogram, "latency histogram missing"
 
-    def test_pending_gauge_returns_to_zero(self, service):
+    def test_pending_gauge_returns_to_zero(self, engine):
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine, TWO_WORKERS) as frontdoor:
                 await asyncio.gather(
                     *(frontdoor.submit(QUERY) for _ in range(6))
                 )
@@ -182,10 +175,10 @@ class TestMetricsAndTraces:
 
         assert run(go()) == (0, 0)
 
-    def test_shared_registry_with_service(self, service):
+    def test_shared_registry_with_service(self, engine):
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
-                assert frontdoor.metrics is service.metrics
+            async with AsyncFrontDoor(engine, TWO_WORKERS) as frontdoor:
+                assert frontdoor.metrics is frontdoor._pool.metrics
                 await frontdoor.submit(QUERY)
                 return frontdoor.metrics.prometheus()
 
@@ -198,18 +191,12 @@ class TestMetricsAndTraces:
         self, engine
     ):
         traces = TraceBuffer(capacity=16, sample_rate=1.0)
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=traces
-        )
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine, traces=traces) as frontdoor:
                 await frontdoor.submit(QUERY, priority="batch")
 
-        try:
-            run(go())
-        finally:
-            service.close()
+        run(go())
         kept = traces.traces()
         assert len(kept) == 1  # one trace for the whole journey
         trace = kept[0]
@@ -228,13 +215,12 @@ class TestWaiterShedTraces:
         full, stale or closed, or as a stale follower — names its
         error class in its trace, as flight-level sheds do."""
         traces = TraceBuffer(capacity=16, sample_rate=0.0)  # triggers only
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=traces
-        )
         clock = FakeClock()
 
         async def go():
-            frontdoor = AsyncFrontDoor(service, FrontDoorConfig(max_pending=1))
+            frontdoor = AsyncFrontDoor(
+                engine, FrontDoorConfig(max_pending=1), traces=traces
+            )
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -273,10 +259,7 @@ class TestWaiterShedTraces:
                 gate.set()
                 await frontdoor.close()
 
-        try:
-            run(go())
-        finally:
-            service.close()
+        run(go())
         shed = sorted(
             (t.context.query, t.outcome, t.error, t.coalesced_into is not None)
             for t in traces.traces()
@@ -290,9 +273,9 @@ class TestWaiterShedTraces:
 
 
 class TestLifecycle:
-    def test_submit_after_close_sheds_closed(self, service):
+    def test_submit_after_close_sheds_closed(self, engine):
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
             await frontdoor.close()
             with pytest.raises(ServiceClosed):
                 await frontdoor.submit(QUERY)
@@ -305,9 +288,9 @@ class TestLifecycle:
 
         assert run(go()) == 1
 
-    def test_close_is_idempotent(self, service):
+    def test_close_is_idempotent(self, engine):
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
             await frontdoor.submit(QUERY)
             await frontdoor.close()
             await frontdoor.close()
@@ -315,27 +298,29 @@ class TestLifecycle:
 
         run(go())
 
-    def test_close_can_close_service(self, engine):
-        service = PrecisService(engine, config=ServiceConfig(workers=1))
+    def test_close_closes_the_pool(self, engine):
+        frontdoor = AsyncFrontDoor(engine)
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
             await frontdoor.submit(QUERY)
-            await frontdoor.close(close_service=True)
-
-        run(go())
-        assert service.closed
-
-    def test_close_without_any_submit(self, service):
-        async def go():
-            frontdoor = AsyncFrontDoor(service)
             await frontdoor.close()
 
         run(go())
+        assert frontdoor._pool.closed
 
-    def test_repr(self, service):
+    def test_close_without_any_submit(self, engine):
+        frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
+
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            await frontdoor.close()
+
+        run(go())
+        # the pool's threads started with the front door, and stopped
+        assert frontdoor._pool.closed
+
+    def test_repr(self, engine):
+        async def go():
+            frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
             await frontdoor.close()
             return repr(frontdoor)
 

@@ -25,10 +25,8 @@ from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
     FrontDoorHTTP,
-    PrecisService,
     QueueFull,
     ServiceClosed,
-    ServiceConfig,
     StaleRequest,
     TenantQuotaExceeded,
 )
@@ -50,16 +48,19 @@ OTHERS = ["drama", "garcia", "thriller", "comedy"]
 DEGREE = WeightThreshold(0.5)
 
 
-class RecordingService(PrecisService):
-    """A worker pool that records every query handed to it."""
+class RecordingFrontDoor(AsyncFrontDoor):
+    """A front door that records every query it hands its pool."""
 
     def __init__(self, *args, **kwargs):
-        self.handed = []
         super().__init__(*args, **kwargs)
+        self.handed = []
+        submit = self._pool.submit
 
-    def submit(self, query, **kwargs):
-        self.handed.append(query)
-        return super().submit(query, **kwargs)
+        def recording(query, **kwargs):
+            self.handed.append(query)
+            return submit(query, **kwargs)
+
+        self._pool.submit = recording
 
 
 def fresh_bytes(db, query):
@@ -70,17 +71,19 @@ def fresh_bytes(db, query):
     return json.dumps(answer.to_dict(), sort_keys=True).encode()
 
 
-def count(service, name, **labels):
-    return service.metrics.registry.counter(name, "", **labels).value
+def count(frontdoor, name, **labels):
+    return frontdoor.metrics.registry.counter(name, "", **labels).value
 
 
-def executions(service):
-    return count(service, "precis_service_executions_total")
+def executions(frontdoor):
+    return count(frontdoor, "precis_service_executions_total")
 
 
-def admission_hits(service):
+def admission_hits(frontdoor):
     return count(
-        service, "precis_service_admission_hits_total", priority="interactive"
+        frontdoor,
+        "precis_service_admission_hits_total",
+        priority="interactive",
     )
 
 
@@ -93,36 +96,31 @@ def db(request):
 
 @pytest.fixture()
 def stack(db):
-    """Builds a cached engine and a recording pool over *db*; closes
-    every pool it built."""
-    pools = []
+    """Builds a cached engine over *db* and a recording front door over
+    it (two workers unless *config* says otherwise); each test closes
+    its front door."""
 
-    def make(workers=2, traces=None, **engine_kwargs):
+    def make(config=None, traces=None, **engine_kwargs):
         engine = PrecisEngine(
             db,
             graph=movies_graph(),
-            cache=CacheConfig(plans=True, answers=True),
+            cache=CacheConfig(answers=True),
             **engine_kwargs,
         )
-        service = RecordingService(
-            engine, config=ServiceConfig(workers=workers), traces=traces
-        )
-        pools.append(service)
-        return engine, service
+        config = config if config is not None else FrontDoorConfig(workers=2)
+        return engine, RecordingFrontDoor(engine, config, traces=traces)
 
-    yield make
-    for service in pools:
-        service.close()
+    return make
 
 
 class TestAdmissionHits:
     @pytest.mark.parametrize("coalesce", [True, False])
     def test_repeated_ask_never_reaches_the_pool(self, stack, coalesce):
-        engine, service = stack()
+        config = FrontDoorConfig(workers=2, coalesce=coalesce)
+        engine, frontdoor = stack(config)
 
         async def go():
-            config = FrontDoorConfig(coalesce=coalesce)
-            async with AsyncFrontDoor(service, config) as frontdoor:
+            async with frontdoor:
                 first = await frontdoor.submit(QUERY, degree=DEGREE)
                 repeats = [
                     await frontdoor.submit(QUERY, degree=DEGREE)
@@ -131,16 +129,16 @@ class TestAdmissionHits:
                 return first, repeats
 
         first, repeats = run(go())
-        assert service.handed == [QUERY]
-        assert executions(service) == 1
-        assert admission_hits(service) == 3
+        assert frontdoor.handed == [QUERY]
+        assert executions(frontdoor) == 1
+        assert admission_hits(frontdoor) == 3
         # each hit went through PrecisEngine.ask and its answer cache
         assert engine.cache_stats()["answers"]["hits"] == 3
         assert all(answer is first for answer in repeats)
         assert repeats[0].to_json() is repeats[1].to_json()
 
     def test_hit_body_is_the_fresh_engine_bytes(self, db, stack, monkeypatch):
-        __, service = stack()
+        __, frontdoor = stack()
         encodings = []
         to_dict = PrecisAnswer.to_dict
 
@@ -151,7 +149,7 @@ class TestAdmissionHits:
         monkeypatch.setattr(PrecisAnswer, "to_dict", counting_to_dict)
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with frontdoor:
                 async with FrontDoorHTTP(frontdoor, port=0) as http:
                     return [
                         await http_get_bytes(
@@ -168,14 +166,14 @@ class TestAdmissionHits:
         monkeypatch.undo()
         expected = fresh_bytes(db, QUERY)
         assert responses == [(200, expected)] * 3
-        assert service.handed == [QUERY]
+        assert frontdoor.handed == [QUERY]
 
     def test_traced_hit_is_one_frontdoor_trace(self, db, stack):
         buffer = TraceBuffer(capacity=16, sample_rate=1.0)
-        engine, service = stack(traces=buffer, slow_query_ms=0)
+        engine, frontdoor = stack(traces=buffer, slow_query_ms=0)
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with frontdoor:
                 miss = await frontdoor.submit(QUERY, degree=DEGREE)
                 hits = [
                     await frontdoor.submit(QUERY, degree=DEGREE)
@@ -185,7 +183,7 @@ class TestAdmissionHits:
 
         miss, hits, ambient = run(go())
         assert ambient is None
-        assert service.handed == [QUERY]
+        assert frontdoor.handed == [QUERY]
         traces = buffer.traces()
         assert len(traces) == 3  # one per request
         served = [trace for trace in traces if trace.worker == "frontdoor"]
@@ -204,7 +202,7 @@ class TestAdmissionHits:
         } == {trace.trace_id for trace in traces}
         # and the last hit's id is the exemplar of the bucket it filled
         last = served[-1]
-        histogram = service.metrics.registry.histogram(
+        histogram = frontdoor.metrics.registry.histogram(
             "precis_service_seconds", priority="interactive"
         )
         assert last.trace_id in histogram.exemplars()
@@ -213,11 +211,11 @@ class TestAdmissionHits:
         assert hits[0].to_json() == fresh_bytes(db, QUERY)
 
     def test_write_between_asks_sends_the_next_to_the_pool(self, db, stack):
-        engine, service = stack()
+        engine, frontdoor = stack()
         writer = SynchronizedWriter(db, engine.index)
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with frontdoor:
                 before = await frontdoor.submit(QUERY, degree=DEGREE)
                 await frontdoor.submit(QUERY, degree=DEGREE)
                 writer.insert(
@@ -228,20 +226,19 @@ class TestAdmissionHits:
                 return before, after
 
         before, after = run(go())
-        assert service.handed == [QUERY, QUERY]
-        assert executions(service) == 2
-        assert admission_hits(service) == 1
+        assert frontdoor.handed == [QUERY, QUERY]
+        assert executions(frontdoor) == 2
+        assert admission_hits(frontdoor) == 1
         assert after.to_json() == fresh_bytes(db, QUERY)
         assert after.to_json() != before.to_json()
 
 
 class TestWhatAHitSkips:
     def test_closed_and_stale_requests_are_still_shed(self, stack):
-        engine, service = stack()
+        engine, frontdoor = stack()
         expired = Deadline(0.0, clock=FakeClock(1.0))
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
             await frontdoor.submit(QUERY, degree=DEGREE)
             assert engine.holds_answer(
                 engine.ask_signature(QUERY, degree=DEGREE)
@@ -256,24 +253,22 @@ class TestWhatAHitSkips:
         for reason in ("stale", "closed"):
             assert (
                 count(
-                    service,
+                    frontdoor,
                     "precis_service_shed_total",
                     reason=reason,
                     priority="interactive",
                 )
                 == 1
             )
-        assert admission_hits(service) == 0
+        assert admission_hits(frontdoor) == 0
         assert engine.cache_stats()["answers"]["hits"] == 0
 
     def test_hit_answered_while_the_pending_queue_is_full(self, db, stack):
-        __, service = stack(workers=1)
+        __, frontdoor = stack(FrontDoorConfig(max_pending=1))
         gate = threading.Event()
         parked = GateDeadline(gate)
 
         async def go():
-            config = FrontDoorConfig(max_pending=1)
-            frontdoor = AsyncFrontDoor(service, config)
             try:
                 await frontdoor.submit(QUERY, degree=DEGREE)
                 blocker = asyncio.ensure_future(
@@ -297,19 +292,17 @@ class TestWhatAHitSkips:
 
         hit = run(go())
         assert hit.to_json() == fresh_bytes(db, QUERY)
-        assert admission_hits(service) == 1
-        assert service.handed == [QUERY, OTHERS[0], OTHERS[1]]
+        assert admission_hits(frontdoor) == 1
+        assert frontdoor.handed == [QUERY, OTHERS[0], OTHERS[1]]
 
     def test_hit_answered_while_its_tenant_holds_all_its_slots(
         self, db, stack
     ):
-        __, service = stack(workers=2)
+        __, frontdoor = stack(FrontDoorConfig(workers=2, tenant_slots=1))
         gate = threading.Event()
         parked = GateDeadline(gate)
 
         async def go():
-            config = FrontDoorConfig(tenant_slots=1)
-            frontdoor = AsyncFrontDoor(service, config)
             try:
                 await frontdoor.submit(QUERY, degree=DEGREE, tenant="alice")
                 blocker = asyncio.ensure_future(
@@ -338,10 +331,10 @@ class TestWhatAHitSkips:
 
         hit = run(go())
         assert hit.to_json() == fresh_bytes(db, QUERY)
-        assert admission_hits(service) == 1
+        assert admission_hits(frontdoor) == 1
         assert (
             count(
-                service,
+                frontdoor,
                 "precis_service_tenant_requests_total",
                 tenant="alice",
             )
@@ -351,14 +344,12 @@ class TestWhatAHitSkips:
 
 class TestAccounting:
     def test_requests_are_executions_followers_hits_and_sheds(self, stack):
-        __, service = stack(workers=1)
+        __, frontdoor = stack(FrontDoorConfig(max_pending=2))
         gate = threading.Event()
         parked = GateDeadline(gate)
         expired = Deadline(0.0, clock=FakeClock(1.0))
 
         async def go():
-            config = FrontDoorConfig(max_pending=2)
-            frontdoor = AsyncFrontDoor(service, config)
             try:
                 await frontdoor.submit(QUERY, degree=DEGREE)
                 blocker = asyncio.ensure_future(
@@ -373,7 +364,7 @@ class TestAccounting:
                 ]
                 await spin(
                     lambda: count(
-                        service,
+                        frontdoor,
                         "precis_service_coalesced_total",
                         priority="interactive",
                     )
@@ -403,7 +394,7 @@ class TestAccounting:
                 await frontdoor.submit(QUERY, degree=DEGREE)
 
         run(go())
-        counters = service.metrics.snapshot()["counters"]
+        counters = frontdoor.metrics.snapshot()["counters"]
         requests = counters[
             'precis_service_requests_total{priority="interactive"}'
         ]
@@ -415,15 +406,16 @@ class TestAccounting:
             for name, value in counters.items()
             if name.startswith("precis_service_shed_total")
         )
-        assert (executions(service), followers) == (4, 3)
-        assert (admission_hits(service), sheds) == (4, 3)
+        assert (executions(frontdoor), followers) == (4, 3)
+        assert (admission_hits(frontdoor), sheds) == (4, 3)
         assert requests == 14
         assert requests == (
-            executions(service) + followers + admission_hits(service) + sheds
+            executions(frontdoor) + followers + admission_hits(frontdoor)
+            + sheds
         )
 
     def test_misses_go_to_the_pool_and_hits_never_do(self, stack, monkeypatch):
-        engine, service = stack()
+        engine, frontdoor = stack()
         pipeline_threads = []
         generate = engine_module.generate_result_database
 
@@ -437,14 +429,14 @@ class TestAccounting:
         plan = [QUERY, OTHERS[0], QUERY, OTHERS[1], OTHERS[0], QUERY]
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with frontdoor:
                 for query in plan:
                     await frontdoor.submit(query, degree=DEGREE)
 
         run(go())
         misses = list(dict.fromkeys(plan))
-        assert service.handed == misses
-        assert admission_hits(service) == len(plan) - len(misses)
+        assert frontdoor.handed == misses
+        assert admission_hits(frontdoor) == len(plan) - len(misses)
         assert len(pipeline_threads) == len(misses)
         assert threading.current_thread() not in pipeline_threads
 
@@ -454,15 +446,15 @@ class TestAccounting:
         """The leftover case: an eviction between the admission check
         and the ask. Forcing the check true on an empty cache makes the
         ask run the pipeline on the loop; its answer is still right."""
-        engine, service = stack()
+        engine, frontdoor = stack()
         monkeypatch.setattr(engine, "holds_answer", lambda signature: True)
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with frontdoor:
                 return await frontdoor.submit(QUERY, degree=DEGREE)
 
         answer = run(go())
-        assert service.handed == []
+        assert frontdoor.handed == []
         assert engine.cache_stats()["answers"]["misses"] == 1
         assert answer.to_json() == fresh_bytes(db, QUERY)
 
@@ -473,20 +465,20 @@ class TestAccounting:
         a storage fault. The caller gets the error, and the failure is
         counted and traced (always kept) like a worker's."""
         buffer = TraceBuffer(capacity=16, sample_rate=0.0)
-        engine, service = stack(traces=buffer)
+        engine, frontdoor = stack(traces=buffer)
         monkeypatch.setattr(engine, "holds_answer", lambda signature: True)
         make_flaky(db, methods={"get_many"}, error=PermanentStorageError)
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with frontdoor:
                 with pytest.raises(PermanentStorageError):
                     await frontdoor.submit(QUERY, degree=DEGREE)
 
         run(go())
-        assert service.handed == []
+        assert frontdoor.handed == []
         assert (
             count(
-                service,
+                frontdoor,
                 "precis_service_failures_total",
                 kind="PermanentStorageError",
             )
@@ -499,4 +491,4 @@ class TestAccounting:
             "PermanentStorageError",
         )
         assert trace.stage_names()[:2] == ["request", "ask"]
-        assert service.metrics.inflight.value == 0
+        assert frontdoor.metrics.inflight.value == 0

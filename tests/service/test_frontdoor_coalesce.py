@@ -23,13 +23,7 @@ from repro.cache import CacheConfig
 from repro.core import PrecisEngine, WeightThreshold
 from repro.datasets import generate_movies_database, movies_graph
 from repro.obs import TraceBuffer
-from repro.service import (
-    AsyncFrontDoor,
-    FrontDoorConfig,
-    PrecisService,
-    RetryPolicy,
-    ServiceConfig,
-)
+from repro.service import AsyncFrontDoor, FrontDoorConfig, RetryPolicy
 from repro.storage import BACKEND_NAMES, PermanentStorageError
 
 from .faults import AfterNChecks, make_flaky
@@ -37,6 +31,7 @@ from .helpers import GateDeadline, canonical, entered, run
 
 QUERIES = ["midnight", "drama", "garcia", "thriller", "comedy"]
 DEGREE = 0.5
+TWO_WORKERS = FrontDoorConfig(workers=2)
 
 
 def fresh_engine(backend):
@@ -55,21 +50,19 @@ def reference_answers(backend):
 
 @pytest.fixture(params=BACKEND_NAMES)
 def stack(request):
-    """A fresh engine + service + expected answers per backend."""
+    """A backend and a fresh engine over it (front doors over it run
+    ``TWO_WORKERS``)."""
     backend = request.param
-    engine = fresh_engine(backend)
-    service = PrecisService(engine, config=ServiceConfig(workers=2))
-    yield backend, engine, service
-    service.close()
+    return backend, fresh_engine(backend)
 
 
 class TestCoalescedAnswers:
     def test_followers_get_byte_identical_answers(self, stack):
-        backend, engine, service = stack
+        backend, engine = stack
         expected = reference_answers(backend)
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -121,10 +114,10 @@ class TestCoalescedAnswers:
         assert counters["precis_service_executions_total"] <= 3
 
     def test_distinct_signatures_never_share_a_flight(self, stack):
-        __, ___, service = stack
+        __, engine = stack
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -165,11 +158,11 @@ class TestCoalescedAnswers:
         )
 
     def test_coalescing_disabled_by_config(self, stack):
-        __, ___, service = stack
+        __, engine = stack
 
         async def go():
             frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(coalesce=False)
+                engine, FrontDoorConfig(workers=2, coalesce=False)
             )
             try:
                 await asyncio.gather(
@@ -194,7 +187,7 @@ class TestTenantIsolation:
     TITLE = ("proj", "MOVIE", "TITLE")
 
     def test_different_fingerprints_never_coalesce(self, stack):
-        backend, engine, service = stack
+        backend, engine = stack
         # sanity of the key itself, engine-level: the signatures differ
         sig_plain = engine.ask_signature(QUERIES[0])
         sig_overlay = engine.ask_signature(
@@ -204,7 +197,7 @@ class TestTenantIsolation:
         assert sig_plain != sig_overlay
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -245,11 +238,11 @@ class TestTenantIsolation:
     def test_same_fingerprint_shares_across_tenant_labels(self, stack):
         """Two tenants with the same effective weights produce
         byte-identical answers; sharing the execution is the point."""
-        backend, __, service = stack
+        backend, engine = stack
         expected = reference_answers(backend)
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -305,13 +298,10 @@ class TestOutcomePropagation:
             db, fail_times=10_000, error=PermanentStorageError,
             methods=("lookup", "scan", "lookup_in"),
         )
-        service = PrecisService(
-            engine,
-            config=ServiceConfig(workers=1, retry=RetryPolicy(attempts=1)),
-        )
+        config = FrontDoorConfig(workers=1, retry=RetryPolicy(attempts=1))
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, config)
             try:
                 waiters = [
                     asyncio.ensure_future(frontdoor.submit(QUERIES[0]))
@@ -324,10 +314,7 @@ class TestOutcomePropagation:
             finally:
                 await frontdoor.close()
 
-        try:
-            results, counters = run(go())
-        finally:
-            service.close()
+        results, counters = run(go())
         assert len(results) == 4
         assert all(
             isinstance(r, PermanentStorageError) for r in results
@@ -344,16 +331,14 @@ class TestOutcomePropagation:
         )
 
     def test_degraded_execution_propagates_to_all_waiters(self, stack):
-        __, ___, service_unused = stack
         # a dedicated one-worker stack; the shared deadline trips at the
         # engine's first cooperative check, so the one execution
         # *degrades* deterministically and every waiter gets it
         db = generate_movies_database(n_movies=60, seed=11)
         engine = PrecisEngine(db, graph=movies_graph())
-        service = PrecisService(engine, config=ServiceConfig(workers=1))
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine)
             try:
                 expiring = AfterNChecks(0)
                 waiters = [
@@ -367,10 +352,7 @@ class TestOutcomePropagation:
             finally:
                 await frontdoor.close()
 
-        try:
-            answers, counters = run(go())
-        finally:
-            service.close()
+        answers, counters = run(go())
         assert all(a.degraded for a in answers)
         assert len({canonical(a) for a in answers}) == 1
         assert counters["precis_service_executions_total"] == 1
@@ -381,12 +363,9 @@ class TestFollowerTraces:
         db = generate_movies_database(n_movies=40, seed=11)
         engine = PrecisEngine(db, graph=movies_graph())
         traces = TraceBuffer(capacity=64, sample_rate=1.0)
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=traces
-        )
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, traces=traces)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -409,10 +388,7 @@ class TestFollowerTraces:
                 gate.set()
                 await frontdoor.close()
 
-        try:
-            run(go())
-        finally:
-            service.close()
+        run(go())
         kept = traces.traces()
         followers = [t for t in kept if t.coalesced_into is not None]
         leaders = [
@@ -442,12 +418,9 @@ class TestFollowerTraces:
         db = generate_movies_database(n_movies=40, seed=11)
         engine = PrecisEngine(db, graph=movies_graph())
         traces = TraceBuffer(capacity=64, sample_rate=1.0)
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=traces
-        )
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine, traces=traces) as frontdoor:
                 # the shared deadline trips at the engine's first check:
                 # one degraded execution, fanned out to two followers
                 expiring = AfterNChecks(0)
@@ -459,10 +432,7 @@ class TestFollowerTraces:
                 ]
                 return await asyncio.gather(*waiters)
 
-        try:
-            answers = run(go())
-        finally:
-            service.close()
+        answers = run(go())
         [stage] = {answer.degraded_stage for answer in answers}
         assert stage is not None
         kept = traces.traces()
@@ -516,12 +486,10 @@ class TestCoalescingCoherenceProperty:
         engine = PrecisEngine(
             db,
             graph=movies_graph(),
-            cache=CacheConfig(plans=True, answers=True) if cached else None,
+            cache=CacheConfig(answers=True) if cached else None,
         )
-        service = PrecisService(engine, config=ServiceConfig(workers=2))
-
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, TWO_WORKERS)
             try:
                 tasks = []
                 labels = []
@@ -544,10 +512,7 @@ class TestCoalescingCoherenceProperty:
             finally:
                 await frontdoor.close()
 
-        try:
-            answers, labels, counters = run(go())
-        finally:
-            service.close()
+        answers, labels, counters = run(go())
         for answer, query in zip(answers, labels):
             assert canonical(answer) == expected[query]
         submitted = len(labels)

@@ -19,13 +19,7 @@ import pytest
 from repro.core import Deadline, PrecisEngine
 from repro.datasets import movies_graph, paper_instance
 from repro.obs import TraceBuffer
-from repro.service import (
-    AsyncFrontDoor,
-    FrontDoorConfig,
-    PrecisService,
-    ServiceConfig,
-    StaleRequest,
-)
+from repro.service import AsyncFrontDoor, FrontDoorConfig, StaleRequest
 
 from .helpers import FakeClock, GateDeadline, entered, run
 
@@ -37,21 +31,14 @@ def engine():
     return PrecisEngine(paper_instance(), graph=movies_graph())
 
 
-@pytest.fixture()
-def service(engine):
-    svc = PrecisService(engine, config=ServiceConfig(workers=1))
-    yield svc
-    svc.close()
-
-
 def counter(registry, name, **labels):
     return registry.counter(name, "", **labels).value
 
 
 class TestExpiredAtSubmit:
-    def test_sheds_without_executing(self, service):
+    def test_sheds_without_executing(self, engine):
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine)
             registry = frontdoor.metrics.registry
             try:
                 with pytest.raises(StaleRequest):
@@ -94,9 +81,9 @@ class TestExpiredAtSubmit:
             "inflight": 0,
         }
 
-    def test_expired_submission_never_becomes_a_flight(self, service):
+    def test_expired_submission_never_becomes_a_flight(self, engine):
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine)
             try:
                 for _ in range(2):
                     with pytest.raises(StaleRequest):
@@ -114,21 +101,15 @@ class TestExpiredAtSubmit:
 
     def test_traced_as_shed_stale(self, engine):
         traces = TraceBuffer(capacity=8, sample_rate=0.0)  # triggers only
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=traces
-        )
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine, traces=traces) as frontdoor:
                 with pytest.raises(StaleRequest):
                     await frontdoor.submit(
                         QUERY, deadline=Deadline.after(-1)
                     )
 
-        try:
-            run(go())
-        finally:
-            service.close()
+        run(go())
         kept = traces.traces()
         assert len(kept) == 1
         assert kept[0].outcome == "shed_stale"
@@ -137,11 +118,11 @@ class TestExpiredAtSubmit:
         assert kept[0].context.deadline_s == 0.0
         assert kept[0].stage_names() == ["request", "shed"]
 
-    def test_injectable_clock_controls_expiry(self, service):
+    def test_injectable_clock_controls_expiry(self, engine):
         clock = FakeClock()
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with AsyncFrontDoor(engine) as frontdoor:
                 fresh = await frontdoor.submit(
                     QUERY, deadline=Deadline(10.0, clock=clock)
                 )
@@ -156,34 +137,32 @@ class TestExpiredAtSubmit:
 
 
 class TestDeadlineResolution:
-    def test_nan_timeout_is_refused_before_it_is_counted(self, service):
+    def test_nan_deadline_is_refused_before_it_is_counted(self, engine):
         """A NaN budget would never expire yet sort first in EDF order;
-        the front door refuses it as a bad argument, counting nothing."""
+        it is refused as a bad argument before the front door counts
+        anything."""
+        frontdoor = AsyncFrontDoor(engine)
 
         async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
+            async with frontdoor:
                 with pytest.raises(ValueError, match="NaN"):
-                    await frontdoor.submit(QUERY, timeout_s=float("nan"))
-                return await frontdoor.submit(QUERY, timeout_s=30.0)
+                    await frontdoor.submit(
+                        QUERY, deadline=Deadline.after(float("nan"))
+                    )
+                return await frontdoor.submit(
+                    QUERY, deadline=Deadline.after(30.0)
+                )
 
         assert run(go()).found
-        requests = service.metrics.registry.counter(
+        requests = frontdoor.metrics.registry.counter(
             "precis_service_requests_total", "", priority="interactive"
         )
         assert requests.value == 1
 
-    def test_timeout_s_parameter(self, service):
-        async def go():
-            async with AsyncFrontDoor(service) as frontdoor:
-                with pytest.raises(StaleRequest):
-                    await frontdoor.submit(QUERY, timeout_s=-1.0)
-
-        run(go())
-
-    def test_frontdoor_default_timeout(self, service):
+    def test_frontdoor_default_timeout(self, engine):
         async def go():
             frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(default_timeout_s=-1.0)
+                engine, FrontDoorConfig(default_timeout_s=-1.0)
             )
             try:
                 with pytest.raises(StaleRequest):
@@ -197,19 +176,21 @@ class TestDeadlineResolution:
 
         assert run(go()).found
 
-    def test_service_default_timeout_is_the_fallback(self, service):
+    def test_service_default_timeout_is_the_fallback(self, engine):
         """The front door's default applies to every submit form that
-        names no deadline — ``timeout_s=None`` included."""
+        names no deadline — ``deadline=None`` included."""
 
         async def go():
             frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(default_timeout_s=-1.0)
+                engine, FrontDoorConfig(default_timeout_s=-1.0)
             )
             try:
                 with pytest.raises(StaleRequest):
-                    await frontdoor.submit(QUERY, timeout_s=None)
-                # an explicit timeout overrides the default
-                return await frontdoor.submit(QUERY, timeout_s=30.0)
+                    await frontdoor.submit(QUERY, deadline=None)
+                # an explicit deadline overrides the default
+                return await frontdoor.submit(
+                    QUERY, deadline=Deadline.after(30.0)
+                )
             finally:
                 await frontdoor.close()
 
@@ -218,14 +199,14 @@ class TestDeadlineResolution:
 
 class TestStaleAtDispatch:
     def test_pending_flight_expiring_in_queue_sheds_at_dispatch(
-        self, service
+        self, engine
     ):
         clock = FakeClock()
 
         async def go():
             # one worker, so one dispatcher: while it is parked on the
             # gated flight, the queued flight's (fake) deadline runs out
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine)
             registry = frontdoor.metrics.registry
             gate = threading.Event()
             parked = GateDeadline(gate)
@@ -270,14 +251,14 @@ class TestStaleAtDispatch:
 
 
 class TestFollowerDeadlines:
-    def test_follower_honours_tighter_deadline_than_leader(self, service):
+    def test_follower_honours_tighter_deadline_than_leader(self, engine):
         """The leader has no deadline and is parked; a follower joins
         with its own (fake-clock) deadline which then expires. The
         follower must get StaleRequest — the leader still answers."""
         clock = FakeClock()
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine)
             registry = frontdoor.metrics.registry
             gate = threading.Event()
             parked = GateDeadline(gate)
@@ -342,13 +323,13 @@ class TestFollowerDeadlines:
             "answered": 1,
         }
 
-    def test_follower_timeout_fires_before_leader_resolves(self, service):
+    def test_follower_timeout_fires_before_leader_resolves(self, engine):
         """Wall-timeout variant: the follower's real deadline elapses
         while the leader is still parked — asyncio.wait_for trips, the
         follower sheds, the flight itself is untouched."""
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -357,7 +338,7 @@ class TestFollowerDeadlines:
                 )
                 await entered(parked)
                 follower = asyncio.ensure_future(
-                    frontdoor.submit(QUERY, timeout_s=0.02)
+                    frontdoor.submit(QUERY, deadline=Deadline.after(0.02))
                 )
                 with pytest.raises(StaleRequest):
                     await follower
@@ -372,13 +353,10 @@ class TestFollowerDeadlines:
 
     def test_follower_trace_outcome_is_shed_stale(self, engine):
         traces = TraceBuffer(capacity=16, sample_rate=0.0)
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=traces
-        )
         clock = FakeClock()
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
+            frontdoor = AsyncFrontDoor(engine, traces=traces)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -410,10 +388,7 @@ class TestFollowerDeadlines:
                 gate.set()
                 await frontdoor.close()
 
-        try:
-            run(go())
-        finally:
-            service.close()
+        run(go())
         shed = [t for t in traces.traces() if t.outcome == "shed_stale"]
         assert len(shed) == 1
         assert shed[0].coalesced_into is not None

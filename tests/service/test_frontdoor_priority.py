@@ -1,8 +1,8 @@
 """Front-door priority classes: EDF ordering, preemption, starvation.
 
-Dispatch order is observed by recording ``service.submit`` calls while
-the single worker (so the single dispatcher) is parked on a gated
-flight — every ordering
+Dispatch order is observed by recording what the front door hands its
+pool while the single worker (so the single dispatcher) is parked on a
+gated flight — every ordering
 assertion is therefore about the heap's decision, not about timing.
 Event/gate-based throughout; no wall sleeps.
 """
@@ -17,9 +17,7 @@ from repro.datasets import movies_graph, paper_instance
 from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
-    PrecisService,
     QueueFull,
-    ServiceConfig,
     TenantQuotaExceeded,
 )
 
@@ -33,36 +31,30 @@ def engine():
     return PrecisEngine(paper_instance(), graph=movies_graph())
 
 
-@pytest.fixture()
-def service(engine):
-    svc = PrecisService(engine, config=ServiceConfig(workers=1))
-    yield svc
-    svc.close()
-
-
 def counter(frontdoor, name, **labels):
     return frontdoor.metrics.registry.counter(name, "", **labels).value
 
 
-def recording_submit(service):
-    """Wrap ``service.submit`` so dispatch order is observable."""
+def recording_submit(frontdoor):
+    """Wrap the submit of the front door's pool so dispatch order is
+    observable."""
     order = []
-    original = service.submit
+    original = frontdoor._pool.submit
 
     def wrapper(query, **kwargs):
         order.append(query)
         return original(query, **kwargs)
 
-    service.submit = wrapper
+    frontdoor._pool.submit = wrapper
     return order
 
 
 class TestDispatchOrder:
-    def test_interactive_dispatched_before_earlier_batch(self, service):
-        order = recording_submit(service)
+    def test_interactive_dispatched_before_earlier_batch(self, engine):
+        frontdoor = AsyncFrontDoor(engine)
+        order = recording_submit(frontdoor)
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -94,11 +86,11 @@ class TestDispatchOrder:
         # the interactive latecomer jumps the whole batch backlog
         assert order == [QUERY, "thriller", "drama", "comedy"]
 
-    def test_earliest_deadline_first_within_class(self, service):
-        order = recording_submit(service)
+    def test_earliest_deadline_first_within_class(self, engine):
+        frontdoor = AsyncFrontDoor(engine)
+        order = recording_submit(frontdoor)
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -128,11 +120,11 @@ class TestDispatchOrder:
         # same class: nearest expiry wins, deadline-free requests last
         assert order == [QUERY, "comedy", "drama", "thriller"]
 
-    def test_batch_backlog_cannot_starve_interactive(self, service):
-        order = recording_submit(service)
+    def test_batch_backlog_cannot_starve_interactive(self, engine):
+        frontdoor = AsyncFrontDoor(engine)
+        order = recording_submit(frontdoor)
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -168,11 +160,11 @@ class TestDispatchOrder:
         assert order[1] == "thriller"
         assert not answer.degraded
 
-    def test_interactive_follower_upgrades_batch_flight(self, service):
-        order = recording_submit(service)
+    def test_interactive_follower_upgrades_batch_flight(self, engine):
+        frontdoor = AsyncFrontDoor(engine)
+        order = recording_submit(frontdoor)
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
             gate = threading.Event()
             parked = GateDeadline(gate)
             try:
@@ -218,10 +210,10 @@ class TestDispatchOrder:
 
 
 class TestPreemption:
-    def test_interactive_preempts_least_urgent_batch(self, service):
+    def test_interactive_preempts_least_urgent_batch(self, engine):
         async def go():
             frontdoor = AsyncFrontDoor(
-                service,
+                engine,
                 FrontDoorConfig(max_pending=2),
             )
             gate = threading.Event()
@@ -265,10 +257,10 @@ class TestPreemption:
         assert preempted == 1
         assert all(a is not None for a in answers)
 
-    def test_no_batch_victim_sheds_full(self, service):
+    def test_no_batch_victim_sheds_full(self, engine):
         async def go():
             frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(max_pending=1)
+                engine, FrontDoorConfig(max_pending=1)
             )
             gate = threading.Event()
             parked = GateDeadline(gate)
@@ -297,10 +289,10 @@ class TestPreemption:
 
         assert run(go()) == 1
 
-    def test_batch_arrival_never_preempts(self, service):
+    def test_batch_arrival_never_preempts(self, engine):
         async def go():
             frontdoor = AsyncFrontDoor(
-                service,
+                engine,
                 FrontDoorConfig(max_pending=1),
             )
             gate = threading.Event()
@@ -330,13 +322,11 @@ class TestTenantQuota:
         """Three coalesced waiters hit a tenant with no free slots: the
         quota shed is one event (one flight, one shed at dispatch) —
         not three — while every waiter still sees the error."""
-        service = PrecisService(engine, config=ServiceConfig(workers=2))
-
         async def go():
             gate = threading.Event()
             parked = GateDeadline(gate)
             frontdoor = AsyncFrontDoor(
-                service, FrontDoorConfig(tenant_slots=1)
+                engine, FrontDoorConfig(workers=2, tenant_slots=1)
             )
             try:
                 # the tenant's only slot is held by an executing flight
@@ -379,10 +369,7 @@ class TestTenantQuota:
                 gate.set()
                 await frontdoor.close()
 
-        try:
-            outcomes, observed = run(go())
-        finally:
-            service.close()
+        outcomes, observed = run(go())
         assert all(
             isinstance(o, TenantQuotaExceeded) for o in outcomes
         ), outcomes

@@ -16,15 +16,14 @@ import pytest
 
 from repro.core import MaxTuplesPerRelation, PrecisEngine, WeightThreshold
 from repro.datasets import movies_graph, paper_instance
+from repro.obs import MetricsRegistry
 from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
     FrontDoorHTTP,
-    PrecisService,
     QueueFull,
     RetryPolicy,
     ServiceClosed,
-    ServiceConfig,
     StaleRequest,
     TenantQuotaExceeded,
 )
@@ -42,33 +41,26 @@ def engine():
     return PrecisEngine(paper_instance(), graph=movies_graph())
 
 
-@pytest.fixture()
-def service(engine):
-    svc = PrecisService(engine, config=ServiceConfig(workers=1))
-    yield svc
-    svc.close()
-
-
 @contextlib.asynccontextmanager
-async def serving(service):
-    async with AsyncFrontDoor(service) as frontdoor:
+async def serving(engine, config=None, registry=None):
+    async with AsyncFrontDoor(engine, config, registry) as frontdoor:
         async with FrontDoorHTTP(frontdoor, port=0) as http:
             yield http
 
 
 class TestAsk:
-    def test_ask_returns_engine_answer(self, engine, service):
+    def test_ask_returns_engine_answer(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 return await http_get(http.host, http.port, f"/ask?q={Q}")
 
         status, body = run(go())
         assert status == 200
         assert body == engine.ask(QUERY).to_dict()
 
-    def test_ask_parameters_reach_the_engine(self, engine, service):
+    def test_ask_parameters_reach_the_engine(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 return await http_get(
                     http.host,
                     http.port,
@@ -79,9 +71,9 @@ class TestAsk:
         assert status == 200
         assert body == engine.ask(QUERY, degree=WeightThreshold(0.5)).to_dict()
 
-    def test_translate_zero_drops_narrative(self, service):
+    def test_translate_zero_drops_narrative(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 return await http_get(
                     http.host, http.port, f"/ask?q={Q}&translate=0"
                 )
@@ -90,18 +82,18 @@ class TestAsk:
         assert status == 200
         assert body["narrative"] is None
 
-    def test_missing_query_is_400(self, service):
+    def test_missing_query_is_400(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 return await http_get(http.host, http.port, "/ask")
 
         status, body = run(go())
         assert status == 400
         assert "'q'" in body["error"]
 
-    def test_unparseable_parameter_is_400(self, service):
+    def test_unparseable_parameter_is_400(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 return await http_get(
                     http.host,
                     http.port,
@@ -112,9 +104,9 @@ class TestAsk:
         assert status == 400
         assert "degree_weight" in body["error"]
 
-    def test_unknown_priority_is_400(self, service):
+    def test_unknown_priority_is_400(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 return await http_get(
                     http.host, http.port, f"/ask?q={Q}&priority=urgent"
                 )
@@ -123,7 +115,7 @@ class TestAsk:
         assert status == 400
         assert "priority" in body["error"]
 
-    def test_out_of_range_parameters_are_400(self, engine, service):
+    def test_out_of_range_parameters_are_400(self, engine):
         """A value the constraint, the deadline or the generator
         rejects is the caller's fault: a 400 naming the parameter,
         refused before any worker runs the ask, and the server keeps
@@ -140,7 +132,7 @@ class TestAsk:
         ]
 
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 refused = [
                     await http_get(http.host, http.port, f"/ask?q={Q}&{p}")
                     for p in bad
@@ -162,9 +154,9 @@ class TestAsk:
         expected = engine.ask(QUERY, cardinality=MaxTuplesPerRelation(3))
         assert body == expected.to_dict()
 
-    def test_expired_deadline_is_408(self, service):
+    def test_expired_deadline_is_408(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 return await http_get(
                     http.host, http.port, f"/ask?q={Q}&deadline_ms=-1"
                 )
@@ -225,25 +217,19 @@ class TestStorageFaults:
         wrappers = make_flaky(
             db, fail_times=10_000, methods={"get_many"}, error=error
         )
-        service = PrecisService(
-            engine,
-            config=ServiceConfig(
-                workers=1, retry=RetryPolicy(attempts=3, base_delay_s=0)
-            ),
+        config = FrontDoorConfig(
+            retry=RetryPolicy(attempts=3, base_delay_s=0)
         )
 
         async def go():
-            async with serving(service) as http:
+            async with serving(engine, config) as http:
                 failed = await http_get(http.host, http.port, f"/ask?q={Q}")
                 for wrapper in wrappers.values():
                     wrapper.heal()
                 healed = await http_get(http.host, http.port, f"/ask?q={Q}")
                 return failed, healed
 
-        try:
-            (status, body), (healed_status, healed_body) = run(go())
-        finally:
-            service.close()
+        (status, body), (healed_status, healed_body) = run(go())
         assert status == 500
         assert body["error"] == named
         assert any(w.failures["get_many"] for w in wrappers.values())
@@ -252,17 +238,17 @@ class TestStorageFaults:
 
 
 class TestRoutes:
-    def test_unknown_route_is_404(self, service):
+    def test_unknown_route_is_404(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 return await http_get(http.host, http.port, "/nope")
 
         status, __ = run(go())
         assert status == 404
 
-    def test_method_not_allowed(self, service):
+    def test_method_not_allowed(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 return await http_get(
                     http.host, http.port, f"/ask?q={Q}", method="PUT"
                 )
@@ -270,30 +256,40 @@ class TestRoutes:
         status, __ = run(go())
         assert status == 405
 
-    def test_healthz(self, service):
+    def test_healthz(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 return await http_get(http.host, http.port, "/healthz")
 
         status, body = run(go())
         assert status == 200
         assert body == {"status": "ok", "pending": 0, "closed": False}
 
-    def test_metrics_exposes_both_families(self, service):
+    def test_metrics_exposes_both_families(self):
+        # a metered engine sharing the front door's registry: one
+        # scrape carries the serving family and the engine's
+        registry = MetricsRegistry()
+        engine = PrecisEngine(
+            paper_instance(), graph=movies_graph(), metrics=registry
+        )
+
         async def go():
-            async with serving(service) as http:
+            async with serving(engine, registry=registry) as http:
                 await http_get(http.host, http.port, f"/ask?q={Q}")
                 return await http_get(http.host, http.port, "/metrics")
 
         status, text = run(go())
         assert status == 200
-        # the one serving family: admission and execution series
+        # the serving family: admission and execution series
         assert "precis_service_requests_total" in text
         assert "precis_service_executions_total" in text
+        # the engine family: asks and per-stage time
+        assert "precis_asks_total 1" in text
+        assert 'precis_stage_seconds_count{stage="match"} 1' in text
 
-    def test_shutdown_resolves_serve_until_shutdown(self, service):
+    def test_shutdown_resolves_serve_until_shutdown(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 waiter = asyncio.ensure_future(
                     http.serve_until_shutdown()
                 )
@@ -307,9 +303,9 @@ class TestRoutes:
         assert status == 200
         assert body == {"status": "shutting down"}
 
-    def test_malformed_request_line_is_400(self, service):
+    def test_malformed_request_line_is_400(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 reader, writer = await asyncio.open_connection(
                     http.host, http.port
                 )
@@ -354,9 +350,9 @@ class TestOversizedRequests:
 
     OVERSIZED = 70_000
 
-    def test_request_line_over_limit_is_414(self, service):
+    def test_request_line_over_limit_is_414(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 target = "/ask?q=" + "a" * self.OVERSIZED
                 return await raw_exchange(
                     http.host,
@@ -368,9 +364,9 @@ class TestOversizedRequests:
         assert status == 414
         assert "request line" in body["error"]
 
-    def test_header_line_over_limit_is_431(self, service):
+    def test_header_line_over_limit_is_431(self, engine):
         async def go():
-            async with serving(service) as http:
+            async with serving(engine) as http:
                 header = "X-Padding: " + "a" * self.OVERSIZED
                 raw = await raw_exchange(
                     http.host,
@@ -388,15 +384,14 @@ class TestOversizedRequests:
         assert after[0] == 200
 
 
-def gated_stack(workers=1, **frontdoor_config):
-    """A pool whose tuple reads park on a gate (an executing ask stays
-    executing until the test opens it) and the front door over it."""
+def gated_stack(**config):
+    """A front door over an engine whose tuple reads park on a gate (an
+    executing ask stays executing until the test opens it)."""
     engine = PrecisEngine(paper_instance(), graph=movies_graph())
     engine.ask(QUERY)  # index built before the gate goes in
     gate = threading.Event()
     entered = gate_reads(engine.db, gate)
-    service = PrecisService(engine, config=ServiceConfig(workers=workers))
-    return service, FrontDoorConfig(**frontdoor_config), gate, entered
+    return AsyncFrontDoor(engine, FrontDoorConfig(**config)), gate, entered
 
 
 class _CountingHTTP(FrontDoorHTTP):
@@ -417,11 +412,10 @@ class _CountingHTTP(FrontDoorHTTP):
 
 class TestClientDisconnect:
     def test_disconnect_mid_flight_leaks_nothing(self):
-        service, config, gate, entered = gated_stack(tenant_slots=1)
+        frontdoor, gate, entered = gated_stack(tenant_slots=1)
 
         async def go():
             loop = asyncio.get_running_loop()
-            frontdoor = AsyncFrontDoor(service, config)
             http = _CountingHTTP(frontdoor, port=0)
             await http.start()
             clients = []
@@ -466,10 +460,7 @@ class TestClientDisconnect:
                 await http.stop()
                 await frontdoor.close()
 
-        try:
-            observed = run(go())
-        finally:
-            service.close()
+        observed = run(go())
         assert observed == {
             "flights": 0,
             "pending": 0,

@@ -1,6 +1,6 @@
-"""The serving stack's basics: the worker pool, and the admission
-decisions (sheds, deadlines, metrics) the front door makes in front of
-it.
+"""The serving stack's basics: the worker pool used alone, and the
+admission decisions (sheds, deadlines, metrics) the front door makes in
+front of the pool it owns.
 
 Synchronization is event-based throughout — a worker is parked by a
 ``Deadline`` subclass that blocks its first ``expired()`` check on an
@@ -21,14 +21,13 @@ from repro.datasets import (
     movies_graph,
     paper_instance,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, ServiceMetrics
 from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
     PrecisService,
     QueueFull,
     ServiceClosed,
-    ServiceConfig,
     StaleRequest,
 )
 
@@ -45,13 +44,14 @@ def engine():
 
 @pytest.fixture()
 def service(engine):
-    svc = PrecisService(engine, config=ServiceConfig(workers=1))
+    svc = PrecisService(engine, workers=1)
     yield svc
     svc.close()
 
 
-def counter(service, name, **labels):
-    return service.metrics.registry.counter(name, "", **labels).value
+def counter(server, name, **labels):
+    """A counter of a pool's or a front door's metrics."""
+    return server.metrics.registry.counter(name, "", **labels).value
 
 
 class TestAsk:
@@ -81,17 +81,19 @@ class TestAsk:
         # the worker is still alive and serving
         assert service.ask(QUERY).found
 
-    def test_queue_depth_gauge_returns_to_zero(self, service):
+    def test_queue_depth_gauge_returns_to_zero(self, engine):
+        registry = MetricsRegistry()
         for __ in range(3):
-            assert serve(service, QUERY).found
-        assert service.metrics.inflight.value == 0
-        assert service.metrics.pending.value == 0
+            assert serve(engine, QUERY, registry=registry).found
+        metrics = ServiceMetrics(registry)
+        assert metrics.inflight.value == 0
+        assert metrics.pending.value == 0
 
 
 class TestShedding:
-    def test_queue_full_sheds(self, service):
+    def test_queue_full_sheds(self, engine):
         async def go():
-            frontdoor = AsyncFrontDoor(service, FrontDoorConfig(max_pending=1))
+            frontdoor = AsyncFrontDoor(engine, FrontDoorConfig(max_pending=1))
             gate = threading.Event()
             blocker = GateDeadline(gate)
             try:
@@ -106,7 +108,7 @@ class TestShedding:
                     await frontdoor.submit("Drama")
                 assert (
                     counter(
-                        service,
+                        frontdoor,
                         "precis_service_shed_total",
                         reason="full",
                         priority="interactive",
@@ -122,11 +124,11 @@ class TestShedding:
         running, queued = run(go())
         assert running.found and queued.found
 
-    def test_stale_request_shed_at_dequeue(self, service):
+    def test_stale_request_shed_at_dequeue(self, engine):
         clock = FakeClock()
+        frontdoor = AsyncFrontDoor(engine)
 
         async def go():
-            frontdoor = AsyncFrontDoor(service)
             gate = threading.Event()
             blocker = GateDeadline(gate)
             try:
@@ -154,7 +156,7 @@ class TestShedding:
         assert run(go()).found
         assert (
             counter(
-                service,
+                frontdoor,
                 "precis_service_shed_total",
                 reason="stale",
                 priority="interactive",
@@ -162,19 +164,19 @@ class TestShedding:
             == 1
         )
         # only the running ask reached a worker
-        assert counter(service, "precis_service_executions_total") == 1
+        assert counter(frontdoor, "precis_service_executions_total") == 1
 
-    def test_default_timeout_applies_when_no_deadline_given(self, service):
+    def test_default_timeout_applies_when_no_deadline_given(self, engine):
         with pytest.raises(StaleRequest):
             serve(
-                service,
+                engine,
                 QUERY,
                 FrontDoorConfig(default_timeout_s=-1.0),  # instantly stale
             )
 
-    def test_explicit_deadline_overrides_default_timeout(self, service):
+    def test_explicit_deadline_overrides_default_timeout(self, engine):
         answer = serve(
-            service,
+            engine,
             QUERY,
             FrontDoorConfig(default_timeout_s=-1.0),
             deadline=Deadline.never(),
@@ -198,7 +200,7 @@ class TestLifecycle:
     def test_close_serves_admitted_requests(self, engine):
         gate = threading.Event()
         blocker = GateDeadline(gate)
-        svc = PrecisService(engine, config=ServiceConfig(workers=1))
+        svc = PrecisService(engine, workers=1)
         running = svc.submit(QUERY, deadline=blocker)
         assert blocker.entered.wait(timeout=30)
         queued = [svc.submit(QUERY) for __ in range(3)]
@@ -217,7 +219,7 @@ class TestLifecycle:
         assert svc.closed
 
     def test_worker_pool_defaults_to_one_worker(self, engine):
-        assert ServiceConfig().workers == 1
+        assert FrontDoorConfig().workers == 1
         svc = PrecisService(engine)
         try:
             assert len(svc._threads) == 1
@@ -226,7 +228,7 @@ class TestLifecycle:
             svc.close()
 
     def test_worker_count_override(self, engine):
-        svc = PrecisService(engine, config=ServiceConfig(workers=3))
+        svc = PrecisService(engine, workers=3)
         try:
             assert len(svc._threads) == 3
             for __ in range(6):
@@ -236,12 +238,12 @@ class TestLifecycle:
 
 
 class TestConfig:
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(workers=0)
+    def test_rejects_bad_workers(self, engine):
+        with pytest.raises(ValueError, match="workers"):
+            PrecisService(engine, workers=0)
 
     def test_repr_mentions_shape(self, engine):
-        svc = PrecisService(engine, config=ServiceConfig(workers=2))
+        svc = PrecisService(engine, workers=2)
         try:
             text = repr(svc)
             assert "2 worker(s)" in text
@@ -256,12 +258,8 @@ class TestSharedRegistry:
         engine = PrecisEngine(
             paper_instance(), graph=movies_graph(), metrics=registry
         )
-        svc = PrecisService(engine, registry=registry)
-        try:
-            serve(svc, QUERY)
-        finally:
-            svc.close()
-        text = svc.metrics.prometheus()
+        serve(engine, QUERY, registry=registry)
+        text = ServiceMetrics(registry).prometheus()
         assert "precis_service_requests_total" in text
         assert "precis_service_inflight" in text
         assert "precis_asks_total" in text  # the engine's own series
@@ -298,7 +296,7 @@ class TestCostPerAsk:
         for name in db.schema.relation_names:
             relation = db.relation(name)
             relation.store = _OverlapStore(relation.store, barrier, hold, seen)
-        with PrecisService(engine, config=ServiceConfig(workers=2)) as svc:
+        with PrecisService(engine, workers=2) as svc:
             futures = {svc.submit(q): q for q in queries}
             # one ask reads to the end while the other's measurement is
             # open and waiting; then the held one finishes

@@ -17,7 +17,7 @@ import pytest
 from repro.cache import CacheConfig
 from repro.core import PrecisEngine, WeightThreshold
 from repro.datasets import generate_movies_database, movies_graph
-from repro.service import AsyncFrontDoor, PrecisService, ServiceConfig
+from repro.service import AsyncFrontDoor, FrontDoorConfig
 from repro.storage import BACKEND_NAMES
 
 from .helpers import run
@@ -45,11 +45,11 @@ def reference_answers(backend):
     }
 
 
-def run_stress(service):
-    """Drive the stack from CLIENTS closed-loop clients (each awaits
-    its answer before the next ask); returns results keyed by
-    (client, sequence) so duplicates are impossible to miss and losses
-    show up as missing keys."""
+def run_stress(frontdoor):
+    """Drive *frontdoor* from CLIENTS closed-loop clients (each awaits
+    its answer before the next ask), then close it; returns results
+    keyed by (client, sequence) so duplicates are impossible to miss
+    and losses show up as missing keys."""
     results = {}
     errors = []
 
@@ -65,7 +65,7 @@ def run_stress(service):
                 errors.append((cid, i, exc))
 
     async def go():
-        async with AsyncFrontDoor(service) as frontdoor:
+        async with frontdoor:
             await asyncio.wait_for(
                 asyncio.gather(
                     *(client(frontdoor, cid) for cid in range(CLIENTS))
@@ -90,44 +90,41 @@ class TestServiceStress:
         engine = PrecisEngine(
             db,
             graph=movies_graph(),
-            cache=CacheConfig(plans=True, answers=True),
+            cache=CacheConfig(answers=True),
         )
-        service = PrecisService(engine, config=ServiceConfig(workers=2))
-        try:
-            results, errors = run_stress(service)
+        frontdoor = AsyncFrontDoor(engine, FrontDoorConfig(workers=2))
+        results, errors = run_stress(frontdoor)
 
-            assert errors == []
-            # no lost and no duplicated responses
-            assert len(results) == CLIENTS * ASKS_PER_CLIENT
-            assert set(results) == {
-                (c, i)
-                for c in range(CLIENTS)
-                for i in range(ASKS_PER_CLIENT)
-            }
-            # cached == uncached == single-threaded reference, bytewise
-            for (cid, i), (query, answer) in results.items():
-                assert canonical(answer) == expected[query], (
-                    f"incoherent answer for {query!r} "
-                    f"(client {cid}, ask {i})"
-                )
-
-            # gauges back to zero, counters add up, nothing shed
-            registry = service.metrics.registry
-            assert (
-                registry.counter(
-                    "precis_service_requests_total", priority="interactive"
-                ).value
-                == CLIENTS * ASKS_PER_CLIENT
+        assert errors == []
+        # no lost and no duplicated responses
+        assert len(results) == CLIENTS * ASKS_PER_CLIENT
+        assert set(results) == {
+            (c, i)
+            for c in range(CLIENTS)
+            for i in range(ASKS_PER_CLIENT)
+        }
+        # cached == uncached == single-threaded reference, bytewise
+        for (cid, i), (query, answer) in results.items():
+            assert canonical(answer) == expected[query], (
+                f"incoherent answer for {query!r} "
+                f"(client {cid}, ask {i})"
             )
-            text = service.metrics.prometheus()
-            assert "precis_service_inflight 0" in text
-            assert "precis_service_pending 0" in text
-            assert "precis_service_shed_total" not in text
-            # the answer cache actually carried load: far fewer pipeline
-            # runs than requests
-            assert engine.cache.answers.stats.hits > 0
-        finally:
-            service.close()
+
+        # gauges back to zero, counters add up, nothing shed
+        registry = frontdoor.metrics.registry
+        assert (
+            registry.counter(
+                "precis_service_requests_total", priority="interactive"
+            ).value
+            == CLIENTS * ASKS_PER_CLIENT
+        )
+        text = frontdoor.metrics.prometheus()
+        assert "precis_service_inflight 0" in text
+        assert "precis_service_pending 0" in text
+        assert "precis_service_shed_total" not in text
+        # the answer cache actually carried load: far fewer pipeline
+        # runs than requests
+        assert engine.cache.answers.stats.hits > 0
 
     def test_uncached_shared_engine_under_load(self, stress_backend):
         """One engine, several workers, caches off: the read-only hot
@@ -137,13 +134,10 @@ class TestServiceStress:
             n_movies=80, seed=11, backend=stress_backend
         )
         engine = PrecisEngine(db, graph=movies_graph())
-        service = PrecisService(engine, config=ServiceConfig(workers=4))
-        try:
-            results, errors = run_stress(service)
-            assert errors == []
-            assert len(results) == CLIENTS * ASKS_PER_CLIENT
-            for (cid, i), (query, answer) in results.items():
-                assert canonical(answer) == expected[query]
-            assert service.metrics.inflight.value == 0
-        finally:
-            service.close()
+        frontdoor = AsyncFrontDoor(engine, FrontDoorConfig(workers=4))
+        results, errors = run_stress(frontdoor)
+        assert errors == []
+        assert len(results) == CLIENTS * ASKS_PER_CLIENT
+        for (cid, i), (query, answer) in results.items():
+            assert canonical(answer) == expected[query]
+        assert frontdoor.metrics.inflight.value == 0

@@ -19,9 +19,7 @@ from repro.datasets import movies_graph, paper_instance
 from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
-    PrecisService,
     QueueFull,
-    ServiceConfig,
     TenantQuotaExceeded,
 )
 
@@ -36,21 +34,19 @@ def engine():
 
 
 def stack(engine, workers=2, **config):
-    """A pool plus the front-door config over it (one slot per tenant
-    unless overridden). Two workers by default: a second flight of the
-    same tenant then reaches dispatch while the first still runs."""
+    """A front door over *engine* (one slot per tenant unless
+    overridden). Two workers by default: a second flight of the same
+    tenant then reaches dispatch while the first still runs."""
     defaults = dict(tenant_slots=1)
     defaults.update(config)
-    service = PrecisService(engine, config=ServiceConfig(workers=workers))
-    return service, FrontDoorConfig(**defaults)
+    return AsyncFrontDoor(engine, FrontDoorConfig(workers=workers, **defaults))
 
 
-def quota_run(service, config, body):
-    """Run ``body(frontdoor, gate, parked)`` on a fresh front door with
-    a gated deadline at hand; always opens the gate and closes both."""
+def quota_run(frontdoor, body):
+    """Run ``body(frontdoor, gate, parked)`` with a gated deadline at
+    hand; always opens the gate and closes the front door."""
 
     async def go():
-        frontdoor = AsyncFrontDoor(service, config)
         gate = threading.Event()
         try:
             return await body(frontdoor, gate, GateDeadline(gate))
@@ -58,15 +54,12 @@ def quota_run(service, config, body):
             gate.set()
             await frontdoor.close()
 
-    try:
-        return run(go())
-    finally:
-        service.close()
+    return run(go())
 
 
 class TestQuota:
     def test_over_quota_tenant_is_shed(self, engine):
-        service, config = stack(engine)
+        frontdoor = stack(engine)
 
         async def body(frontdoor, gate, parked):
             running = asyncio.ensure_future(
@@ -85,12 +78,12 @@ class TestQuota:
             gate.set()
             return shed, await running
 
-        shed, answer = quota_run(service, config, body)
+        shed, answer = quota_run(frontdoor, body)
         assert shed == 1
         assert answer.found
 
     def test_other_tenants_unaffected(self, engine):
-        service, config = stack(engine)
+        frontdoor = stack(engine)
 
         async def body(frontdoor, gate, parked):
             running = asyncio.ensure_future(
@@ -107,12 +100,12 @@ class TestQuota:
             await running
             return other, anonymous
 
-        other, anonymous = quota_run(service, config, body)
+        other, anonymous = quota_run(frontdoor, body)
         assert other.found
         assert anonymous.found
 
     def test_slot_released_after_completion(self, engine):
-        service, config = stack(engine)
+        frontdoor = stack(engine)
 
         async def body(frontdoor, gate, parked):
             # sequential asks never trip a 1-slot quota
@@ -120,10 +113,10 @@ class TestQuota:
                 assert (await frontdoor.submit(QUERY, tenant="a")).found
             return frontdoor.tenant_inflight("a")
 
-        assert quota_run(service, config, body) == 0
+        assert quota_run(frontdoor, body) == 0
 
     def test_slot_released_on_queue_full(self, engine):
-        service, config = stack(
+        frontdoor = stack(
             engine, workers=1, max_pending=1, tenant_slots=4
         )
 
@@ -147,12 +140,12 @@ class TestQuota:
             answer = await queued
             return answer, frontdoor.tenant_inflight("a")
 
-        answer, after = quota_run(service, config, body)
+        answer, after = quota_run(frontdoor, body)
         assert answer.found
         assert after == 0
 
     def test_slots_released_on_close_drain(self, engine):
-        service, config = stack(engine, workers=1, tenant_slots=4)
+        frontdoor = stack(engine, workers=1, tenant_slots=4)
 
         async def body(frontdoor, gate, parked):
             running = asyncio.ensure_future(
@@ -171,12 +164,12 @@ class TestQuota:
             answers = [await running] + [await f for f in queued]
             return answers, frontdoor.tenant_inflight("a")
 
-        answers, after = quota_run(service, config, body)
+        answers, after = quota_run(frontdoor, body)
         assert all(answer.found for answer in answers)
         assert after == 0
 
     def test_quota_disabled_by_default(self, engine):
-        service, __ = stack(engine)
+        frontdoor = stack(engine, tenant_slots=None)
 
         async def body(frontdoor, gate, parked):
             running = asyncio.ensure_future(
@@ -192,7 +185,7 @@ class TestQuota:
             gate.set()
             return [await running, *others]
 
-        answers = quota_run(service, FrontDoorConfig(), body)
+        answers = quota_run(frontdoor, body)
         assert all(answer.found for answer in answers)
 
     def test_rejects_bad_tenant_slots(self):
@@ -202,7 +195,7 @@ class TestQuota:
 
 class TestTenantMetrics:
     def test_tenant_labelled_series_alongside_fleet_series(self, engine):
-        service, config = stack(engine, tenant_slots=4)
+        frontdoor = stack(engine, tenant_slots=4)
 
         async def body(frontdoor, gate, parked):
             await frontdoor.submit(QUERY, tenant="a")
@@ -210,8 +203,8 @@ class TestTenantMetrics:
             await frontdoor.submit(QUERY, tenant="b")
             await frontdoor.submit(QUERY)  # anonymous: fleet series only
 
-        quota_run(service, config, body)
-        registry = service.metrics.registry
+        quota_run(frontdoor, body)
+        registry = frontdoor.metrics.registry
         assert (
             registry.counter(
                 "precis_service_requests_total", priority="interactive"
@@ -230,6 +223,6 @@ class TestTenantMetrics:
             ).value
             == 1
         )
-        text = service.metrics.prometheus()
+        text = frontdoor.metrics.prometheus()
         assert 'precis_service_tenant_requests_total{tenant="a"} 2' in text
         assert 'precis_service_tenant_seconds' in text

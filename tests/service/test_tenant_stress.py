@@ -21,8 +21,6 @@ from repro.datasets import generate_movies_database, movies_graph
 from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
-    PrecisService,
-    ServiceConfig,
     TenantQuotaExceeded,
 )
 from repro.storage import BACKEND_NAMES
@@ -80,8 +78,9 @@ def reference_answers(backend):
     return expected
 
 
-def run_tenant_stress(service):
-    """One closed-loop client per tenant through one front door."""
+def run_tenant_stress(frontdoor):
+    """One closed-loop client per tenant through *frontdoor*, which is
+    closed when they are done."""
     results = {}
     errors = []
 
@@ -100,7 +99,7 @@ def run_tenant_stress(service):
                 errors.append((tenant, i, exc))
 
     async def go():
-        async with AsyncFrontDoor(service) as frontdoor:
+        async with frontdoor:
             await asyncio.wait_for(
                 asyncio.gather(
                     *(
@@ -110,9 +109,9 @@ def run_tenant_stress(service):
                 ),
                 timeout=300,
             )
-            return frontdoor
 
-    return results, errors, run(go())
+    run(go())
+    return results, errors
 
 
 @pytest.mark.parametrize("stress_backend", BACKEND_NAMES)
@@ -125,57 +124,52 @@ class TestTenantStress:
         engine = PrecisEngine(
             db,
             graph=movies_graph(),
-            cache=CacheConfig(plans=True, answers=True),
+            cache=CacheConfig(answers=True),
         )
         workers = 2
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=workers)
-        )
-        try:
-            results, errors, frontdoor = run_tenant_stress(service)
-            assert errors == []
-            assert len(results) == len(TENANTS) * ASKS_PER_TENANT
+        frontdoor = AsyncFrontDoor(engine, FrontDoorConfig(workers=workers))
+        results, errors = run_tenant_stress(frontdoor)
+        assert errors == []
+        assert len(results) == len(TENANTS) * ASKS_PER_TENANT
 
-            # every tenant's every answer byte-matches its own oracle —
-            # in particular the ε tenant never received overlay A's
-            # (cached) answers despite differing by one ULP
-            for (tenant, i), (query, answer) in results.items():
-                assert canonical(answer) == expected[(tenant, query)], (
-                    f"incoherent answer for tenant {tenant!r}, "
-                    f"query {query!r} (ask {i})"
-                )
-
-            # identical-overlay tenants shared plan entries: the cache
-            # saw at most (#queries × #distinct overlays) misses per
-            # worker (two workers may miss one key at once), far below
-            # one miss per request
-            distinct_overlays = 3  # A, B, A+ε
-            plans, answers = engine.cache.plans, engine.cache.answers
-            assert (
-                plans.stats.misses
-                <= len(QUERIES) * distinct_overlays * workers
+        # every tenant's every answer byte-matches its own oracle —
+        # in particular the ε tenant never received overlay A's
+        # (cached) answers despite differing by one ULP
+        for (tenant, i), (query, answer) in results.items():
+            assert canonical(answer) == expected[(tenant, query)], (
+                f"incoherent answer for tenant {tenant!r}, "
+                f"query {query!r} (ask {i})"
             )
-            assert plans.stats.hits + answers.stats.hits > 0
 
-            # bookkeeping: gauges drained, per-tenant counters add up
-            assert service.metrics.inflight.value == 0
-            registry = service.metrics.registry
+        # identical-overlay tenants shared plan entries: the cache
+        # saw at most (#queries × #distinct overlays) misses per
+        # worker (two workers may miss one key at once), far below
+        # one miss per request
+        distinct_overlays = 3  # A, B, A+ε
+        plans, answers = engine.cache.plans, engine.cache.answers
+        assert (
+            plans.stats.misses
+            <= len(QUERIES) * distinct_overlays * workers
+        )
+        assert plans.stats.hits + answers.stats.hits > 0
+
+        # bookkeeping: gauges drained, per-tenant counters add up
+        assert frontdoor.metrics.inflight.value == 0
+        registry = frontdoor.metrics.registry
+        assert (
+            registry.counter(
+                "precis_service_requests_total", priority="interactive"
+            ).value
+            == len(TENANTS) * ASKS_PER_TENANT
+        )
+        for tenant in TENANTS:
             assert (
                 registry.counter(
-                    "precis_service_requests_total", priority="interactive"
+                    "precis_service_tenant_requests_total", tenant=tenant
                 ).value
-                == len(TENANTS) * ASKS_PER_TENANT
+                == ASKS_PER_TENANT
             )
-            for tenant in TENANTS:
-                assert (
-                    registry.counter(
-                        "precis_service_tenant_requests_total", tenant=tenant
-                    ).value
-                    == ASKS_PER_TENANT
-                )
-                assert frontdoor.tenant_inflight(tenant) == 0
-        finally:
-            service.close()
+            assert frontdoor.tenant_inflight(tenant) == 0
 
     def test_quota_sheds_conserve_requests(self, stress_backend):
         """With a tight per-tenant quota and bursty (fire-then-gather)
@@ -189,8 +183,9 @@ class TestTenantStress:
         engine = PrecisEngine(db, graph=movies_graph())
         # more workers than slots: a tenant's second flight can reach
         # dispatch while its first still runs
-        service = PrecisService(engine, config=ServiceConfig(workers=2))
-        config = FrontDoorConfig(tenant_slots=1, coalesce=False)
+        frontdoor = AsyncFrontDoor(
+            engine, FrontDoorConfig(workers=2, tenant_slots=1, coalesce=False)
+        )
         answered = []
         quota_sheds = []
         errors = []
@@ -216,7 +211,7 @@ class TestTenantStress:
                     answered.append(outcome)
 
         async def go():
-            async with AsyncFrontDoor(service, config) as frontdoor:
+            async with frontdoor:
                 await asyncio.wait_for(
                     asyncio.gather(
                         *(
@@ -226,37 +221,33 @@ class TestTenantStress:
                     ),
                     timeout=300,
                 )
-                return frontdoor
 
-        try:
-            frontdoor = run(go())
+        run(go())
 
-            assert errors == []
-            # a 1-slot quota against a 25-deep burst must actually shed
-            assert quota_sheds
-            assert (
-                len(answered) + len(quota_sheds)
-                == len(TENANTS) * ASKS_PER_TENANT
-            )
-            registry = service.metrics.registry
-            shed_total = sum(
-                registry.counter(
-                    "precis_service_tenant_shed_total",
-                    tenant=tenant,
-                    reason="tenant_quota",
-                ).value
-                for tenant in TENANTS
-            )
-            assert shed_total == len(quota_sheds)
-            assert (
-                registry.counter(
-                    "precis_service_answered_total", priority="interactive"
-                ).value
-                == len(answered)
-            )
-            for tenant in TENANTS:
-                assert frontdoor.tenant_inflight(tenant) == 0
-            assert service.metrics.inflight.value == 0
-            assert service.metrics.pending.value == 0
-        finally:
-            service.close()
+        assert errors == []
+        # a 1-slot quota against a 25-deep burst must actually shed
+        assert quota_sheds
+        assert (
+            len(answered) + len(quota_sheds)
+            == len(TENANTS) * ASKS_PER_TENANT
+        )
+        registry = frontdoor.metrics.registry
+        shed_total = sum(
+            registry.counter(
+                "precis_service_tenant_shed_total",
+                tenant=tenant,
+                reason="tenant_quota",
+            ).value
+            for tenant in TENANTS
+        )
+        assert shed_total == len(quota_sheds)
+        assert (
+            registry.counter(
+                "precis_service_answered_total", priority="interactive"
+            ).value
+            == len(answered)
+        )
+        for tenant in TENANTS:
+            assert frontdoor.tenant_inflight(tenant) == 0
+        assert frontdoor.metrics.inflight.value == 0
+        assert frontdoor.metrics.pending.value == 0

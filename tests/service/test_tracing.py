@@ -1,8 +1,8 @@
 """End-to-end request tracing through the serving stack
 (repro.obs.context + repro.service).
 
-The contract under test: with a :class:`TraceBuffer` on the pool, every
-request through the front door — answered, degraded, shed, failed,
+The contract under test: with a :class:`TraceBuffer` on the front door,
+every request through it — answered, degraded, shed, failed,
 retried — leaves one trace whose span tree covers submit → queue →
 retries → the engine's ask tree; the same trace id shows up in the
 answer's EXPLAIN record, the latency histogram's exemplars and the
@@ -30,7 +30,6 @@ from repro.service import (
     PrecisService,
     QueueFull,
     ServiceClosed,
-    ServiceConfig,
     TenantQuotaExceeded,
 )
 
@@ -45,19 +44,15 @@ def engine():
 
 def serve_one(engine_, query="Allen", buffer=None, **submit_kwargs):
     buffer = buffer if buffer is not None else TraceBuffer(sample_rate=1.0)
-    with PrecisService(
-        engine_, config=ServiceConfig(workers=1), traces=buffer
-    ) as service:
-        answer = serve(service, query, **submit_kwargs)
+    answer = serve(engine_, query, traces=buffer, **submit_kwargs)
     return answer, buffer
 
 
-def gated(service, config, body):
-    """Run ``body(frontdoor, gate, parked)`` on a front door over
-    *service*; always opens the gate and closes both."""
+def gated(frontdoor, body):
+    """Run ``body(frontdoor, gate, parked)`` on *frontdoor*; always
+    opens the gate and closes the front door."""
 
     async def go():
-        frontdoor = AsyncFrontDoor(service, config)
         gate = threading.Event()
         try:
             return await body(frontdoor, gate, GateDeadline(gate))
@@ -65,10 +60,7 @@ def gated(service, config, body):
             gate.set()
             await frontdoor.close()
 
-    try:
-        return run(go())
-    finally:
-        service.close()
+    return run(go())
 
 
 class TestAnsweredRequestTrace:
@@ -105,23 +97,14 @@ class TestAnsweredRequestTrace:
         assert answer.explanation.to_dict()["trace_id"] == trace.trace_id
 
     def test_untraced_service_stamps_no_trace_id(self, engine):
-        with PrecisService(
-            engine, config=ServiceConfig(workers=1)
-        ) as service:
-            answer = serve(service, "Allen")
+        answer = serve(engine, "Allen")
         assert answer.explanation.trace_id is None
         assert "trace:" not in answer.explanation.render()
 
     def test_trace_id_lands_as_histogram_exemplar(self, engine):
         registry = MetricsRegistry()
         buffer = TraceBuffer(sample_rate=1.0)
-        with PrecisService(
-            engine,
-            config=ServiceConfig(workers=1),
-            registry=registry,
-            traces=buffer,
-        ) as service:
-            serve(service, "Allen")
+        serve(engine, "Allen", registry=registry, traces=buffer)
         [trace] = buffer.traces()
         hist = registry.histogram(
             "precis_service_seconds", priority="interactive"
@@ -153,9 +136,7 @@ class TestAnsweredRequestTrace:
     def test_trace_is_findable_before_the_future_resolves(self, engine):
         buffer = TraceBuffer(sample_rate=1.0)
         seen_at_callback: list[int] = []
-        with PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=buffer
-        ) as service:
+        with PrecisService(engine, traces=buffer) as service:
             # the pool traces under the context its submitter hands it
             future = service.submit(
                 "Allen", context=TraceContext.mint("Allen")
@@ -176,10 +157,10 @@ class TestAnsweredRequestTrace:
         async def go(frontdoor):
             await asyncio.gather(*(frontdoor.submit(q) for q in queries))
 
-        with PrecisService(
-            engine, config=ServiceConfig(workers=2), traces=buffer
-        ) as service:
-            gated(service, None, lambda frontdoor, *_: go(frontdoor))
+        frontdoor = AsyncFrontDoor(
+            engine, FrontDoorConfig(workers=2), traces=buffer
+        )
+        gated(frontdoor, lambda frontdoor, *_: go(frontdoor))
         assert len(buffer) == 4
         assert validate_chrome_trace(buffer.to_chrome()) == []
 
@@ -194,23 +175,22 @@ class TestTailBiasedCapture:
 
     def test_answered_is_sampled_out_but_degraded_is_kept(self, engine):
         buffer = TraceBuffer(sample_rate=0.0)
-        with PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=buffer
-        ) as service:
-            healthy = serve(service, "Allen")
-            assert not healthy.degraded
-            assert len(buffer) == 0  # sampled out
-            # the deadline trips inside the engine: answered, partial
-            degraded = serve(service, "Allen", deadline=AfterNChecks(0))
-            assert degraded.degraded
+        healthy = serve(engine, "Allen", traces=buffer)
+        assert not healthy.degraded
+        assert len(buffer) == 0  # sampled out
+        # the deadline trips inside the engine: answered, partial
+        degraded = serve(
+            engine, "Allen", traces=buffer, deadline=AfterNChecks(0)
+        )
+        assert degraded.degraded
         [trace] = buffer.traces()
         assert trace.outcome == "degraded"
         assert trace.degraded_stage == degraded.degraded_stage
 
     def test_shed_full_is_always_captured(self, engine):
         buffer = TraceBuffer(sample_rate=0.0)
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=buffer
+        frontdoor = AsyncFrontDoor(
+            engine, FrontDoorConfig(max_pending=1), traces=buffer
         )
 
         async def body(frontdoor, gate, parked):
@@ -226,7 +206,7 @@ class TestTailBiasedCapture:
             gate.set()
             await asyncio.gather(blocker, queued)
 
-        gated(service, FrontDoorConfig(max_pending=1), body)
+        gated(frontdoor, body)
         shed = [t for t in buffer.traces() if t.outcome == "shed_full"]
         [trace] = shed
         assert trace.context.tenant == "acme"
@@ -235,8 +215,10 @@ class TestTailBiasedCapture:
 
     def test_shed_tenant_quota_is_always_captured(self, engine):
         buffer = TraceBuffer(sample_rate=0.0)
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=2), traces=buffer
+        frontdoor = AsyncFrontDoor(
+            engine,
+            FrontDoorConfig(workers=2, tenant_slots=1),
+            traces=buffer,
         )
 
         async def body(frontdoor, gate, parked):
@@ -249,7 +231,7 @@ class TestTailBiasedCapture:
             gate.set()
             await blocker
 
-        gated(service, FrontDoorConfig(tenant_slots=1), body)
+        gated(frontdoor, body)
         kept = [
             t for t in buffer.traces()
             if t.outcome == "shed_tenant_quota"
@@ -258,16 +240,14 @@ class TestTailBiasedCapture:
 
     def test_shed_closed_is_always_captured(self, engine):
         buffer = TraceBuffer(sample_rate=0.0)
-        service = PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=buffer
-        )
+        frontdoor = AsyncFrontDoor(engine, traces=buffer)
 
         async def body(frontdoor, gate, parked):
             await frontdoor.close()
             with pytest.raises(ServiceClosed):
                 await frontdoor.submit("Allen")
 
-        gated(service, None, body)
+        gated(frontdoor, body)
         [trace] = buffer.traces()
         assert trace.outcome == "shed_closed"
 
@@ -282,10 +262,7 @@ class TestTailBiasedCapture:
             db, fail_times=1, methods=("get_many", "scan"), relations=("DIRECTOR",)
         )
         buffer = TraceBuffer(sample_rate=0.0)
-        with PrecisService(
-            engine_, config=ServiceConfig(workers=1), traces=buffer
-        ) as service:
-            answer = serve(service, "Allen")
+        answer = serve(engine_, "Allen", traces=buffer)
         assert answer.found
         [trace] = buffer.traces()
         assert trace.outcome == "answered"
@@ -318,10 +295,7 @@ class TestCallerSuppliedTracer:
         sink = InMemorySink()
         own = Tracer([sink])
         buffer = TraceBuffer(sample_rate=1.0)
-        with PrecisService(
-            engine, config=ServiceConfig(workers=1), traces=buffer
-        ) as service:
-            serve(service, "Allen", tracer=own)
+        serve(engine, "Allen", traces=buffer, tracer=own)
         # the caller's tracer saw the ask; the service still traced the
         # request envelope (request/queue) without the engine tree
         assert sink.last.name == "ask"

@@ -86,8 +86,8 @@ def test_sqlite_file_persists_and_rebuilds(tmp_path, tiny_schema):
     db.insert("PARENT", {"PID": 1, "NAME": "alpha"})
     db.close()
     assert path.exists()
-    # fresh=True semantics: reopening the same file rebuilds the tables,
-    # so loading the same rows twice never duplicates them
+    # reopening the same file rebuilds the tables, so loading the same
+    # rows twice never duplicates them
     db2 = Database(tiny_schema, backend=f"sqlite:{path}")
     assert len(db2.relation("PARENT")) == 0
     db2.insert("PARENT", {"PID": 1, "NAME": "alpha"})

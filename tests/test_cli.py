@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import socket
 import threading
 import urllib.request
 
@@ -281,6 +282,152 @@ class TestGraphFallback:
             ["query", str(demo_dir), '"Woody Allen"', "--degree-top", "5"]
         )
         assert code == 0
+
+
+def _doctor_graph(directory, change):
+    """Apply *change* to the parsed ``_graph.json`` of *directory*."""
+    import json
+
+    path = directory / "_graph.json"
+    document = json.loads(path.read_text())
+    change(document)
+    path.write_text(json.dumps(document))
+
+
+def _rename_attribute(relation, old, new):
+    def change(document):
+        for entry in document["relations"]:
+            for attribute in entry["attributes"]:
+                if entry["name"] == relation and attribute["name"] == old:
+                    attribute["name"] = new
+        for heading in document["headings"]:
+            if heading == relation and document["headings"][heading] == old:
+                document["headings"][heading] = new
+
+    return change
+
+
+def _rename_key(relation, old, new):
+    """Rename an attribute and every join edge on it."""
+    rename = _rename_attribute(relation, old, new)
+
+    def change(document):
+        rename(document)
+        for join in document["joins"]:
+            for side in ("source", "target"):
+                if (join[side], join[f"{side}_attribute"]) == (relation, old):
+                    join[f"{side}_attribute"] = new
+
+    return change
+
+
+def _drop_attribute(relation, name):
+    def change(document):
+        for entry in document["relations"]:
+            if entry["name"] == relation:
+                entry["attributes"] = [
+                    a for a in entry["attributes"] if a["name"] != name
+                ]
+
+    return change
+
+
+class TestGraphMismatch:
+    """A ``_graph.json`` naming a relation or attribute the database
+    lacks is refused at load, in one line and with exit code 1; a
+    warning-grade finding still loads."""
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (
+                _rename_attribute("MOVIE", "TITLE", "TITEL"),
+                "graph attribute MOVIE.TITEL not in schema",
+            ),
+            (
+                _rename_key("MOVIE", "MID", "MOVIEID"),
+                "; ".join(
+                    ["graph attribute MOVIE.MOVIEID not in schema"]
+                    + [
+                        f"join edge {source}→{target}: {side} attribute "
+                        f"MOVIE.MOVIEID not in schema"
+                        for other in ("GENRE", "PLAY", "CAST")
+                        for source, target, side in (
+                            ("MOVIE", other, "source"),
+                            (other, "MOVIE", "target"),
+                        )
+                    ]
+                ),
+            ),
+        ],
+        ids=["renamed-attribute", "renamed-key"],
+    )
+    def test_query_refuses_in_one_line(
+        self, demo_dir, capsys, change, problem
+    ):
+        _doctor_graph(demo_dir, change)
+        with pytest.raises(SystemExit) as exited:
+            _run(["query", str(demo_dir), "Allen"])
+        assert exited.value.code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro query: _graph.json does not match the database: "
+            f"{problem}"
+        ]
+
+    def test_serve_refuses_before_listening(self, demo_dir, capsys):
+        _doctor_graph(demo_dir, _rename_attribute("MOVIE", "TITLE", "TITEL"))
+        out = Banner()
+        result = {}
+
+        def serve():
+            try:
+                main(["serve", str(demo_dir), "--port", "0"], out=out)
+            except SystemExit as exited:
+                result["code"] = exited.code
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        server.join(30)
+        assert not server.is_alive(), "serve started despite the graph"
+        assert result == {"code": 1}
+        assert out.getvalue() == ""  # never listened
+        assert capsys.readouterr().err.splitlines() == [
+            "repro serve: _graph.json does not match the database: "
+            "graph attribute MOVIE.TITEL not in schema"
+        ]
+
+    def test_warning_grade_findings_still_load(self, demo_dir):
+        # THEATRE.PHONE loses its projection edge: it can never appear
+        # in an answer, but no ask fails on it
+        _doctor_graph(demo_dir, _drop_attribute("THEATRE", "PHONE"))
+        code, out = _run(["query", str(demo_dir), '"Woody Allen"'])
+        assert code == 0
+        assert "Match Point" in out
+
+
+class TestServeClosesItsPool:
+    def test_a_failed_bind_closes_the_pool(self, demo_dir):
+        """``repro serve`` closes its worker pool however it ends, when
+        the port is taken too."""
+
+        def workers():
+            return {
+                thread
+                for thread in threading.enumerate()
+                if thread.name.startswith("precis-worker-")
+            }
+
+        before = workers()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = str(taken.getsockname()[1])
+            with pytest.raises(OSError):
+                main(
+                    ["serve", str(demo_dir), "--port", port, "--workers", "2"],
+                    out=io.StringIO(),
+                )
+        assert workers() == before
 
 
 class TestEstimate:

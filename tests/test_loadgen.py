@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import WeightThreshold
-from repro.obs import MetricsRegistry, TraceBuffer
-from repro.service import PrecisService
+from repro.obs import MetricsRegistry, ServiceMetrics, TraceBuffer
 
 from .service.faults import AfterNChecks
 from .service.helpers import serve
@@ -138,23 +137,20 @@ class TestDeadlineBoundsTail:
     def test_degraded_counter_in_prometheus_export(self):
         engine, __ = movies_workload(n_movies=60)
         registry = MetricsRegistry()
-        service = PrecisService(engine, registry=registry)
-        try:
-            answer = serve(
-                service,
-                "drama",
-                deadline=AfterNChecks(0),
-                degree=WeightThreshold(0.5),
-            )
-            assert answer.degraded
-            text = service.metrics.prometheus()
-            assert 'precis_service_degraded_total{stage="' in text
-            assert (
-                'precis_service_answered_total{priority="interactive"} 1'
-                in text
-            )
-        finally:
-            service.close()
+        answer = serve(
+            engine,
+            "drama",
+            registry=registry,
+            deadline=AfterNChecks(0),
+            degree=WeightThreshold(0.5),
+        )
+        assert answer.degraded
+        text = ServiceMetrics(registry).prometheus()
+        assert 'precis_service_degraded_total{stage="' in text
+        assert (
+            'precis_service_answered_total{priority="interactive"} 1'
+            in text
+        )
 
 
 class TestShedCountersExported:

@@ -8,24 +8,29 @@ from pathlib import Path
 
 import pytest
 
-_TUTORIAL = Path(__file__).parent.parent / "docs" / "tutorial.md"
+DOCS = Path(__file__).parent.parent / "docs"
 
 
-def _blocks():
-    text = _TUTORIAL.read_text()
-    return re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+def python_blocks(document: Path) -> list[str]:
+    """The ```python blocks of a Markdown *document*, in order."""
+    return re.findall(r"```python\n(.*?)```", document.read_text(), re.DOTALL)
+
+
+def run_blocks(document: Path) -> None:
+    """Execute the Python blocks of *document* in order, in one
+    namespace; fail naming the first block that raises."""
+    namespace: dict = {}
+    for position, block in enumerate(python_blocks(document), start=1):
+        label = f"{document.stem}-block-{position}"
+        try:
+            exec(compile(block, label, "exec"), namespace)
+        except Exception as exc:  # pragma: no cover - diagnostic aid
+            pytest.fail(f"{label} failed: {exc}\n---\n{block}")
 
 
 def test_tutorial_has_blocks():
-    assert len(_blocks()) >= 8
+    assert len(python_blocks(DOCS / "tutorial.md")) >= 8
 
 
 def test_tutorial_blocks_execute_in_order():
-    namespace: dict = {}
-    for position, block in enumerate(_blocks(), start=1):
-        try:
-            exec(compile(block, f"tutorial-block-{position}", "exec"), namespace)
-        except Exception as exc:  # pragma: no cover - diagnostic aid
-            pytest.fail(
-                f"tutorial block {position} failed: {exc}\n---\n{block}"
-            )
+    run_blocks(DOCS / "tutorial.md")
