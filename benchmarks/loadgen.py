@@ -27,7 +27,9 @@ otherwise one of the rest, and the class ``batch`` with probability
 ``batch_fraction``. The payload reports goodput (non-degraded answers
 per second of makespan), throughput, shed rate, the coalescing hit
 rate (followers / offered, from the front door's own counters),
-latency percentiles overall and per class, and the SLO snapshot.
+latency percentiles overall and per class, the SLO snapshot, and
+``failures``: how many failed requests raised each exception, keyed
+``"Class: message"``.
 
 :func:`run_bench` packages the experiment: the same stream replayed
 against a fresh stack twice — coalescing on, then off — reporting both
@@ -221,6 +223,7 @@ async def run_load(
     )
     explicit = submit_kwargs.pop("deadline", None)
     records: list[tuple[str, str, float]] = []  # (priority, outcome, s)
+    failures: dict[str, int] = {}  # "Class: message" -> failed requests
 
     async def one(index: int, priority: str) -> None:
         t0 = loop.time()
@@ -236,6 +239,9 @@ async def run_load(
             )
         except Exception as exc:  # noqa: BLE001 — tallied, not propagated
             ended = outcome(None, exc)
+            if ended == "failed":
+                cause = f"{type(exc).__name__}: {exc}"
+                failures[cause] = failures.get(cause, 0) + 1
         else:
             ended = outcome(answer)
         records.append((priority, ended, loop.time() - t0))
@@ -309,6 +315,8 @@ async def run_load(
         "elapsed_s": elapsed,
         "coalesce": frontdoor.config.coalesce,
         "outcomes": outcomes,
+        # what each failed request raised, so a failure can be traced
+        "failures": failures,
         # user-visible answers per second of makespan, partials excluded
         "goodput_rps": outcomes["answered"] / elapsed,
         "throughput_rps": answered / elapsed,

@@ -88,7 +88,7 @@ def test_open_loop_accounts_for_every_arrival(workload):
     for arm in ("coalesced", "uncoalesced"):
         outcomes = payload[arm]["outcomes"]
         assert sum(outcomes.values()) == payload[arm]["offered"]
-        assert outcomes["failed"] == 0
+        assert outcomes["failed"] == 0, payload[arm]["failures"]
     assert payload["uncoalesced"]["shed_rate"] > 0.0
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -349,12 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output file ('-' for stdout, the default)",
     )
     export.add_argument(
-        "--format",
-        choices=["chrome", "jsonl"],
-        default="chrome",
-        help="output format (default: chrome trace-event JSON)",
-    )
-    export.add_argument(
         "--validate",
         action="store_true",
         help="validate the Chrome document structure after rendering "
@@ -661,12 +656,21 @@ def _cmd_serve(args, out) -> int:
         ),
     )
 
-    async def run() -> None:
+    async def run() -> Optional[str]:
         # however the server stops, leaving the block closes the front
         # door and with it the worker pool
         async with AsyncFrontDoor(engine, config, traces=traces) as frontdoor:
             http = FrontDoorHTTP(frontdoor, host=args.host, port=args.port)
-            host, port = await http.start()
+            try:
+                host, port = await http.start()
+            except OSError as exc:
+                # asyncio words a failed bind around the OS's message
+                reason = (
+                    os.strerror(exc.errno)
+                    if exc.errno is not None and exc.errno > 0
+                    else exc.strerror
+                )
+                return f"cannot listen on {args.host}:{args.port}: {reason}"
             print(
                 f"precis front door listening on http://{host}:{port}",
                 file=out,
@@ -679,15 +683,20 @@ def _cmd_serve(args, out) -> int:
                 await http.serve_until_shutdown()
             finally:
                 await http.stop()
+        return None
 
+    refused = None
     try:
-        asyncio.run(run())
+        refused = asyncio.run(run())
     except KeyboardInterrupt:
         print("interrupted", file=out)
     finally:
-        if traces is not None:
+        if traces is not None and refused is None:
             kept = traces.export_jsonl(args.trace_out)
             print(f"{kept} trace(s) -> {args.trace_out}", file=out)
+    if refused is not None:
+        print(f"repro serve: {refused}", file=sys.stderr)
+        raise SystemExit(1)
     print("server stopped", file=out)
     return 0
 
@@ -702,30 +711,20 @@ def _cmd_trace(args, out) -> int:
     )
 
     traces = load_jsonl(args.input)
-    if args.format == "jsonl":
-        lines = [
-            json.dumps(trace.to_dict(), sort_keys=True) for trace in traces
-        ]
-        body = "\n".join(lines) + ("\n" if lines else "")
-    else:
-        document = chrome_trace_events(traces)
-        if args.validate:
-            problems = validate_chrome_trace(document)
-            if problems:
-                for problem in problems:
-                    print(f"invalid: {problem}", file=out)
-                return 1
-        body = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    document = chrome_trace_events(traces)
+    if args.validate:
+        problems = validate_chrome_trace(document)
+        if problems:
+            for problem in problems:
+                print(f"invalid: {problem}", file=out)
+            return 1
+    body = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.out == "-":
         out.write(body)
     else:
         with open(args.out, "w", encoding="utf-8") as stream:
             stream.write(body)
-        print(
-            f"{len(traces)} trace(s) exported to {args.out} "
-            f"({args.format})",
-            file=out,
-        )
+        print(f"{len(traces)} trace(s) exported to {args.out}", file=out)
     return 0
 
 
@@ -743,7 +742,8 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Entry point; returns a process exit code (a usage error exits 2
     through :class:`SystemExit`, as argparse does, and a ``_graph.json``
-    the database does not match exits 1 the same way)."""
+    the database does not match, or an address ``serve`` cannot listen
+    on, exits 1 the same way)."""
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)

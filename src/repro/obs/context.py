@@ -17,7 +17,9 @@ alone: *which request* put that observation in that p99 bucket, and
   :func:`current_trace_id` without an API change at every call site.
 * :class:`RequestTrace` — one completed (or shed) request: its context,
   outcome, queue wait, retry count, and the full span tree from
-  submit → queue → retry attempts → engine stages → storage.
+  submit → queue → retry attempts → engine stages → storage. The front
+  door builds every one, in one method, once the request has ended; a
+  worker only opens the spans of the execution it runs.
 * :class:`TraceBuffer` — a bounded ring of kept traces with *head
   sampling plus always-keep triggers*: normal requests are admitted at
   ``sample_rate`` (deterministically, from the trace id), while

@@ -691,8 +691,9 @@ class ServiceMetrics:
     """The serving stack's one metrics façade (:mod:`repro.service`)
     over a :class:`MetricsRegistry`.
 
-    The async front door (the admission layer) and the worker pool it
-    dispatches to write into the same façade, so one Prometheus scrape
+    The async front door writes every series: its admission decisions,
+    and the executions, failures and retries of the worker pool it
+    dispatches to, which records nothing itself. One Prometheus scrape
     (or one ``--metrics-out`` file) carries admission, execution and —
     when the engines share the registry — the pipeline stages too.
 
@@ -850,11 +851,13 @@ class ServiceMetrics:
             kind=kind,
         ).inc()
 
-    def retried(self) -> None:
+    def retried(self, count: int) -> None:
+        """*count* transient storage failures of one execution were
+        retried."""
         self.registry.counter(
             "precis_service_retries_total",
             "transient storage failures retried",
-        ).inc()
+        ).inc(count)
 
     def retries_exhausted(self) -> None:
         self.registry.counter(

@@ -220,9 +220,12 @@ class Tracer:
     3
     """
 
-    def __init__(self, sinks: Optional[Iterable] = None, enabled: bool = True):
+    #: whether spans are recorded; the engine reads it to skip work
+    #: that only a recording tracer needs (:class:`NullTracer` is off)
+    enabled = True
+
+    def __init__(self, sinks: Optional[Iterable] = None):
         self.sinks = list(sinks) if sinks is not None else []
-        self.enabled = enabled
         # The open-span stack is *thread-local*: concurrent asks through
         # one shared engine (and hence one shared tracer) each build
         # their own span tree — counters land on the issuing thread's
@@ -240,13 +243,11 @@ class Tracer:
 
     def span(self, name: str):
         """Open a nested stage span: ``with tracer.span("match") as s:``."""
-        if not self.enabled:
-            return _NULL_SPAN_CONTEXT
         return _SpanContext(self, name)
 
     def count(self, name: str, amount: int = 1) -> None:
         """Add *amount* to counter *name* of the innermost open span."""
-        if not self.enabled or not self._stack:
+        if not self._stack:
             return
         counters = self._stack[-1].counters
         counters[name] = counters.get(name, 0) + amount
@@ -282,11 +283,10 @@ class NullTracer(Tracer):
     """The no-op tracer threaded through the engine by default.
 
     Immutable-by-convention singleton (:data:`NULL_TRACER`): never give
-    it sinks; ``enabled`` stays False.
+    it sinks.
     """
 
-    def __init__(self):
-        super().__init__(sinks=None, enabled=False)
+    enabled = False
 
     def span(self, name: str):
         return _NULL_SPAN_CONTEXT

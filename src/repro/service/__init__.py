@@ -12,10 +12,11 @@ a servable component in two pieces:
   dispatch and batch preemption, per-tenant quotas, and every shed
   decision, counted on one metrics façade shared with the
   :mod:`repro.obs` registry;
-* the worker pool underneath (:class:`PrecisService`), which the
-  front door builds, owns and closes: threads over one engine,
+* the worker pool underneath (:mod:`repro.service.service`), which
+  the front door builds, owns and closes: threads over one engine and
   retry-with-backoff over the storage layer's transient/permanent
-  fault classification, and the per-request span tree.
+  fault classification. The pool records nothing: the front door
+  counts every execution and builds every request's trace.
 
 How a request ended is one vocabulary (:mod:`repro.service.errors`):
 each shed error is a :class:`Shed` naming its reason, and
@@ -47,12 +48,10 @@ from .frontdoor import (
 )
 from .http import FrontDoorHTTP
 from .retry import RetryPolicy, call_with_retry
-from .service import PrecisService
 
 __all__ = [
     "Deadline",
     "NO_DEADLINE",
-    "PrecisService",
     "AsyncFrontDoor",
     "FrontDoorConfig",
     "FrontDoorHTTP",

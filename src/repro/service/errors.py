@@ -12,8 +12,8 @@ the retry budget ran out; the last underlying error rides along as
 ``__cause__`` and :attr:`RetryExhausted.last_error`.
 
 How a served request ended is one of :data:`OUTCOMES`, and
-:func:`outcome` is the one place that says which: the pool's and the
-front door's traces and the tally of ``benchmarks/loadgen.py`` call it.
+:func:`outcome` is the one place that says which: the front door's
+traces and the tally of ``benchmarks/loadgen.py`` call it.
 """
 
 from __future__ import annotations

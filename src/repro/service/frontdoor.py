@@ -1,8 +1,9 @@
 """The asyncio front door: the serving stack's one admission layer.
 
 :class:`AsyncFrontDoor` is the one serving object: built over an
-engine, it owns its :class:`~repro.service.PrecisService` worker pool,
-its :class:`~repro.obs.metrics.ServiceMetrics` and its
+engine, it owns its worker pool
+(:class:`~repro.service.service.PrecisService`), its
+:class:`~repro.obs.metrics.ServiceMetrics` and its
 :class:`~repro.obs.context.TraceBuffer`, takes one
 :class:`FrontDoorConfig`, and makes every admission decision a
 request-per-user web front end needs:
@@ -59,31 +60,36 @@ request-per-user web front end needs:
 
 Dispatch runs one flight per pool worker, so the pool's hand-off queue
 stays empty and ordering decisions live entirely in the priority queue
-here. Every shed is decided, counted and traced here, and each shed
-error names its :attr:`~repro.service.errors.Shed.reason`; the metrics
-land in the front door's :class:`~repro.obs.metrics.ServiceMetrics`,
-which its pool records retries and failures into — one façade, one
-scrape for the whole stack.
+here. The pool runs each flight's ask with retry and hands back how it
+went (:class:`~repro.service.service.Execution`); everything else about
+a served request is recorded here. Every shed is decided, counted and
+traced here, and each shed error names its
+:attr:`~repro.service.errors.Shed.reason`; executions, failures and
+retries are counted here too, so one
+:class:`~repro.obs.metrics.ServiceMetrics` façade — one scrape — covers
+the whole stack.
 
 Tracing: given a :class:`~repro.obs.context.TraceBuffer` (``traces=``),
-which it shares with its pool, the front door mints each waiter's
-:class:`~repro.obs.context.TraceContext` at submit. The leader's
-context rides into the pool (``submit(context=)``), whose worker
-traces the execution — front-door queueing plus the full engine
-subtree. Every other waiter is traced here, by one method, with the
-outcome :func:`~repro.service.errors.outcome` names: an admission hit
-hands over its live ``request`` root over the engine's ``ask`` →
-``cache`` subtree (worker ``frontdoor``, no queue wait); a follower
-and a shed waiter get a synthetic ``request`` span, followers with a
-``coalesced`` child and
+the front door mints each waiter's
+:class:`~repro.obs.context.TraceContext` at submit, and one method,
+:meth:`AsyncFrontDoor._record_trace`, builds every waiter's trace with
+the outcome :func:`~repro.service.errors.outcome` names. A leader's
+context rides into the pool, whose worker activates it and opens the
+``request`` root over the retry attempts and the engine's ``ask``
+tree; the front door moves that root back to the submit instant and
+gives it a synthetic ``queue`` child for the wait before a worker took
+it. An admission hit hands over its live ``request`` root over the
+engine's ``ask`` → ``cache`` subtree (worker ``frontdoor``, no queue
+wait); a follower and a shed waiter get a synthetic ``request`` span,
+followers with a ``coalesced`` child and
 :attr:`~repro.obs.context.RequestTrace.coalesced_into` naming the
 leader's trace id.
 
 Everything here runs on one event loop: submissions, admission,
-coalescing bookkeeping, quotas and dispatch are loop-confined (no
-locks), and only flights cross into the pool's worker threads. The
-one engine call made on the loop is an admission hit's ask, whose
-cache read takes the cache's own lock.
+coalescing bookkeeping, quotas, dispatch and recording are
+loop-confined (no locks), and only flights cross into the pool's
+worker threads. The one engine call made on the loop is an admission
+hit's ask, whose cache read takes the cache's own lock.
 """
 
 from __future__ import annotations
@@ -107,8 +113,10 @@ from ..obs.context import (
 )
 from ..obs.metrics import MetricsRegistry, ServiceMetrics
 from ..obs.tracer import Tracer
+from ..storage import PermanentStorageError
 from .errors import (
     QueueFull,
+    RetryExhausted,
     ServiceClosed,
     Shed,
     StaleRequest,
@@ -116,7 +124,7 @@ from .errors import (
     outcome,
 )
 from .retry import RetryPolicy
-from .service import PrecisService
+from .service import Execution, PrecisService
 
 __all__ = [
     "PRIORITY_INTERACTIVE",
@@ -195,7 +203,8 @@ class _Flight:
         self.future = future
         #: "pending" (queued) -> "dispatched" (executing) -> "done"
         self.state = "pending"
-        #: handed to the pool (which then traces the leader)
+        #: handed to the pool (the leader's trace is then recorded
+        #: with the execution)
         self.dispatched = False
         #: holds one of its tenant's slots until resolved
         self.holds_slot = False
@@ -240,11 +249,7 @@ class AsyncFrontDoor:
         #: request-trace capture (repro.obs.context); None = untraced
         self.traces = traces
         self._pool = PrecisService(
-            engine,
-            workers=self.config.workers,
-            retry=self.config.retry,
-            metrics=self.metrics,
-            traces=traces,
+            engine, self.config.workers, self.config.retry
         )
         self._flights: dict[Any, _Flight] = {}
         self._heap: list[tuple[int, float, int, _Flight]] = []
@@ -399,7 +404,7 @@ class AsyncFrontDoor:
         except Exception as exc:
             # only an ask the cache lost since the check runs the
             # pipeline, and so can fail
-            self.metrics.failed(type(exc).__name__)
+            self._failed(exc)
             self._record_trace(context, error=exc, root=root)
             raise
         finally:
@@ -521,8 +526,8 @@ class AsyncFrontDoor:
             ) from None
         except BaseException as exc:
             # a flight-level shed (counted once, when decided) or an
-            # execution failure (counted by the pool); every waiter the
-            # pool did not trace still reports its own trace
+            # execution failure (counted with the execution); every
+            # waiter but a dispatched leader reports its own trace here
             if follower or not flight.dispatched:
                 self._record_trace(
                     context, error=exc, coalesced_into=coalesced_into
@@ -603,7 +608,7 @@ class AsyncFrontDoor:
                 TenantQuotaExceeded(flight.tenant, self.config.tenant_slots),
             )
             return
-        future = self._pool.submit(
+        execution = self._pool.submit(
             flight.query,
             deadline=flight.deadline,
             context=flight.context,
@@ -611,12 +616,33 @@ class AsyncFrontDoor:
         )
         flight.dispatched = True
         self.metrics.executed()
+        answer = error = None
         try:
-            answer = await asyncio.wrap_future(future)
+            answer = await asyncio.wrap_future(execution)
         except BaseException as exc:
-            self._resolve_flight(flight, error=exc)
-            return
-        self._resolve_flight(flight, result=answer)
+            error = exc
+        if execution.retries:
+            self.metrics.retried(execution.retries)
+        if error is not None:
+            self._failed(error)
+        # recorded before the waiters resume: a caller holding the
+        # answer can already find the leader's trace
+        self._record_trace(flight.context, answer, error, execution=execution)
+        self._resolve_flight(flight, answer, error)
+
+    def _failed(self, error: BaseException) -> None:
+        """Count one failed execution by kind: ``transient`` when the
+        retry budget ran out, ``permanent`` for a permanent storage
+        fault, otherwise the exception's class name — the same for a
+        worker's ask and for an admission hit's."""
+        if isinstance(error, RetryExhausted):
+            self.metrics.retries_exhausted()
+            kind = "transient"
+        elif isinstance(error, PermanentStorageError):
+            kind = "permanent"
+        else:
+            kind = type(error).__name__
+        self.metrics.failed(kind)
 
     def _shed_flight(self, flight: _Flight, error: Shed) -> None:
         """One flight-level shed: counted once, fanned out to every
@@ -667,20 +693,39 @@ class AsyncFrontDoor:
         error: Optional[BaseException] = None,
         root=None,
         coalesced_into: Optional[str] = None,
+        execution: Optional[Execution] = None,
     ) -> None:
-        """One waiter's trace when no worker traced it, under the
-        outcome :func:`~repro.service.errors.outcome` names.
+        """Build and offer one waiter's trace — the only place a served
+        request's trace is made — under the outcome
+        :func:`~repro.service.errors.outcome` names.
 
-        An admission hit hands over its live ``request`` root, moved
-        back to the submit instant, over the engine's ``ask`` subtree.
-        Every other waiter gets a synthetic ``request`` root with a
-        ``coalesced`` child (a follower, who waited on another
-        execution) or a ``shed`` child. Shed and failed outcomes always
-        trigger buffer admission, so under overload the buffer fills
-        with exactly the requests that were turned away."""
+        A leader hands over its *execution*: the worker's ``request``
+        root, moved back to the submit instant, gets a synthetic
+        ``queue`` child for the wait before a worker took it, and the
+        trace names the worker and the retries. An admission hit hands
+        over its live *root* over the engine's ``ask`` subtree, moved
+        back the same way. Every other waiter gets a synthetic
+        ``request`` root with a ``coalesced`` child (a follower, who
+        waited on another execution) or a ``shed`` child. Shed and
+        failed outcomes always trigger buffer admission, so under
+        overload the buffer fills with exactly the requests that were
+        turned away."""
         buffer = self.traces
         if buffer is None or context is None:
             return
+        waited = 0.0
+        if execution is not None and execution.root is not None:
+            root = execution.root
+            waited = max(root._mono_start - context.submitted_mono, 0.0)
+            root.children.insert(
+                0,
+                synthetic_span(
+                    "queue",
+                    context.submitted_wall,
+                    waited,
+                    mono_start=context.submitted_mono,
+                ),
+            )
         if root is not None:
             root.wall_start = context.submitted_wall
             root._mono_start = context.submitted_mono
@@ -704,14 +749,17 @@ class AsyncFrontDoor:
                 root=root,
                 outcome=outcome(answer, error),
                 duration_s=duration,
-                queue_wait_s=duration if isinstance(error, Shed) else 0.0,
+                queue_wait_s=duration if isinstance(error, Shed) else waited,
+                retries=execution.retries if execution is not None else 0,
                 degraded_stage=(
                     answer.degraded_stage
                     if error is None and answer.degraded
                     else None
                 ),
                 error=type(error).__name__ if error is not None else None,
-                worker="frontdoor",
+                worker=(
+                    execution.worker if execution is not None else "frontdoor"
+                ),
                 coalesced_into=coalesced_into,
             )
         )
@@ -746,7 +794,7 @@ class AsyncFrontDoor:
 
     def __repr__(self):
         return (
-            f"AsyncFrontDoor({self._pool!r}, pending={self.pending()}, "
-            f"coalesce={self.config.coalesce}"
+            f"AsyncFrontDoor({self.config.workers} worker(s), "
+            f"pending={self.pending()}, coalesce={self.config.coalesce}"
             f"{', closed' if self._closed else ''})"
         )

@@ -235,6 +235,11 @@ class TestJsonlRoundTrip:
         assert buffer.export_jsonl(stream) == 2
         back = load_jsonl(io.StringIO(stream.getvalue()))
         assert [t.trace_id for t in back] == ["aa".rjust(16, "0"), "cd" * 8]
+        # line for line: a trace read back writes the line it was read
+        # from
+        assert [
+            json.dumps(trace.to_dict(), sort_keys=True) for trace in back
+        ] == stream.getvalue().splitlines()
 
         first = back[0]
         assert first.outcome == "degraded"

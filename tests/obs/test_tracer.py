@@ -170,8 +170,10 @@ class TestSpanDict:
 
 class TestNoOpPath:
     def test_disabled_tracer_records_nothing(self):
+        # the off switch is the NullTracer class: even a sink handed to
+        # one sees no span and no count
         sink = InMemorySink()
-        tracer = Tracer([sink], enabled=False)
+        tracer = NullTracer([sink])
         with tracer.span("outer") as span:
             tracer.count("n", 3)
             with tracer.span("inner"):
@@ -183,6 +185,8 @@ class TestNoOpPath:
     def test_null_tracer_is_disabled_singleton(self):
         assert isinstance(NULL_TRACER, NullTracer)
         assert not NULL_TRACER.enabled
+        # the off switch is the class, not a constructor flag
+        assert Tracer.enabled and not NullTracer.enabled
         assert NULL_TRACER.sinks == []
 
     def test_null_tracer_span_is_shared_noop(self):

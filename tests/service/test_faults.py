@@ -15,8 +15,8 @@ from repro.cache import CacheConfig
 from repro.core import PrecisEngine, WeightThreshold
 from repro.datasets import movies_graph, paper_instance
 from repro.service import (
+    AsyncFrontDoor,
     FrontDoorConfig,
-    PrecisService,
     RetryExhausted,
     RetryPolicy,
     call_with_retry,
@@ -27,7 +27,7 @@ from repro.storage import (
 )
 
 from .faults import FlakyStore, make_flaky
-from .helpers import serve
+from .helpers import run
 
 QUERY = '"Woody Allen"'
 
@@ -117,10 +117,10 @@ class TestRetryPolicy:
 RETRY = RetryPolicy(attempts=12, base_delay_s=0.0)
 
 
-def build_service(fail_times, methods=None, error=TransientStorageError):
-    """A single-worker service over a paper instance whose stores fail
-    the first *fail_times* calls per method. Retries back off through a
-    recorded no-op sleep, so tests stay instant."""
+def build_frontdoor(fail_times, methods=None, error=TransientStorageError):
+    """A single-worker front door over a paper instance whose stores
+    fail the first *fail_times* calls per method. Retries back off
+    through a recorded no-op sleep, so tests stay instant."""
     db = paper_instance()
     engine = PrecisEngine(
         db, graph=movies_graph(), cache=CacheConfig(answers=True)
@@ -131,133 +131,136 @@ def build_service(fail_times, methods=None, error=TransientStorageError):
     )
     # fail_times is per *store*: one ask touches several relations, so
     # the first-strike test needs one attempt per relation plus slack
-    return PrecisService(engine, workers=1, retry=RETRY), engine, wrappers
+    frontdoor = AsyncFrontDoor(engine, FrontDoorConfig(workers=1, retry=RETRY))
+    return frontdoor, engine, wrappers
+
+
+def served(frontdoor, body):
+    """Run ``body(frontdoor)`` on a fresh loop; closes the front door."""
+
+    async def go():
+        async with frontdoor:
+            return await body(frontdoor)
+
+    return run(go())
 
 
 class TestServiceUnderFaults:
     def test_transient_faults_are_retried_to_success(self):
-        svc, engine, wrappers = build_service(
+        frontdoor, engine, wrappers = build_frontdoor(
             fail_times=1, methods={"get_many"}
         )
-        try:
-            answer = svc.ask(QUERY, degree=WeightThreshold(0.5))
-            assert answer.found
-            assert not answer.degraded
-            registry = svc.metrics.registry
-            assert (
-                registry.counter("precis_service_retries_total").value >= 1
-            )
-            assert (
-                registry.counter("precis_service_retry_exhausted_total").value
-                == 0
-            )
-            # the fault really struck: the wrapped method failed once
-            assert any(w.failures["get_many"] for w in wrappers.values())
-        finally:
-            svc.close()
+
+        async def body(frontdoor):
+            return await frontdoor.submit(QUERY, degree=WeightThreshold(0.5))
+
+        answer = served(frontdoor, body)
+        assert answer.found
+        assert not answer.degraded
+        registry = frontdoor.metrics.registry
+        assert registry.counter("precis_service_retries_total").value >= 1
+        assert (
+            registry.counter("precis_service_retry_exhausted_total").value
+            == 0
+        )
+        # the fault really struck: the wrapped method failed once
+        assert any(w.failures["get_many"] for w in wrappers.values())
 
     def test_retry_exhaustion_surfaces_and_counts(self):
-        svc, engine, wrappers = build_service(
+        frontdoor, engine, wrappers = build_frontdoor(
             fail_times=10_000, methods={"get_many"}
         )
-        try:
-            future = svc.submit(QUERY, degree=WeightThreshold(0.5))
+
+        async def body(frontdoor):
             with pytest.raises(RetryExhausted) as exc_info:
-                future.result(timeout=30)
-            assert isinstance(
-                exc_info.value.last_error, TransientStorageError
-            )
-            registry = svc.metrics.registry
-            assert (
-                registry.counter("precis_service_retry_exhausted_total").value
-                == 1
-            )
-            assert (
-                registry.counter(
-                    "precis_service_failures_total", kind="transient"
-                ).value
-                == 1
-            )
-        finally:
-            svc.close()
+                await frontdoor.submit(QUERY, degree=WeightThreshold(0.5))
+            return exc_info
+
+        exc_info = served(frontdoor, body)
+        assert isinstance(exc_info.value.last_error, TransientStorageError)
+        registry = frontdoor.metrics.registry
+        assert (
+            registry.counter("precis_service_retry_exhausted_total").value
+            == 1
+        )
+        assert (
+            registry.counter(
+                "precis_service_failures_total", kind="transient"
+            ).value
+            == 1
+        )
 
     def test_permanent_fault_fails_fast(self):
-        svc, engine, wrappers = build_service(
+        frontdoor, engine, wrappers = build_frontdoor(
             fail_times=10_000,
             methods={"get_many"},
             error=PermanentStorageError,
         )
-        try:
-            future = svc.submit(QUERY, degree=WeightThreshold(0.5))
+
+        async def body(frontdoor):
             with pytest.raises(PermanentStorageError):
-                future.result(timeout=30)
-            registry = svc.metrics.registry
-            assert (
-                registry.counter(
-                    "precis_service_failures_total", kind="permanent"
-                ).value
-                == 1
-            )
-            assert registry.counter("precis_service_retries_total").value == 0
-            # exactly one strike per ask: no retry loop ran
-            struck = [
-                w for w in wrappers.values() if w.failures["get_many"]
-            ]
-            assert all(w.failures["get_many"] == 1 for w in struck)
-        finally:
-            svc.close()
+                await frontdoor.submit(QUERY, degree=WeightThreshold(0.5))
+
+        served(frontdoor, body)
+        registry = frontdoor.metrics.registry
+        assert (
+            registry.counter(
+                "precis_service_failures_total", kind="permanent"
+            ).value
+            == 1
+        )
+        assert registry.counter("precis_service_retries_total").value == 0
+        # exactly one strike per ask: no retry loop ran
+        struck = [w for w in wrappers.values() if w.failures["get_many"]]
+        assert all(w.failures["get_many"] == 1 for w in struck)
 
     def test_failed_ask_leaves_caches_and_metrics_consistent(self):
-        svc, engine, wrappers = build_service(
+        frontdoor, engine, wrappers = build_frontdoor(
             fail_times=10_000, methods={"get_many"}
         )
-        try:
-            # a front door over the same engine, recording into the
-            # pool's registry, so the gauges read below are its own
+
+        async def body(frontdoor):
             with pytest.raises(RetryExhausted):
-                serve(
-                    engine,
-                    QUERY,
-                    FrontDoorConfig(retry=RETRY),
-                    registry=svc.metrics.registry,
-                    degree=WeightThreshold(0.5),
-                )
+                await frontdoor.submit(QUERY, degree=WeightThreshold(0.5))
             # nothing half-built may be cached
             assert len(engine.cache.answers) == 0
             # the in-flight gauges went back down despite the failure
-            assert svc.metrics.inflight.value == 0
-            assert svc.metrics.pending.value == 0
-            # heal the stores: the same service must now answer cleanly
+            assert frontdoor.metrics.inflight.value == 0
+            assert frontdoor.metrics.pending.value == 0
+            # heal the stores: the same front door must now answer
+            # cleanly
             for wrapper in wrappers.values():
                 wrapper.heal()
-            answer = svc.ask(QUERY, degree=WeightThreshold(0.5))
+            answer = await frontdoor.submit(
+                QUERY, degree=WeightThreshold(0.5)
+            )
             assert answer.found
             assert len(engine.cache.answers) == 1
             # and the cached entry serves identical bytes
-            again = svc.ask(QUERY, degree=WeightThreshold(0.5))
+            again = await frontdoor.submit(QUERY, degree=WeightThreshold(0.5))
             assert again.to_dict() == answer.to_dict()
-        finally:
-            svc.close()
+
+        served(frontdoor, body)
 
     def test_mid_ask_fault_does_not_poison_plan_cache(self):
-        svc, engine, wrappers = build_service(
+        frontdoor, engine, wrappers = build_frontdoor(
             fail_times=10_000, methods={"get_many"}
         )
-        try:
-            future = svc.submit(QUERY, degree=WeightThreshold(0.5))
+
+        async def body(frontdoor):
             with pytest.raises(RetryExhausted):
-                future.result(timeout=30)
+                await frontdoor.submit(QUERY, degree=WeightThreshold(0.5))
             for wrapper in wrappers.values():
                 wrapper.heal()
             # a cached plan from the failed run must still be *valid* —
             # the healed ask answers identically to a fresh engine
-            healed = svc.ask(QUERY, degree=WeightThreshold(0.5))
-            fresh = PrecisEngine(paper_instance(), graph=movies_graph()).ask(
-                QUERY, degree=WeightThreshold(0.5)
-            )
-            assert healed.to_dict() == fresh.to_dict()
-        finally:
-            svc.close()
+            return await frontdoor.submit(QUERY, degree=WeightThreshold(0.5))
+
+        healed = served(frontdoor, body)
+        fresh = PrecisEngine(paper_instance(), graph=movies_graph()).ask(
+            QUERY, degree=WeightThreshold(0.5)
+        )
+        assert healed.to_dict() == fresh.to_dict()
 
 
 class TestFlakyStoreItself:

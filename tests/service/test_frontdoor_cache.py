@@ -463,7 +463,8 @@ class TestAccounting:
     ):
         """The leftover case failing: the pipeline the loop runs meets
         a storage fault. The caller gets the error, and the failure is
-        counted and traced (always kept) like a worker's."""
+        counted under the same kind as a worker's and traced (always
+        kept)."""
         buffer = TraceBuffer(capacity=16, sample_rate=0.0)
         engine, frontdoor = stack(traces=buffer)
         monkeypatch.setattr(engine, "holds_answer", lambda signature: True)
@@ -480,7 +481,7 @@ class TestAccounting:
             count(
                 frontdoor,
                 "precis_service_failures_total",
-                kind="PermanentStorageError",
+                kind="permanent",
             )
             == 1
         )

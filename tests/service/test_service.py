@@ -1,6 +1,7 @@
-"""The serving stack's basics: the worker pool used alone, and the
-admission decisions (sheds, deadlines, metrics) the front door makes in
-front of the pool it owns.
+"""The serving stack's basics: the worker pool's threads, its
+lifecycle and per-ask cost seen through the front door that owns it,
+and the admission decisions (sheds, deadlines, metrics) the front door
+makes in front of it.
 
 Synchronization is event-based throughout — a worker is parked by a
 ``Deadline`` subclass that blocks its first ``expired()`` check on an
@@ -13,8 +14,6 @@ import threading
 
 import pytest
 
-from concurrent.futures import FIRST_COMPLETED, wait
-
 from repro.core import Deadline, PrecisEngine, WeightThreshold
 from repro.datasets import (
     generate_movies_database,
@@ -25,7 +24,6 @@ from repro.obs import MetricsRegistry, ServiceMetrics
 from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
-    PrecisService,
     QueueFull,
     ServiceClosed,
     StaleRequest,
@@ -42,44 +40,55 @@ def engine():
     return PrecisEngine(paper_instance(), graph=movies_graph())
 
 
-@pytest.fixture()
-def service(engine):
-    svc = PrecisService(engine, workers=1)
-    yield svc
-    svc.close()
-
-
 def counter(server, name, **labels):
-    """A counter of a pool's or a front door's metrics."""
+    """A counter of a front door's metrics."""
     return server.metrics.registry.counter(name, "", **labels).value
 
 
 class TestAsk:
-    def test_ask_matches_direct_engine_answer(self, engine, service):
+    def test_ask_matches_direct_engine_answer(self, engine):
         direct = engine.ask(QUERY, degree=WeightThreshold(0.5))
-        served = service.ask(QUERY, degree=WeightThreshold(0.5))
+        served = serve(engine, QUERY, degree=WeightThreshold(0.5))
         assert served.to_dict() == direct.to_dict()
         assert not served.degraded
 
-    def test_submit_returns_future(self, service):
-        future = service.submit(QUERY)
-        answer = future.result(timeout=30)
+    def test_submit_returns_future(self, engine):
+        """The pool's ``submit`` hands back the future its worker
+        resolves, and says which worker ran the ask."""
+
+        async def go():
+            async with AsyncFrontDoor(engine) as frontdoor:
+                future = frontdoor._pool.submit(QUERY, Deadline(None), None)
+                answer = await asyncio.wrap_future(future)
+                return future, answer
+
+        future, answer = run(go())
         assert answer.found
         assert future.done()
+        assert future.worker == "precis-worker-0"
+        assert future.retries == 0
+        assert future.root is None  # untraced: no context was handed over
 
-    def test_ask_kwargs_are_forwarded(self, service):
-        answer = service.ask(QUERY, translate=False)
+    def test_ask_kwargs_are_forwarded(self, engine):
+        answer = serve(engine, QUERY, translate=False)
         assert answer.narrative is None
 
-    def test_engine_error_propagates_and_service_survives(self, service):
-        future = service.submit(QUERY, no_such_kwarg=True)
-        with pytest.raises(TypeError):
-            future.result(timeout=30)
-        assert counter(
-            service, "precis_service_failures_total", kind="TypeError"
-        ) == 1
-        # the worker is still alive and serving
-        assert service.ask(QUERY).found
+    def test_engine_error_propagates_and_service_survives(self, engine):
+        async def go():
+            async with AsyncFrontDoor(engine) as frontdoor:
+                with pytest.raises(TypeError):
+                    await frontdoor.submit(QUERY, no_such_kwarg=True)
+                failures = counter(
+                    frontdoor,
+                    "precis_service_failures_total",
+                    kind="TypeError",
+                )
+                # the only worker is still alive and serving
+                return failures, await frontdoor.submit(QUERY)
+
+        failures, answer = run(go())
+        assert failures == 1
+        assert answer.found
 
     def test_queue_depth_gauge_returns_to_zero(self, engine):
         registry = MetricsRegistry()
@@ -186,70 +195,92 @@ class TestShedding:
 
 class TestLifecycle:
     def test_submit_after_close_raises(self, engine):
-        svc = PrecisService(engine)
-        svc.close()
-        with pytest.raises(ServiceClosed):
-            svc.submit(QUERY)
-        assert svc.closed
+        async def go():
+            frontdoor = AsyncFrontDoor(engine)
+            await frontdoor.close()
+            with pytest.raises(ServiceClosed):
+                await frontdoor.submit(QUERY)
+            return frontdoor
+
+        assert run(go()).closed
 
     def test_close_is_idempotent(self, engine):
-        svc = PrecisService(engine)
-        svc.close()
-        svc.close()
+        async def go():
+            frontdoor = AsyncFrontDoor(engine)
+            await frontdoor.close()
+            await frontdoor.close()
+
+        run(go())
 
     def test_close_serves_admitted_requests(self, engine):
-        gate = threading.Event()
-        blocker = GateDeadline(gate)
-        svc = PrecisService(engine, workers=1)
-        running = svc.submit(QUERY, deadline=blocker)
-        assert blocker.entered.wait(timeout=30)
-        queued = [svc.submit(QUERY) for __ in range(3)]
-        closer = threading.Thread(target=svc.close, daemon=True)
-        closer.start()
-        gate.set()
-        closer.join(timeout=30)
-        assert not closer.is_alive()
-        assert running.result(timeout=30).found
-        for future in queued:
-            assert future.result(timeout=30).found
+        async def go():
+            gate = threading.Event()
+            blocker = GateDeadline(gate)
+            frontdoor = AsyncFrontDoor(engine, FrontDoorConfig(coalesce=False))
+            try:
+                running = asyncio.ensure_future(
+                    frontdoor.submit(QUERY, deadline=blocker)
+                )
+                await entered(blocker)
+                queued = [
+                    asyncio.ensure_future(frontdoor.submit(QUERY))
+                    for __ in range(3)
+                ]
+                await spin(lambda: frontdoor.pending() == 4, "queued")
+                closer = asyncio.ensure_future(frontdoor.close())
+                gate.set()
+                await asyncio.wait_for(closer, timeout=30)
+                return await running, [await future for future in queued]
+            finally:
+                gate.set()
+                await frontdoor.close()
+
+        running, queued = run(go())
+        assert running.found
+        for answer in queued:
+            assert answer.found
 
     def test_context_manager_closes(self, engine):
-        with PrecisService(engine) as svc:
-            assert svc.ask(QUERY).found
-        assert svc.closed
+        async def go():
+            async with AsyncFrontDoor(engine) as frontdoor:
+                assert (await frontdoor.submit(QUERY)).found
+            return frontdoor
+
+        assert run(go()).closed
 
     def test_worker_pool_defaults_to_one_worker(self, engine):
         assert FrontDoorConfig().workers == 1
-        svc = PrecisService(engine)
+        frontdoor = AsyncFrontDoor(engine)
         try:
-            assert len(svc._threads) == 1
-            assert svc.engine is engine
+            assert len(frontdoor._pool._threads) == 1
+            assert frontdoor._pool.engine is engine
         finally:
-            svc.close()
+            run(frontdoor.close())
 
     def test_worker_count_override(self, engine):
-        svc = PrecisService(engine, workers=3)
-        try:
-            assert len(svc._threads) == 3
-            for __ in range(6):
-                assert svc.ask(QUERY).found
-        finally:
-            svc.close()
+        async def go():
+            config = FrontDoorConfig(workers=3)
+            async with AsyncFrontDoor(engine, config) as frontdoor:
+                assert len(frontdoor._pool._threads) == 3
+                for __ in range(6):
+                    assert (await frontdoor.submit(QUERY)).found
+
+        run(go())
 
 
 class TestConfig:
     def test_rejects_bad_workers(self, engine):
         with pytest.raises(ValueError, match="workers"):
-            PrecisService(engine, workers=0)
+            AsyncFrontDoor(engine, FrontDoorConfig(workers=0))
 
     def test_repr_mentions_shape(self, engine):
-        svc = PrecisService(engine, workers=2)
+        frontdoor = AsyncFrontDoor(engine, FrontDoorConfig(workers=2))
         try:
-            text = repr(svc)
+            text = repr(frontdoor)
             assert "2 worker(s)" in text
         finally:
-            svc.close()
-        assert "closed" in repr(svc)
+            run(frontdoor.close())
+        assert "closed" in repr(frontdoor)
 
 
 class TestSharedRegistry:
@@ -296,17 +327,31 @@ class TestCostPerAsk:
         for name in db.schema.relation_names:
             relation = db.relation(name)
             relation.store = _OverlapStore(relation.store, barrier, hold, seen)
-        with PrecisService(engine, workers=2) as svc:
-            futures = {svc.submit(q): q for q in queries}
-            # one ask reads to the end while the other's measurement is
-            # open and waiting; then the held one finishes
-            done, __ = wait(futures, timeout=30, return_when=FIRST_COMPLETED)
-            assert len(done) == 1
-            hold.set()
-            costs = {
-                q: future.result(timeout=30).to_dict()["cost"]
-                for future, q in futures.items()
-            }
+
+        async def go():
+            config = FrontDoorConfig(workers=2)
+            async with AsyncFrontDoor(engine, config) as frontdoor:
+                futures = {
+                    asyncio.ensure_future(frontdoor.submit(q)): q
+                    for q in queries
+                }
+                try:
+                    # one ask reads to the end while the other's
+                    # measurement is open and waiting; then the held
+                    # one finishes
+                    done, __ = await asyncio.wait(
+                        futures, timeout=30,
+                        return_when=asyncio.FIRST_COMPLETED,
+                    )
+                    assert len(done) == 1
+                finally:
+                    hold.set()
+                return {
+                    q: (await future).to_dict()["cost"]
+                    for future, q in futures.items()
+                }
+
+        costs = run(go())
         assert costs == serial
         # the database's own totals still count both asks' reads
         assert db.meter.tuple_reads >= sum(

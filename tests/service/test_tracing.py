@@ -20,14 +20,12 @@ from repro.datasets import movies_graph, paper_instance
 from repro.obs import MetricsRegistry
 from repro.obs.context import (
     TraceBuffer,
-    TraceContext,
     current_trace_id,
     validate_chrome_trace,
 )
 from repro.service import (
     AsyncFrontDoor,
     FrontDoorConfig,
-    PrecisService,
     QueueFull,
     ServiceClosed,
     TenantQuotaExceeded,
@@ -135,20 +133,35 @@ class TestAnsweredRequestTrace:
 
     def test_trace_is_findable_before_the_future_resolves(self, engine):
         buffer = TraceBuffer(sample_rate=1.0)
-        seen_at_callback: list[int] = []
-        with PrecisService(engine, traces=buffer) as service:
-            # the pool traces under the context its submitter hands it
-            future = service.submit(
-                "Allen", context=TraceContext.mint("Allen")
+        seen_at_return: list[bool] = []
+        frontdoor = AsyncFrontDoor(engine, traces=buffer)
+
+        async def body(frontdoor, gate, parked):
+            async def waiter(**submit_kwargs):
+                answer = await frontdoor.submit("Allen", **submit_kwargs)
+                # the answer names the leader's trace id
+                seen_at_return.append(
+                    buffer.find(answer.explanation.trace_id) is not None
+                )
+
+            leader = asyncio.ensure_future(waiter(deadline=parked))
+            await entered(parked)
+            follower = asyncio.ensure_future(waiter())
+            await spin(
+                lambda: frontdoor.metrics.registry.counter(
+                    "precis_service_coalesced_total", "",
+                    priority="interactive",
+                ).value == 1,
+                "follower joined",
             )
-            future.add_done_callback(
-                lambda f: seen_at_callback.append(len(buffer))
-            )
-            future.result()
-        # the offer happens before set_result, so the done callback —
-        # the earliest instant a caller can hold the answer — already
-        # sees the trace
-        assert seen_at_callback == [1]
+            gate.set()
+            await asyncio.gather(leader, follower)
+
+        gated(frontdoor, body)
+        # the leader's trace is offered before its flight resolves, so
+        # when any waiter's submit returns — the earliest instant a
+        # caller can hold the answer — the buffer already holds it
+        assert seen_at_return == [True, True]
 
     def test_chrome_export_of_live_traffic_validates(self, engine):
         buffer = TraceBuffer(sample_rate=1.0)

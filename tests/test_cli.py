@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import errno
 import io
+import os
 import socket
 import threading
 import urllib.request
@@ -406,9 +408,10 @@ class TestGraphMismatch:
 
 
 class TestServeClosesItsPool:
-    def test_a_failed_bind_closes_the_pool(self, demo_dir):
+    def test_a_failed_bind_closes_the_pool(self, demo_dir, capsys, tmp_path):
         """``repro serve`` closes its worker pool however it ends, when
-        the port is taken too."""
+        the port is taken too: it exits 1 with one line on stderr and
+        writes no trace capture."""
 
         def workers():
             return {
@@ -422,11 +425,21 @@ class TestServeClosesItsPool:
             taken.bind(("127.0.0.1", 0))
             taken.listen()
             port = str(taken.getsockname()[1])
-            with pytest.raises(OSError):
+            out = io.StringIO()
+            capture = tmp_path / "traces.jsonl"
+            with pytest.raises(SystemExit) as exited:
                 main(
-                    ["serve", str(demo_dir), "--port", port, "--workers", "2"],
-                    out=io.StringIO(),
+                    ["serve", str(demo_dir), "--port", port, "--workers", "2",
+                     "--trace-out", str(capture)],
+                    out=out,
                 )
+        assert exited.value.code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro serve: cannot listen on 127.0.0.1:{port}: "
+            f"{os.strerror(errno.EADDRINUSE)}"
+        ]
+        assert out.getvalue() == ""
+        assert not capture.exists()
         assert workers() == before
 
 
@@ -633,15 +646,19 @@ class TestServeTracing:
         assert code == 0
         assert json.loads(out)["displayTimeUnit"] == "ms"
 
-    def test_export_jsonl_round_trip(self, capture_dir):
+    def test_export_has_no_format_option(self, capture_dir, capsys):
+        # Chrome JSON is the only output; the capture itself is the JSONL
         directory, __ = capture_dir
-        source = directory / "trace.jsonl"
-        code, out = _run(
-            ["trace", "export", str(source), "--format", "jsonl"]
-        )
-        assert code == 0
-        assert out.strip().splitlines() == (
-            source.read_text().strip().splitlines()
+        with pytest.raises(SystemExit) as exited:
+            _run(
+                [
+                    "trace", "export", str(directory / "trace.jsonl"),
+                    "--format", "jsonl",
+                ]
+            )
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --format jsonl" in (
+            capsys.readouterr().err
         )
 
     def test_rootless_capture_exports_valid_empty_document(self, tmp_path):

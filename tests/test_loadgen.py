@@ -76,6 +76,7 @@ class TestRunBenchPayload:
         assert sum(payload["outcomes"].values()) == payload["offered"]
         assert payload["outcomes"]["answered"] == 12
         assert payload["outcomes"]["failed"] == 0
+        assert payload["failures"] == {}
 
     def test_latency_block_populated(self, payload):
         lat = payload["latency_ms"]
@@ -93,6 +94,25 @@ class TestRunBenchPayload:
         requests = 'precis_service_requests_total{priority="interactive"}'
         assert payload["counters"][requests] == 12
         assert payload["slo"]["objectives"][0]["total_events"] == 12
+
+
+class TestFailedPayload:
+    def test_failures_name_what_each_failed_request_raised(self):
+        engine, queries = movies_workload(n_movies=30)
+        payload = run_bench(
+            engine,
+            queries,
+            LoadConfig(clients=2, requests=3),
+            workers=1,
+            compare_coalescing=False,
+            # the engine refuses the argument on the worker
+            bogus=1,
+        )["coalesced"]
+        assert payload["outcomes"]["failed"] == payload["offered"] == 6
+        [(cause, count)] = payload["failures"].items()
+        assert cause.startswith("TypeError: ")
+        assert "'bogus'" in cause
+        assert count == 6
 
 
 class TestTracedPayload:
