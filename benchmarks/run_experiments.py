@@ -665,10 +665,12 @@ def startup(backend=None, sizes=(2000, 10000)):
     (seed 1): best of 3 of ``load_database``, of ``build_index`` over
     the loaded database, and of the whole engine load ``repro serve``
     performs (load, index, graph, translator), with what the index
-    holds and how many containers the cyclic collector tracks once the
-    engine is loaded (``len(gc.get_objects())`` after a full
-    collection, every other load freed: the whole interpreter's count,
-    which repeats exactly)."""
+    holds, how many hash-index buckets the loaded database holds (the
+    distinct non-NULL values of every indexed attribute), and how many
+    containers the cyclic collector tracks once the engine is loaded
+    (``len(gc.get_objects())`` after a full collection, every other
+    load freed: the whole interpreter's count, which repeats
+    exactly)."""
     import gc
     import io
     import tempfile
@@ -722,12 +724,19 @@ def startup(backend=None, sizes=(2000, 10000)):
             engine = _load_engine(directory, backend=backend)
             gc.collect()
             containers = len(gc.get_objects())
+            buckets = sum(
+                len(relation.distinct_values(attribute))
+                for relation in engine.db
+                for attribute in relation.schema.attribute_names
+                if relation.has_index(attribute)
+            )
             engine.db.close()
             del engine
             rows.append(
                 [
                     movies,
                     *counts,
+                    buckets,
                     containers,
                     load_s * 1e3,
                     index_s * 1e3,
@@ -738,7 +747,8 @@ def startup(backend=None, sizes=(2000, 10000)):
         "Start-up — repro serve's engine load over init-demo data "
         "(seed 1, best of 3)",
         ["movies", "values indexed", "vocabulary", "postings",
-         "gc containers", "load ms", "index ms", "engine ms"],
+         "index buckets", "gc containers", "load ms", "index ms",
+         "engine ms"],
         rows,
     )
 

@@ -629,6 +629,15 @@ class AsyncFrontDoor:
         # answer can already find the leader's trace
         self._record_trace(flight.context, answer, error, execution=execution)
         self._resolve_flight(flight, answer, error)
+        if isinstance(error, asyncio.CancelledError):
+            # Nothing cancels an Execution but wrap_future, passing on
+            # the cancellation of this dispatcher (the loop's teardown,
+            # say): the flight is resolved and recorded, so end. Its
+            # waiters were cancelled with it and read no outcome;
+            # reading it here keeps the future from being logged as
+            # never retrieved when it is collected.
+            flight.future.exception()
+            raise error
 
     def _failed(self, error: BaseException) -> None:
         """Count one failed execution by kind: ``transient`` when the

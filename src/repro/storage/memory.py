@@ -6,6 +6,11 @@ the primary key in a ``dict[pk tuple, tid]``, and secondary indexes as
 :class:`~repro.relational.index.HashIndex` objects maintained on every
 insert, update and delete. This is the semantics reference every other
 backend is property-tested against.
+
+A primary key that covers the whole row in column order (a pure link
+relation such as ``GENRE (MID, GENRE)``) is keyed by the stored row
+itself, so such a relation holds one tuple per row, not two; the store
+decides this once, from its schema.
 """
 
 from __future__ import annotations
@@ -29,10 +34,16 @@ class MemoryStore(TupleStore):
         self._next_tid = 1
         self._pk_index: dict[tuple, int] = {}
         self._indexes: dict[str, HashIndex] = {}
+        #: the key is the whole row, in column order: the row keys itself
+        self._pk_is_row = schema.primary_key_positions == tuple(
+            range(len(schema.columns))
+        )
 
     # ------------------------------------------------------------- writes
 
     def _pk_of(self, stored: tuple) -> Optional[tuple]:
+        if self._pk_is_row:
+            return stored
         positions = self.schema.primary_key_positions
         if not positions:
             return None
@@ -117,7 +128,7 @@ class MemoryStore(TupleStore):
     def lookup(self, attribute: str, value: Any) -> set[int]:
         index = self._indexes.get(attribute)
         if index is not None:
-            return set(index.lookup(value))
+            return index.lookup_many((value,))
         pos = self.schema.position(attribute)
         return {
             tid for tid, stored in self._tuples.items() if stored[pos] == value
@@ -152,11 +163,12 @@ class MemoryStore(TupleStore):
     # ------------------------------------------------------------- indexes
 
     def create_index(self, attribute: str) -> None:
-        index = HashIndex(self.schema.name, attribute)
         pos = self.schema.position(attribute)
-        for tid, stored in self._tuples.items():
-            index.insert(stored[pos], tid)
-        self._indexes[attribute] = index
+        self._indexes[attribute] = HashIndex.build(
+            self.schema.name,
+            attribute,
+            ((stored[pos], tid) for tid, stored in self._tuples.items()),
+        )
 
     def has_index(self, attribute: str) -> bool:
         return attribute in self._indexes

@@ -8,6 +8,7 @@ metrics and traces account correctly, and close() drains.
 """
 
 import asyncio
+import gc
 import threading
 
 import pytest
@@ -319,6 +320,52 @@ class TestLifecycle:
         run(go())
         # the pool's threads started with the front door, and stopped
         assert not any(t.is_alive() for t in frontdoor._pool._threads)
+
+    def test_leaving_the_loop_mid_flight_ends_the_dispatcher(
+        self, engine, caplog
+    ):
+        """``asyncio.run`` returns when its coroutine leaves without
+        ``close()`` while a flight executes: the loop's teardown
+        cancels the dispatcher, which records the flight as it did
+        before and then ends instead of waiting for more work."""
+        traces = TraceBuffer(capacity=16, sample_rate=1.0)
+        frontdoor = AsyncFrontDoor(engine, traces=traces)
+        gate = threading.Event()
+        deadline = GateDeadline(gate)
+        submits = []
+
+        async def main():
+            submits.append(
+                asyncio.ensure_future(
+                    frontdoor.submit(QUERY, deadline=deadline)
+                )
+            )
+            await entered(deadline)  # the one worker holds the flight
+
+        loop_thread = threading.Thread(
+            target=run, args=(main(),), daemon=True
+        )
+        loop_thread.start()
+        try:
+            loop_thread.join(timeout=30)  # a hang guard only
+            assert not loop_thread.is_alive(), "asyncio.run never returned"
+        finally:
+            gate.set()
+            frontdoor._pool.close()
+        assert not any(t.is_alive() for t in frontdoor._pool._threads)
+        (submit,) = submits
+        assert submit.cancelled()
+        assert counter(
+            frontdoor, "precis_service_failures_total", kind="CancelledError"
+        ) == 1
+        (trace,) = traces.traces()
+        assert (trace.outcome, trace.error) == ("failed", "CancelledError")
+        assert frontdoor.pending() == 0
+        # the flight's future, freed with the cycles that hold it, was
+        # read: nothing is logged as a future exception never retrieved
+        del frontdoor, submits, submit, main
+        gc.collect()
+        assert "never retrieved" not in caplog.text
 
     def test_repr(self, engine):
         async def go():

@@ -123,14 +123,16 @@ def test_startup_payload(capsys):
     capsys.readouterr()
     assert payload["columns"] == [
         "movies", "values indexed", "vocabulary", "postings",
-        "gc containers", "load ms", "index ms", "engine ms",
+        "index buckets", "gc containers", "load ms", "index ms",
+        "engine ms",
     ]
-    ((movies, values, vocabulary, postings, containers, *times),) = (
+    ((movies, values, vocabulary, postings, buckets, containers, *times),) = (
         payload["rows"]
     )
     assert movies == 40
     assert 0 < vocabulary <= postings
     assert values > 0
+    assert buckets > 0
     assert containers > 0
     assert all(ms > 0 for ms in times)
 
